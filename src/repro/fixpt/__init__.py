@@ -9,13 +9,15 @@ their bit-vector representation.  This package is the Python equivalent:
 * :class:`Fx` — a fixed-point value; arithmetic grows precision exactly and
   quantization only happens at explicit format boundaries, mirroring
   hardware datapath behaviour.
-* :func:`quantize` — quantize any real number into a format.
+* :func:`quantize` — quantize any real number into a format, and
+  :func:`quantize_raw_at` — the exact-integer wordlength boundary every
+  back-end renders.
 * :class:`RangeTracer` — record observed value ranges and overflow events to
   drive wordlength optimization.
 """
 
 from .fixed import Fx, FxFormat, FxOverflowError, Overflow, Rounding
-from .quantize import quantize, quantize_raw
+from .quantize import quantize, quantize_raw, quantize_raw_at, sign_fold
 from .trace import RangeRecord, RangeTracer
 
 __all__ = [
@@ -26,6 +28,8 @@ __all__ = [
     "Rounding",
     "quantize",
     "quantize_raw",
+    "quantize_raw_at",
+    "sign_fold",
     "RangeRecord",
     "RangeTracer",
 ]

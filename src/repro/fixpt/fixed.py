@@ -6,6 +6,12 @@ Because Python integers are unbounded, intermediate arithmetic is exact;
 wordlength effects (rounding, saturation, wraparound) are applied only when
 a value is forced into a :class:`FxFormat`, which is precisely how a
 hardware datapath behaves at register and bus boundaries.
+
+Every operation works on aligned raw integers: comparisons and ``int()``
+shift both sides to a common binary point instead of building
+:class:`~fractions.Fraction` values, and the format an operator derives
+from its operand formats is built once per pair and remembered by the
+format that derived it.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ class Overflow(enum.Enum):
 # ``from repro.fixpt.fixed import FxOverflowError`` call sites keep working.
 from ..core.errors import FxOverflowError  # noqa: E402  (re-export)
 
+#: The fields that define a format: all that a pickle or copy carries.
+_FIELDS = ("wl", "iwl", "signed", "rounding", "overflow")
+
 
 @dataclass(frozen=True)
 class FxFormat:
@@ -56,6 +65,18 @@ class FxFormat:
         Two's-complement when True, unsigned otherwise.
     rounding / overflow:
         Quantization behaviour applied when values enter this format.
+
+    Attributes
+    ----------
+    frac_bits:
+        Number of bits right of the binary point (may be negative).
+    raw_min / raw_max:
+        Smallest and largest representable raw integer.
+
+    These are computed once at construction, with the hash and an empty
+    memo of the formats :class:`Fx` arithmetic derives from this one.
+    None of them is part of a pickle or copy — enum hashes follow
+    ``PYTHONHASHSEED`` — so loading rebuilds them from the five fields.
     """
 
     wl: int
@@ -69,21 +90,32 @@ class FxFormat:
             raise ValueError(f"word length must be >= 1, got {self.wl}")
         if self.signed and self.wl < 1:
             raise ValueError("signed formats need at least 1 bit")
+        init = object.__setattr__
+        init(self, "frac_bits", self.wl - self.iwl)
+        if self.signed:
+            init(self, "raw_min", -(1 << (self.wl - 1)))
+            init(self, "raw_max", (1 << (self.wl - 1)) - 1)
+        else:
+            init(self, "raw_min", 0)
+            init(self, "raw_max", (1 << self.wl) - 1)
+        # The hash the generated dataclass __hash__ would compute.
+        init(self, "_hash", hash((self.wl, self.iwl, self.signed,
+                                  self.rounding, self.overflow)))
+        # Partner format -> (union, sum, difference, product) formats.
+        init(self, "_pairs", {})
+        # Shift distance (positive = left) -> shifted format.
+        init(self, "_shifts", {})
 
-    @property
-    def frac_bits(self) -> int:
-        """Number of bits right of the binary point (may be negative)."""
-        return self.wl - self.iwl
+    def __hash__(self) -> int:
+        return self._hash
 
-    @property
-    def raw_min(self) -> int:
-        """Smallest representable raw integer."""
-        return -(1 << (self.wl - 1)) if self.signed else 0
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in _FIELDS}
 
-    @property
-    def raw_max(self) -> int:
-        """Largest representable raw integer."""
-        return (1 << (self.wl - 1)) - 1 if self.signed else (1 << self.wl) - 1
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     @property
     def min_value(self) -> Fraction:
@@ -123,6 +155,20 @@ class FxFormat:
 
     def union(self, other: "FxFormat") -> "FxFormat":
         """The smallest format holding every value of *self* and *other*."""
+        return self._derived(other)[0]
+
+    def _derived(self, other: "FxFormat") -> tuple:
+        """The formats *self* derives with *other*, built on first use.
+
+        Returns ``(union, sum, difference, product)``: the union holds
+        both operands, a sum grows it by one integer bit, a difference is
+        also signed, and a product adds the operands' integer and fraction
+        widths.  Every derived format keeps *self*'s rounding and overflow.
+        """
+        try:
+            return self._pairs[other]
+        except KeyError:
+            pass
         signed = self.signed or other.signed
 
         def eff_iwl(fmt: FxFormat) -> int:
@@ -132,13 +178,32 @@ class FxFormat:
         iwl_mag = max(eff_iwl(self), eff_iwl(other))
         frac = max(self.frac_bits, other.frac_bits)
         iwl = iwl_mag + (1 if signed else 0)
-        return FxFormat(
-            wl=iwl + frac,
-            iwl=iwl,
-            signed=signed,
-            rounding=self.rounding,
-            overflow=self.overflow,
-        )
+        union = FxFormat(iwl + frac, iwl, signed, self.rounding, self.overflow)
+        product_iwl = self.iwl + other.iwl
+        product = FxFormat(max(1, product_iwl + self.frac_bits + other.frac_bits),
+                           product_iwl, signed, self.rounding, self.overflow)
+        derived = (union, _grow_int(union, 1),
+                   _grow_int(_make_signed(union), 1), product)
+        self._pairs[other] = derived
+        return derived
+
+    def _shifted(self, bits: int) -> "FxFormat":
+        """The format of a shift by *bits*, remembered per distance.
+
+        A left shift (positive *bits*) grows the integer field, a right
+        shift the fraction field; the raw integer is what moves.
+        """
+        try:
+            return self._shifts[bits]
+        except KeyError:
+            pass
+        if bits >= 0:
+            fmt = _grow_int(self, bits)
+        else:
+            fmt = FxFormat(self.wl - bits, self.iwl, self.signed,
+                           self.rounding, self.overflow)
+        self._shifts[bits] = fmt
+        return fmt
 
     def __str__(self) -> str:
         sign = "s" if self.signed else "u"
@@ -149,10 +214,20 @@ class FxFormat:
 INT32 = FxFormat(wl=32, iwl=32, signed=True)
 
 
+#: The formats of :func:`_format_for_int` up to 64 bits, one per width, so
+#: that an ``int`` operand brings a format whose derived formats its
+#: partner already remembers instead of a new format every time.
+_INT_FORMATS = {bits: FxFormat(wl=bits, iwl=bits, signed=True)
+                for bits in range(2, 65)}
+
+
 def _format_for_int(value: int) -> FxFormat:
     """Smallest signed integer format holding *value*."""
     bits = max(value.bit_length(), 1) + 1  # +1 sign bit
-    return FxFormat(wl=bits, iwl=bits, signed=True)
+    fmt = _INT_FORMATS.get(bits)
+    if fmt is None:
+        fmt = FxFormat(wl=bits, iwl=bits, signed=True)
+    return fmt
 
 
 def _format_for_float(value: float, frac_bits: int = 31) -> FxFormat:
@@ -185,10 +260,8 @@ class Fx:
                 raise TypeError(f"cannot infer format for {type(value).__name__}")
         self._fmt = fmt
         if raw is not None:
-            self._raw = _apply_overflow(raw, fmt)
+            self._raw = quantize_raw_at(raw, fmt.frac_bits, fmt)
         else:
-            from .quantize import quantize_raw
-
             self._raw = quantize_raw(value, fmt)
 
     # -- accessors ---------------------------------------------------------
@@ -215,8 +288,11 @@ class Fx:
         return self._raw * (2.0 ** -fb)
 
     def __int__(self) -> int:
-        frac = self.as_fraction()
-        return int(frac) if frac >= 0 else -int(-frac)
+        raw, fb = self._raw, self._fmt.frac_bits
+        if fb <= 0:
+            return raw << -fb
+        # Truncate toward zero, as int() of the exact value does.
+        return raw >> fb if raw >= 0 else -(-raw >> fb)
 
     def __index__(self) -> int:
         if not self._fmt.is_integer():
@@ -233,97 +309,77 @@ class Fx:
 
     def cast(self, fmt: FxFormat) -> "Fx":
         """Quantize into *fmt* — models a register/bus wordlength boundary."""
-        return Fx(self, fmt)
+        return _fx(quantize_raw_at(self._raw, self._fmt.frac_bits, fmt), fmt)
 
     # -- arithmetic (exact; formats grow) ------------------------------------
+    #
+    # Every result below fits its derived format by construction, so it is
+    # built directly, without a range check.
 
     @staticmethod
     def _coerce(value: Real) -> "Fx":
         if isinstance(value, Fx):
             return value
+        if value.__class__ is int:
+            # Its own integer format holds an int exactly: nothing to round.
+            return _fx(value, _format_for_int(value))
         return Fx(value)
 
-    def _binary_raws(self, other: "Fx"):
-        """Align both raw integers to a common fraction length."""
-        fa, fb = self._fmt.frac_bits, other._fmt.frac_bits
-        frac = max(fa, fb)
-        ra = self._raw << (frac - fa)
-        rb = other._raw << (frac - fb)
-        return ra, rb, frac
-
     def __add__(self, other: Real) -> "Fx":
-        other = self._coerce(other)
-        ra, rb, frac = self._binary_raws(other)
-        result = ra + rb
-        fmt = self._fmt.union(other._fmt)
-        fmt = _grow_int(fmt, 1)
-        return Fx(raw=result << max(0, fmt.frac_bits - frac), fmt=fmt)
+        if other.__class__ is not Fx:
+            other = self._coerce(other)
+        fa, fb = self._fmt, other._fmt
+        fmt = fa._derived(fb)[1]
+        shift = fa.frac_bits - fb.frac_bits
+        if shift >= 0:
+            return _fx(self._raw + (other._raw << shift), fmt)
+        return _fx((self._raw << -shift) + other._raw, fmt)
 
     def __radd__(self, other: Real) -> "Fx":
         return self._coerce(other).__add__(self)
 
     def __sub__(self, other: Real) -> "Fx":
-        other = self._coerce(other)
-        ra, rb, frac = self._binary_raws(other)
-        result = ra - rb
-        fmt = self._fmt.union(other._fmt)
-        fmt = _grow_int(_make_signed(fmt), 1)
-        return Fx(raw=result << max(0, fmt.frac_bits - frac), fmt=fmt)
+        if other.__class__ is not Fx:
+            other = self._coerce(other)
+        fa, fb = self._fmt, other._fmt
+        fmt = fa._derived(fb)[2]
+        shift = fa.frac_bits - fb.frac_bits
+        if shift >= 0:
+            return _fx(self._raw - (other._raw << shift), fmt)
+        return _fx((self._raw << -shift) - other._raw, fmt)
 
     def __rsub__(self, other: Real) -> "Fx":
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other: Real) -> "Fx":
-        other = self._coerce(other)
-        raw = self._raw * other._raw
-        frac = self._fmt.frac_bits + other._fmt.frac_bits
-        signed = self._fmt.signed or other._fmt.signed
-        iwl = self._fmt.iwl + other._fmt.iwl
-        fmt = FxFormat(
-            wl=max(1, iwl + frac),
-            iwl=iwl,
-            signed=signed,
-            rounding=self._fmt.rounding,
-            overflow=self._fmt.overflow,
-        )
-        shift = fmt.frac_bits - frac
-        if shift >= 0:
-            raw <<= shift
-        else:
-            raw >>= -shift
-        return Fx(raw=raw, fmt=fmt)
+        if other.__class__ is not Fx:
+            other = self._coerce(other)
+        fa, fb = self._fmt, other._fmt
+        fmt = fa._derived(fb)[3]
+        return _fx(self._raw * other._raw, fmt)
 
     def __rmul__(self, other: Real) -> "Fx":
         return self._coerce(other).__mul__(self)
 
     def __neg__(self) -> "Fx":
-        fmt = _grow_int(_make_signed(self._fmt), 1)
-        shift = fmt.frac_bits - self._fmt.frac_bits
-        return Fx(raw=(-self._raw) << shift, fmt=fmt)
+        # -x takes the format of x - x: signed, one integer bit grown.
+        return _fx(-self._raw, self._fmt._derived(self._fmt)[2])
 
     def __abs__(self) -> "Fx":
-        return -self if self._raw < 0 else Fx(raw=self._raw, fmt=self._fmt)
+        return -self if self._raw < 0 else _fx(self._raw, self._fmt)
 
     def __lshift__(self, bits: int) -> "Fx":
         """Shift left: multiply by 2**bits, growing the integer field."""
         if bits < 0:
             return self >> -bits
-        fmt = _grow_int(self._fmt, bits)
-        return Fx(raw=self._raw << (fmt.frac_bits - self._fmt.frac_bits + bits), fmt=fmt)
+        return _fx(self._raw << bits, self._fmt._shifted(bits))
 
     def __rshift__(self, bits: int) -> "Fx":
         """Shift right: divide by 2**bits, growing the fraction field."""
         if bits < 0:
             return self << -bits
-        fmt = FxFormat(
-            wl=self._fmt.wl + bits,
-            iwl=self._fmt.iwl,
-            signed=self._fmt.signed,
-            rounding=self._fmt.rounding,
-            overflow=self._fmt.overflow,
-        )
         # Raw value unchanged; the binary point moves by adding frac bits.
-        return Fx(raw=self._raw << (fmt.frac_bits - self._fmt.frac_bits - bits), fmt=fmt)
+        return _fx(self._raw, self._fmt._shifted(-bits))
 
     # -- bitwise (integer formats only) ---------------------------------------
 
@@ -332,14 +388,7 @@ class Fx:
         if not (self._fmt.is_integer() and other._fmt.is_integer()):
             raise TypeError("bitwise operations require integer fixed-point formats")
         fmt = self._fmt.union(other._fmt)
-        wl = fmt.wl
-        mask = (1 << wl) - 1
-        ra = self._raw & mask
-        rb = other._raw & mask
-        result = op(ra, rb) & mask
-        if fmt.signed and result >= (1 << (wl - 1)):
-            result -= 1 << wl
-        return Fx(raw=result, fmt=fmt)
+        return _fx(sign_fold(op(self._raw, other._raw), fmt.wl, fmt.signed), fmt)
 
     def __and__(self, other: Real) -> "Fx":
         return self._bitwise(other, lambda a, b: a & b)
@@ -353,44 +402,78 @@ class Fx:
     def __invert__(self) -> "Fx":
         if not self._fmt.is_integer():
             raise TypeError("bitwise operations require integer fixed-point formats")
-        mask = (1 << self._fmt.wl) - 1
-        result = (~self._raw) & mask
-        if self._fmt.signed and result >= (1 << (self._fmt.wl - 1)):
-            result -= 1 << self._fmt.wl
-        return Fx(raw=result, fmt=self._fmt)
+        return _fx(sign_fold(~self._raw, self._fmt.wl, self._fmt.signed), self._fmt)
 
     # -- comparisons -----------------------------------------------------------
 
-    def _cmp_value(self, other: Real) -> Fraction:
+    def _aligned(self, other: Real):
+        """Two integers that order as ``self`` and *other* do.
+
+        Dyadic values (``Fx``, ``int``, ``float``) are shifted to a common
+        binary point; a float NaN or infinity raises as converting it to a
+        ratio does.  Anything else goes through :class:`Fraction`, and a
+        non-dyadic ratio is cross-multiplied.
+        """
+        raw, frac = self._raw, self._fmt.frac_bits
         if isinstance(other, Fx):
-            return other.as_fraction()
-        if isinstance(other, float):
-            return Fraction(other)
-        return Fraction(other)
+            value, at = other._raw, other._fmt.frac_bits
+        elif isinstance(other, float):
+            value, denominator = other.as_integer_ratio()
+            at = denominator.bit_length() - 1
+        elif isinstance(other, int):
+            value, at = other, 0
+        else:
+            if not isinstance(other, Fraction):
+                other = Fraction(other)
+            value, denominator = other.numerator, other.denominator
+            if denominator & (denominator - 1):
+                if frac >= 0:
+                    return raw * denominator, value << frac
+                return (raw << -frac) * denominator, value
+            at = denominator.bit_length() - 1
+        if frac >= at:
+            return raw, value << (frac - at)
+        return raw << (at - frac), value
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Fx, int, float, Fraction)):
             return NotImplemented
-        return self.as_fraction() == self._cmp_value(other)
+        a, b = self._aligned(other)
+        return a == b
 
     def __ne__(self, other) -> bool:
         result = self.__eq__(other)
         return NotImplemented if result is NotImplemented else not result
 
     def __lt__(self, other: Real) -> bool:
-        return self.as_fraction() < self._cmp_value(other)
+        a, b = self._aligned(other)
+        return a < b
 
     def __le__(self, other: Real) -> bool:
-        return self.as_fraction() <= self._cmp_value(other)
+        a, b = self._aligned(other)
+        return a <= b
 
     def __gt__(self, other: Real) -> bool:
-        return self.as_fraction() > self._cmp_value(other)
+        a, b = self._aligned(other)
+        return a > b
 
     def __ge__(self, other: Real) -> bool:
-        return self.as_fraction() >= self._cmp_value(other)
+        a, b = self._aligned(other)
+        return a >= b
 
     def __repr__(self) -> str:
         return f"Fx({float(self)!r}, {self._fmt})"
+
+
+_new_fx = object.__new__
+
+
+def _fx(raw: int, fmt: FxFormat) -> Fx:
+    """An :class:`Fx` of *raw*, which the caller guarantees fits *fmt*."""
+    value = _new_fx(Fx)
+    value._raw = raw
+    value._fmt = fmt
+    return value
 
 
 def _make_signed(fmt: FxFormat) -> FxFormat:
@@ -415,16 +498,6 @@ def _grow_int(fmt: FxFormat, bits: int) -> FxFormat:
     )
 
 
-def _apply_overflow(raw: int, fmt: FxFormat) -> int:
-    """Fold *raw* into the representable range of *fmt*."""
-    if fmt.raw_min <= raw <= fmt.raw_max:
-        return raw
-    if fmt.overflow is Overflow.SATURATE:
-        return fmt.raw_max if raw > fmt.raw_max else fmt.raw_min
-    if fmt.overflow is Overflow.WRAP:
-        span = 1 << fmt.wl
-        raw &= span - 1
-        if fmt.signed and raw >= (1 << (fmt.wl - 1)):
-            raw -= span
-        return raw
-    raise FxOverflowError(f"raw value {raw} overflows format {fmt}")
+# The integer core lives in quantize.py, which builds on the types above;
+# importing it last lets both modules use each other at module scope.
+from .quantize import quantize_raw, quantize_raw_at, sign_fold  # noqa: E402

@@ -51,8 +51,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import CodegenError
-from ..fixpt import FxFormat, Overflow, Rounding
-from ..fixpt.fixed import FxOverflowError
+# The wordlength boundary is defined once, in the number system; it is
+# re-exported here for the back-ends that render it.
+from ..fixpt import quantize_raw, quantize_raw_at, sign_fold
 
 #: Opcodes whose result lives in the float/interpreter domain markers.
 FLOAT_OPS = frozenset({"fconst", "tofloat"})
@@ -123,44 +124,6 @@ class IRBlock:
         for op in self.ops:
             out[op.opcode] = out.get(op.opcode, 0) + 1
         return out
-
-
-def sign_fold(raw: int, wl: int, signed: bool) -> int:
-    """Wrap *raw* into the two's-complement range of a *wl*-bit word."""
-    raw &= (1 << wl) - 1
-    if signed and raw >= 1 << (wl - 1):
-        raw -= 1 << wl
-    return raw
-
-
-def quantize_raw_at(raw: int, frac: int, fmt: FxFormat) -> int:
-    """Quantize a raw integer at binary point *frac* into *fmt*.
-
-    This is the single arithmetic definition every back-end renders:
-    shift to the target binary point (rounding per the format), then
-    apply the overflow policy.  Raises :class:`FxOverflowError` for
-    ``Overflow.ERROR`` formats when the value does not fit.
-    """
-    shift = frac - fmt.frac_bits
-    if shift < 0:
-        value = raw << -shift
-    elif shift == 0:
-        value = raw
-    elif fmt.rounding is Rounding.ROUND:
-        value = (raw + (1 << (shift - 1))) >> shift
-    else:
-        value = raw >> shift
-    lo, hi = fmt.raw_min, fmt.raw_max
-    if fmt.overflow is Overflow.SATURATE:
-        return min(max(value, lo), hi)
-    if fmt.overflow is Overflow.WRAP:
-        return sign_fold(value, fmt.wl, fmt.signed)
-    if not lo <= value <= hi:
-        raise FxOverflowError(
-            f"overflow quantizing raw {raw} (frac {frac}) into {fmt}: "
-            f"{value} not in [{lo}, {hi}]"
-        )
-    return value
 
 
 def execute(block: IRBlock,
@@ -237,8 +200,6 @@ def execute(block: IRBlock,
             fmt = op.attrs[0]
             src = block.ops[op.args[0]]
             if src.frac is None:
-                from ..fixpt import quantize_raw
-
                 result = quantize_raw(a[0], fmt)
             else:
                 result = quantize_raw_at(a[0], src.frac, fmt)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..fixpt import Fx
+from ..fixpt import Fx, quantize
 from ..core.errors import ModelError, SimulationError
 from ..core.process import TimedProcess, UntimedProcess
 from ..core.sfg import SFG, Assignment
@@ -191,8 +191,6 @@ class EventSimulator:
                         if int(mark.value):
                             value = a.expr.evaluate()
                             if reg.fmt is not None:
-                                from ..fixpt import quantize
-
                                 value = quantize(value, reg.fmt)
                             return [(d, value)]
                     return [(d, reg.current)]  # hold

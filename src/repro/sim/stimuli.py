@@ -130,16 +130,14 @@ class PortLog:
         self.outputs: Dict[str, List[object]] = {
             p.name: [] for p in process.out_ports()
         }
+        # Each port beside its log, inputs first, in declaration order.
+        self._taps = [(p, self.inputs[p.name]) for p in process.in_ports()]
+        self._taps += [(p, self.outputs[p.name]) for p in process.out_ports()]
 
     def __call__(self, scheduler) -> None:
-        for port in self.process.in_ports():
+        for port, values in self._taps:
             chan = port.channel
-            self.inputs[port.name].append(
-                chan.value if chan is not None and chan.valid else None
-            )
-        for port in self.process.out_ports():
-            chan = port.channel
-            self.outputs[port.name].append(
+            values.append(
                 chan.value if chan is not None and chan.valid else None
             )
 

@@ -19,7 +19,8 @@ from typing import Dict, Optional
 
 from ..core.errors import FxOverflowError
 from ..core.sfg import SFG
-from ..fixpt import Fx, FxFormat, Rounding
+from ..fixpt import Fx, FxFormat
+from ..fixpt.quantize import round_raw_at
 from ..ir.lower import lower_sfg
 from ..ir.ops import execute
 
@@ -47,18 +48,6 @@ class OverflowWitness:
                  else f"value {self.value} escapes "
                       f"[{self.fmt.raw_min}, {self.fmt.raw_max}]")
         return f"with {assigns or 'no inputs'}: {where} at {self.fmt}"
-
-
-def _shifted(raw: int, frac: int, fmt: FxFormat) -> int:
-    """The pre-policy shift of :func:`repro.ir.ops.quantize_raw_at`."""
-    shift = frac - fmt.frac_bits
-    if shift < 0:
-        return raw << -shift
-    if shift == 0:
-        return raw
-    if fmt.rounding is Rounding.ROUND:
-        return (raw + (1 << (shift - 1))) >> shift
-    return raw >> shift
 
 
 def find_overflow_witness(sfg: SFG, trials: int = 256,
@@ -96,7 +85,7 @@ def find_overflow_witness(sfg: SFG, trials: int = 256,
             if src.frac is None:
                 continue
             fmt = op.attrs[0]
-            value = _shifted(values[op.args[0]], src.frac, fmt)
+            value = round_raw_at(values[op.args[0]], src.frac, fmt)
             if not fmt.raw_min <= value <= fmt.raw_max:
                 return OverflowWitness(raws, vid, fmt, value)
     return None
