@@ -27,6 +27,7 @@ from .ops import (
 from .passes import (
     AGGRESSIVE_PASSES,
     DEFAULT_PASSES,
+    ENGINE_PASSES,
     NARROW_PASSES,
     PIPELINES,
     PassManager,
@@ -34,6 +35,7 @@ from .passes import (
     cse,
     constant_fold,
     dce,
+    elide_quantize,
     narrow_bitwidth,
     resolve_pipeline,
     restructure_mux,
@@ -45,6 +47,7 @@ __all__ = [
     "AGGRESSIVE_PASSES",
     "Counterexample",
     "DEFAULT_PASSES",
+    "ENGINE_PASSES",
     "NARROW_PASSES",
     "EquivReport",
     "IRBlock",
@@ -60,6 +63,7 @@ __all__ = [
     "cse",
     "constant_fold",
     "dce",
+    "elide_quantize",
     "execute",
     "lower_assignments",
     "lower_expr",

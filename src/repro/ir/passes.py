@@ -647,6 +647,27 @@ def narrow_bitwidth(block: IRBlock) -> Tuple[IRBlock, bool]:
     return narrow_block(block)
 
 
+def elide_quantize(block: IRBlock) -> Tuple[IRBlock, bool]:
+    """Drop the overflow policy of every quantize that can never fire.
+
+    The pass body lives in :func:`repro.lint.bits.elide_quantize_block`:
+    a forward walk of interval facts proves, per fixed-point quantize,
+    that the shifted source range lies inside the format, and rewrites
+    the quantize into the plain shift (or ``retag``) that
+    ``quantize_raw_at`` performs before judging the range.  The
+    compiled engines then stop paying for saturations, wrap folds and
+    overflow checks on values that are always in range.  Width labels
+    are untouched, so this is the rewrite ``narrow_bitwidth`` also
+    makes, without its narrowing.
+
+    Imported lazily through the same contract-7 edge as
+    :func:`narrow_bitwidth`.
+    """
+    from ..lint.bits import elide_quantize_block
+
+    return elide_quantize_block(block)
+
+
 #: The default pipeline, in application order.
 DEFAULT_PASSES: Tuple[Tuple[str, Callable], ...] = (
     ("constant_fold", constant_fold),
@@ -681,11 +702,25 @@ NARROW_PASSES: Tuple[Tuple[str, Callable], ...] = (
     ("dce", dce),
 )
 
+#: The compiled engines' pipeline: the default passes plus
+#: :func:`elide_quantize`.  It runs before ``algebraic_simplify`` so the
+#: ``retag`` a same-point quantize becomes folds away in the same
+#: iteration.  The simulators default to it; synthesis and the HDL
+#: generators keep ``"default"``, so netlists and HDL text do not move.
+ENGINE_PASSES: Tuple[Tuple[str, Callable], ...] = (
+    ("constant_fold", constant_fold),
+    ("elide_quantize", elide_quantize),
+    ("algebraic_simplify", algebraic_simplify),
+    ("cse", cse),
+    ("dce", dce),
+)
+
 #: Named pipelines accepted wherever a pass sequence is expected.
 PIPELINES: Dict[str, Tuple[Tuple[str, Callable], ...]] = {
     "default": DEFAULT_PASSES,
     "aggressive": AGGRESSIVE_PASSES,
     "narrow": NARROW_PASSES,
+    "engine": ENGINE_PASSES,
 }
 
 

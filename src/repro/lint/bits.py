@@ -39,6 +39,12 @@ On top of the analysis:
   faithful on every demanded bit).  Registered in
   :data:`repro.ir.passes.PIPELINES` as ``"narrow"`` and shipped under
   ``PassManager(validate=...)`` translation-validation obligations.
+* :func:`elide_quantize_block` — the ``elide_quantize`` IR pass body
+  of the compiled engines' ``"engine"`` pipeline: the same
+  quantize-to-shift rewrite under the same safety predicate
+  (:func:`quantize_safe`), driven by plain forward interval facts only,
+  so the saturations, wrap folds and overflow checks that can never
+  fire drop out of the generated step function.
 * :func:`wordlength_report` — per-signal minimal ``(wl, iwl)`` rows
   for a design, the static seed for wordlength exploration; publishes
   to an obs metrics registry via the duck-typed ``counter().inc()``
@@ -47,8 +53,8 @@ On top of the analysis:
 Layering: this module may import only ``repro.core``, ``repro.ir``,
 ``repro.fixpt`` and :mod:`repro.lint.interval` (contract #7 in
 ``tools/check_layering.py``) — it is the one lint module
-``repro.ir.passes`` reaches (lazily), mirroring ``ir/equiv.py``'s
-sanctioned edge onto the interval domain.
+``repro.ir.passes`` reaches (lazily, for both pass bodies), mirroring
+``ir/equiv.py``'s sanctioned edge onto the interval domain.
 """
 
 from __future__ import annotations
@@ -330,14 +336,46 @@ def _quantize_shift(src_frac: int, fmt: FxFormat) -> int:
     return src_frac - fmt.frac_bits
 
 
-def _quantize_safe(source: Optional[Interval], src_frac: Optional[int],
-                   fmt: FxFormat) -> bool:
-    """True when no reachable value can overflow the quantize."""
+def quantize_safe(source: Optional[Interval], src_frac: Optional[int],
+                  fmt: FxFormat) -> bool:
+    """True when no raw value in *source* can overflow a quantize.
+
+    *source* is the raw range of the quantize's operand at binary point
+    *src_frac*.  The rounded shift into *fmt* must land inside the
+    format's raw range for every value; then the overflow policy never
+    fires and :func:`quantize_shift` computes the quantize exactly.  An
+    unknown range or a float-domain source (``src_frac is None``) is
+    never safe.  The one safety predicate behind both quantize rewrites.
+    """
     if source is None or src_frac is None:
         return False
-    value = shifted_interval(source, _quantize_shift(src_frac, fmt),
-                             fmt.rounding)
+    value = shifted_interval(source, src_frac, fmt)
     return fmt.raw_min <= value.lo and value.hi <= fmt.raw_max
+
+
+def quantize_shift(out: IRBlock, op: IROp, src: int, src_frac: int,
+                   width: int) -> int:
+    """Emit quantize *op* of value *src* without its overflow policy.
+
+    The shift :func:`~repro.fixpt.quantize.quantize_raw_at` performs
+    before it judges the range: a ``retag`` at an equal binary point,
+    ``shl`` to gain fraction bits, ``ashr`` to drop them (ROUND adds
+    half an LSB first).  Appends to *out* and returns the result's value
+    id, labelled at *op*'s binary point with *width*.  Exact only when
+    :func:`quantize_safe` holds for *src*'s range.
+    """
+    fmt: FxFormat = op.attrs[0]
+    shift = _quantize_shift(src_frac, fmt)
+    if shift == 0:
+        return out.emit(IROp("retag", (src,), (), op.frac, width))
+    if shift < 0:
+        return out.emit(IROp("shl", (src,), (-shift,), op.frac, width))
+    if fmt.rounding is Rounding.ROUND:
+        half = out.emit(IROp("const", (), (1 << (shift - 1),), src_frac,
+                             shift + 1))
+        src = out.emit(IROp("add", (src, half), (), src_frac,
+                            max(out.ops[src].width, shift + 1) + 1))
+    return out.emit(IROp("ashr", (src,), (shift,), op.frac, width))
 
 
 def _quantize_bits(src: KnownBits, source_interval: Optional[Interval],
@@ -352,7 +390,7 @@ def _quantize_bits(src: KnownBits, source_interval: Optional[Interval],
                              shift)
     else:
         shifted = _ashr_bits(src, shift)
-    if _quantize_safe(source_interval, src_frac, fmt):
+    if quantize_safe(source_interval, src_frac, fmt):
         return shifted
     if fmt.overflow is Overflow.SATURATE:
         return join_bits(join_bits(shifted, const_bits(fmt.raw_min)),
@@ -632,7 +670,7 @@ def analyze_bits(block: IRBlock, leaf_interval=None,
         intervals[vid] = _tighten(refined, kb)
         if op.opcode == "quantize":
             src = block.ops[op.args[0]]
-            result.quantize_safe[vid] = _quantize_safe(
+            result.quantize_safe[vid] = quantize_safe(
                 intervals[op.args[0]], src.frac, op.attrs[0])
     result.demand = _backward_demand(block, known, store_demand)
     return result
@@ -730,31 +768,11 @@ def narrow_block(block: IRBlock) -> Tuple[IRBlock, bool]:
                 changed = True
                 continue
 
-        if fmt is not None and safe:
-            src_op = block.ops[op.args[0]]
-            if src_op.frac is not None:
-                shift = _quantize_shift(src_op.frac, fmt)
-                if shift == 0:
-                    new_id = out.emit(IROp("retag", (args[0],), (),
-                                           op.frac, width))
-                elif shift < 0:
-                    new_id = out.emit(IROp("shl", (args[0],), (-shift,),
-                                           op.frac, width))
-                elif fmt.rounding is Rounding.ROUND:
-                    half = out.emit(IROp("const", (), (1 << (shift - 1),),
-                                         src_op.frac, shift + 1))
-                    src_width = out.ops[args[0]].width
-                    total = out.emit(IROp(
-                        "add", (args[0], half), (), src_op.frac,
-                        max(src_width, shift + 1) + 1))
-                    new_id = out.emit(IROp("ashr", (total,), (shift,),
-                                           op.frac, width))
-                else:
-                    new_id = out.emit(IROp("ashr", (args[0],), (shift,),
-                                           op.frac, width))
-                remap[vid] = new_id
-                changed = True
-                continue
+        if safe:  # quantize_safe implies a fixed-point source
+            remap[vid] = quantize_shift(out, op, args[0],
+                                        block.ops[op.args[0]].frac, width)
+            changed = True
+            continue
 
         remap[vid] = out.emit(IROp(op.opcode, args, op.attrs, op.frac,
                                    width))
@@ -762,6 +780,65 @@ def narrow_block(block: IRBlock) -> Tuple[IRBlock, bool]:
     out.stores = [Store(s.target, remap[s.value]) for s in block.stores]
     out.roots = [remap[r] for r in block.roots]
     return out, changed
+
+
+# ---------------------------------------------------------------------------
+# The elide_quantize pass body.
+
+def elide_quantize_block(block: IRBlock) -> Tuple[IRBlock, bool]:
+    """Rewrite every quantize that provably never fires into its shift.
+
+    One forward walk of plain interval facts (:func:`transfer`, no
+    known bits, no liveness, no findings) over *block*.  A fixed-point
+    quantize whose source range passes :func:`quantize_safe` becomes
+    :func:`quantize_shift`: the clamp, the wrap fold or the overflow
+    check goes, and the result is bit-identical on every reachable
+    input.  Float-domain sources are unknown and never rewritten.
+    Every other op keeps its width label, so nothing but the quantizes
+    changes.  Returns *block* itself when nothing is rewritten.
+
+    The proof rests on the leaf-range invariant of the engines that
+    run this pass: every formatted leaf holds a raw value inside its
+    format (stores quantize, pins are quantized on the way in, register
+    inits are quantized at construction).
+    """
+    ops = block.ops
+    intervals: List[Optional[Interval]] = []
+    safe = set()
+    for vid, op in enumerate(ops):
+        intervals.append(transfer(block, op, intervals, vid))
+        if op.opcode == "quantize":
+            src = op.args[0]
+            if quantize_safe(intervals[src], ops[src].frac, op.attrs[0]):
+                safe.add(vid)
+    if not safe:
+        return block, False
+
+    # Ops are immutable, so every op whose operand ids survive is shared
+    # with the input block; ids only move after a ROUND rewrite, which
+    # inserts its half-LSB constant and add.
+    out = IRBlock()
+    emitted = out.ops
+    remap: List[int] = []
+    for vid, op in enumerate(ops):
+        if vid in safe:
+            src = op.args[0]
+            remap.append(quantize_shift(out, op, remap[src], ops[src].frac,
+                                        op.width))
+        elif len(emitted) == vid:
+            remap.append(vid)
+            emitted.append(op)
+        else:
+            args = tuple(remap[a] for a in op.args)
+            remap.append(out.emit(IROp(op.opcode, args, op.attrs, op.frac,
+                                       op.width)))
+    if len(emitted) == len(ops):
+        out.stores = list(block.stores)
+        out.roots = list(block.roots)
+    else:
+        out.stores = [Store(s.target, remap[s.value]) for s in block.stores]
+        out.roots = [remap[r] for r in block.roots]
+    return out, True
 
 
 # ---------------------------------------------------------------------------

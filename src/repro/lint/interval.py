@@ -26,23 +26,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..fixpt import FxFormat, Overflow, Rounding
+from ..fixpt import FxFormat, Overflow
+from ..fixpt.quantize import round_raw_at
 from ..ir.ops import IRBlock, IROp
 
 #: The unknown interval (float domain / unbounded).
 TOP = None
 
 
-@dataclass(frozen=True)
 class Interval:
-    """An inclusive raw-integer range ``[lo, hi]``."""
+    """An inclusive raw-integer range ``[lo, hi]``.
 
-    lo: int
-    hi: int
+    A plain ``__slots__`` class rather than a frozen dataclass: the
+    range-proof pass builds one per IR op in every pass-pipeline
+    iteration, so construction cost is compile turnaround.  Treat
+    instances as immutable values.
+    """
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int) -> None:
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
 
     @property
     def is_constant(self) -> bool:
@@ -56,6 +63,17 @@ class Interval:
 
     def __contains__(self, raw: int) -> bool:
         return self.lo <= raw <= self.hi
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo}, hi={self.hi})"
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -109,23 +127,13 @@ class Analysis:
         return self.intervals[self.block.stores[index].value]
 
 
-def _shift_value(raw: int, shift: int, rounding: Rounding) -> int:
-    """The rounding-aware shift :func:`quantize_raw_at` performs (monotonic)."""
-    if shift < 0:
-        return raw << -shift
-    if shift == 0:
-        return raw
-    if rounding is Rounding.ROUND:
-        return (raw + (1 << (shift - 1))) >> shift
-    return raw >> shift
-
-
-def shifted_interval(source: Interval, shift: int,
-                     rounding: Rounding) -> Interval:
-    """*source* pushed through the quantize shift (before the overflow
-    policy) — the value interval :func:`quantize_raw_at` judges."""
-    return Interval(_shift_value(source.lo, shift, rounding),
-                    _shift_value(source.hi, shift, rounding))
+def shifted_interval(source: Interval, frac: int, fmt: FxFormat) -> Interval:
+    """*source* (raw at binary point *frac*) pushed through the quantize
+    shift into *fmt*, before the overflow policy — the value interval
+    :func:`~repro.fixpt.quantize.quantize_raw_at` judges.  The shift is
+    monotonic, so the end points map to the end points."""
+    return Interval(round_raw_at(source.lo, frac, fmt),
+                    round_raw_at(source.hi, frac, fmt))
 
 
 def _signed_bits(raw: int) -> int:
@@ -180,9 +188,9 @@ def analyze(block: IRBlock,
     """
     result = Analysis(block)
     iv: List[Optional[Interval]] = result.intervals
+    findings = result.findings
     for vid, op in enumerate(block.ops):
-        iv.append(_transfer(block, op, iv, result.findings, vid,
-                            leaf_interval))
+        iv.append(transfer(block, op, iv, vid, findings, leaf_interval))
     return result
 
 
@@ -191,24 +199,20 @@ def transfer(block: IRBlock, op: IROp, intervals: List[Optional[Interval]],
              leaf_interval=None) -> Optional[Interval]:
     """Single-op interval transfer over caller-supplied operand facts.
 
-    The public entry for reduced-product clients (:mod:`repro.lint.bits`
-    re-runs the transfer over *refined* operand intervals).  *intervals*
-    must hold an entry for every operand id; quantize judgements are
-    appended to *findings* when given and discarded otherwise.
+    The one transfer function: :func:`analyze` folds it over a block,
+    and the reduced product (:mod:`repro.lint.bits`) and the
+    ``elide_quantize`` pass re-run it over their own operand facts.
+    *intervals* must hold an entry for every operand id; quantize
+    judgements are appended to *findings* when given and never built
+    otherwise.  The opcodes the lowerer emits most are tested first.
     """
-    sink: List[Finding] = [] if findings is None else findings
-    return _transfer(block, op, intervals, sink, vid, leaf_interval)
-
-
-def _transfer(block: IRBlock, op: IROp, iv: List[Optional[Interval]],
-              findings: List[Finding], vid: int, leaf_interval):
     code = op.opcode
-    args = [iv[a] for a in op.args]
+    args = op.args
 
+    # Ops with their own range rules (they recover from unknown operands).
     if code == "const":
-        return Interval(op.attrs[0], op.attrs[0])
-    if code == "fconst":
-        return TOP
+        raw = op.attrs[0]
+        return Interval(raw, raw)
     if code == "read":
         sig = op.attrs[0]
         if leaf_interval is not None:
@@ -219,70 +223,69 @@ def _transfer(block: IRBlock, op: IROp, iv: List[Optional[Interval]],
         if op.frac is None or fmt is None:
             return TOP
         return fmt_interval(fmt)
-
-    # Fixed-output-range ops recover from unknown operands.
     if code == "cmp" or code == "bitsel":
         return Interval(0, 1)
+    if code == "quantize":
+        fmt: FxFormat = op.attrs[0]
+        src_frac = block.ops[args[0]].frac
+        source = intervals[args[0]]
+        if src_frac is None or source is TOP:
+            return fmt_interval(fmt)  # float source: only the format bounds it
+        lo, hi = fmt.raw_min, fmt.raw_max
+        value = shifted_interval(source, src_frac, fmt)
+        if lo <= value.lo and value.hi <= hi:
+            if (findings is not None and value.lo == value.hi
+                    and source.lo != source.hi):
+                findings.append(Finding("collapse", vid, fmt, value))
+            return value
+        if findings is not None:
+            certain = value.hi < lo or value.lo > hi
+            findings.append(Finding("overflow", vid, fmt, value, certain))
+        if fmt.overflow is Overflow.WRAP:
+            return fmt_interval(fmt)  # wrapping is not monotonic
+        return value.clamp(lo, hi)
     if code == "slice":
         hi, lo = op.attrs
         return Interval(0, (1 << (hi - lo + 1)) - 1)
     if code == "concat":
-        total = sum(op.attrs)
-        return Interval(0, (1 << total) - 1)
+        return Interval(0, (1 << sum(op.attrs)) - 1)
     if code in ("band", "bor", "bxor", "bnot"):
         wl, signed = op.attrs
         if signed:
             return Interval(-(1 << (wl - 1)), (1 << (wl - 1)) - 1)
         return Interval(0, (1 << wl) - 1)
-    if code == "quantize":
-        fmt: FxFormat = op.attrs[0]
-        bound = fmt_interval(fmt)
-        src_op = block.ops[op.args[0]]
-        source = args[0]
-        if src_op.frac is None or source is TOP:
-            return bound  # float-domain source: only the format bounds it
-        shift = src_op.frac - fmt.frac_bits
-        value = Interval(_shift_value(source.lo, shift, fmt.rounding),
-                         _shift_value(source.hi, shift, fmt.rounding))
-        certain = value.hi < bound.lo or value.lo > bound.hi
-        overflows = certain or value.lo < bound.lo or value.hi > bound.hi
-        if overflows:
-            findings.append(Finding("overflow", vid, fmt, value, certain))
-            if fmt.overflow is Overflow.WRAP:
-                return bound  # wrapping is not monotonic: give up precision
-            result = value.clamp(bound.lo, bound.hi)
-        else:
-            result = value
-        if result.is_constant and not source.is_constant and not overflows:
-            findings.append(Finding("collapse", vid, fmt, value))
-        return result
 
     # Everything below propagates unknowns.
-    if any(a is TOP for a in args) or op.frac is None:
+    if op.frac is None or not args:
         return TOP
-
-    if code == "add":
-        return Interval(args[0].lo + args[1].lo, args[0].hi + args[1].hi)
-    if code == "sub":
-        return Interval(args[0].lo - args[1].hi, args[0].hi - args[1].lo)
-    if code == "mul":
-        return _mul(args[0], args[1])
-    if code == "neg":
-        return Interval(-args[0].hi, -args[0].lo)
-    if code == "abs":
-        lo = 0 if args[0].lo <= 0 <= args[0].hi else min(abs(args[0].lo),
-                                                         abs(args[0].hi))
-        return Interval(lo, max(abs(args[0].lo), abs(args[0].hi)))
+    a = intervals[args[0]]
+    if a is TOP:
+        return TOP
+    if code == "mux":
+        t, f = intervals[args[1]], intervals[args[2]]
+        if t is TOP or f is TOP:
+            return TOP
+        return t.hull(f)
+    if code in ("add", "sub", "mul"):
+        b = intervals[args[1]]
+        if b is TOP:
+            return TOP
+        if code == "add":
+            return Interval(a.lo + b.lo, a.hi + b.hi)
+        if code == "sub":
+            return Interval(a.lo - b.hi, a.hi - b.lo)
+        return _mul(a, b)
     if code == "shl":
         bits = op.attrs[0]
-        return Interval(args[0].lo << bits, args[0].hi << bits)
+        return Interval(a.lo << bits, a.hi << bits)
     if code == "ashr":
         bits = op.attrs[0]
-        return Interval(args[0].lo >> bits, args[0].hi >> bits)
-    if code == "retag":
-        return args[0]
-    if code == "mux":
-        return args[1].hull(args[2])
-    if code == "toint":
-        return TOP if args[0] is TOP else args[0]
+        return Interval(a.lo >> bits, a.hi >> bits)
+    if code == "retag" or code == "toint":
+        return a
+    if code == "neg":
+        return Interval(-a.hi, -a.lo)
+    if code == "abs":
+        lo = 0 if a.lo <= 0 <= a.hi else min(abs(a.lo), abs(a.hi))
+        return Interval(lo, max(abs(a.lo), abs(a.hi)))
     return TOP  # tofloat and anything unrecognized

@@ -23,9 +23,10 @@ Vectorization rules (DESIGN.md §8):
   per-lane selected-transition array;
 * both mux branches evaluate on every lane (vector select is eager),
   which is only sound because raising ops are rejected up front:
-  systems that use ``Overflow.ERROR`` formats, untimed processes
-  (their Python-side state cannot be replicated per lane) or IR values
-  wider than 62 bits (no headroom in ``int64``) raise
+  systems with an ``Overflow.ERROR`` quantize that the ``engine``
+  pipeline's range proof cannot remove, untimed processes (their
+  Python-side state cannot be replicated per lane) or IR values wider
+  than 62 bits (no headroom in ``int64``) raise
   :class:`~repro.core.errors.CodegenError` at construction.
 
 Observability captures are explicitly rejected (``ReproError``): the
@@ -170,7 +171,7 @@ class BatchedCompiledSimulator:
         self.watch = self.layout.watch
         self.optimize = optimize
         self.pass_manager = PassManager(
-            "default" if passes is None else passes, validate=validate)
+            "engine" if passes is None else passes, validate=validate)
         self.cycle = 0
         self.outputs: Dict[str, object] = {}
         self._env: Dict[str, object] = {}

@@ -500,8 +500,11 @@ class CompiledSimulator:
     ``optimize=True`` (the default) runs the IR pass pipeline over
     every lowered block before emission; ``optimize=False`` renders the
     naive lowering, the ablation baseline.  ``passes`` picks the
-    pipeline (``"default"``, ``"aggressive"``, or an explicit
-    ``(name, fn)`` sequence) and ``validate`` turns on translation
+    pipeline: ``"engine"`` by default (the default passes plus
+    ``elide_quantize``, which drops every saturation, wrap fold and
+    overflow check the block's interval facts prove can never fire),
+    any other :data:`~repro.ir.passes.PIPELINES` name, or an explicit
+    ``(name, fn)`` sequence.  ``validate`` turns on translation
     validation of every pass application (``"sampled"`` /
     ``"exhaustive"``, see :mod:`repro.ir.equiv`) — an inequivalent
     rewrite aborts construction with
@@ -520,7 +523,7 @@ class CompiledSimulator:
         self.watch = self.layout.watch
         self.optimize = optimize
         self.pass_manager = PassManager(
-            "default" if passes is None else passes, validate=validate)
+            "engine" if passes is None else passes, validate=validate)
         self.cycle = 0
         self.outputs: Dict[str, object] = {}
         self._env: Dict[str, object] = {}

@@ -289,3 +289,39 @@ class TestCollapseAndConstant:
             y <<= cast(x + 9, SAT4)
         sfg.inp(x).out(y)
         assert "L404" not in codes(Linter().lint_sfg(sfg))
+
+
+class TestIntervalValue:
+    """``Interval`` is a plain ``__slots__`` class with value semantics,
+    and the shared ``transfer`` builds findings only when given a sink."""
+
+    def test_empty_interval_rejected(self):
+        from repro.lint import Interval
+
+        with pytest.raises(ValueError, match="empty interval"):
+            Interval(3, 2)
+
+    def test_value_semantics(self):
+        from repro.lint import Interval
+
+        assert Interval(-1, 4) == Interval(-1, 4) != Interval(-1, 5)
+        assert hash(Interval(-1, 4)) == hash(Interval(-1, 4))
+        assert Interval(2, 2).is_constant and 3 in Interval(2, 5)
+        assert str(Interval(-1, 4)) == "[-1, 4]"
+        assert not hasattr(Interval(0, 1), "__dict__")
+
+    def test_transfer_without_a_sink_matches_analyze(self):
+        from repro.lint.interval import transfer
+
+        a, b, y = Sig("a", U3), Sig("b", U3), Sig("y", SAT4)
+        sfg = SFG("t")
+        with sfg:
+            y <<= a * b  # [0, 49] overflows <s4>: one finding
+        sfg.inp(a, b).out(y)
+        block = lower_sfg(sfg)
+        analysis = analyze(block)
+        assert [f.kind for f in analysis.findings] == ["overflow"]
+        intervals = []
+        for vid, op in enumerate(block.ops):
+            intervals.append(transfer(block, op, intervals, vid))
+        assert intervals == analysis.intervals

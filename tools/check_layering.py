@@ -51,10 +51,10 @@ Two layering contracts are enforced by walking every module with
    its sibling interval domain (``repro.lint.interval``) — never the
    rule modules, the linter driver, or a back-end.  Within ``repro.ir``
    exactly one module may reach back into it: ``passes.py`` (lazily,
-   for the ``narrow_bitwidth`` pass), mirroring the ``equiv.py`` ->
-   ``lint.interval`` edge of contract 6.  Engines never import
-   ``repro.lint.bits``: narrowing reaches them only as an ordinary
-   validated pass in a pipeline.
+   for the ``narrow_bitwidth`` and ``elide_quantize`` passes),
+   mirroring the ``equiv.py`` -> ``lint.interval`` edge of contract 6.
+   Engines never import ``repro.lint.bits``: narrowing and quantize
+   elision reach them only as ordinary validated passes in a pipeline.
 
 8. The distributed-observability core — ``repro.obs.spans``,
    ``repro.obs.aggregate`` and ``repro.obs.tail`` — is what the

@@ -15,7 +15,9 @@ semantics and the bit-level interpretation synthesis gives to fraction
 labels.
 
 CI runs this as the equivalence smoke job: ``--design hcor --validate
-exhaustive`` and ``--design transceiver --validate sampled``.
+exhaustive`` and ``--design transceiver --validate sampled``, for the
+``aggressive`` pipeline and for ``engine`` (the compiled simulators'
+default, whose ``elide_quantize`` pass drops range-proven saturations).
 """
 
 import argparse
