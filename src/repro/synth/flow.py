@@ -12,6 +12,11 @@ For each timed component:
 * **post-optimization** — constant propagation, structural hashing and a
   dead-gate sweep (:mod:`repro.synth.optimize`).
 
+:func:`synthesize_system` bit-blasts every component but optimizes each
+structurally distinct one once per call: a component whose unoptimized
+netlist repeats an earlier one gate for gate (names aside) gets a copy
+of that optimized netlist under its own name and net names.
+
 The result simulates in :class:`~repro.synth.gatesim.GateSimulator` and
 can be verified cycle-by-cycle against a :class:`~repro.sim.PortLog`
 captured from the system simulation — the paper's generated-testbench
@@ -76,6 +81,18 @@ def synthesize_process(process: TimedProcess, share: bool = True,
     netlist-level miter check of the post-synthesis optimizer
     (:func:`repro.synth.equiv.check_netlists`).
     """
+    synthesis = _bit_blast(process, share, encoding, two_level,
+                           expose_registers, ir_passes, passes, validate)
+    if optimize:
+        synthesis.netlist = optimize_netlist(synthesis.netlist,
+                                             validate=validate)
+    return synthesis
+
+
+def _bit_blast(process: TimedProcess, share: bool, encoding: str,
+               two_level: bool, expose_registers: bool, ir_passes: bool,
+               passes, validate: str) -> ComponentSynthesis:
+    """:func:`synthesize_process` up to, not including, optimization."""
     nl = Netlist(process.name)
     all_sfgs = process.all_sfgs()
 
@@ -236,9 +253,6 @@ def synthesize_process(process: TimedProcess, share: bool = True,
         for reg in registers:
             nl.set_output(f"reg__{reg.name}", reg_q[id(reg)].nets)
 
-    if optimize:
-        nl = optimize_netlist(nl, validate=validate)
-
     return ComponentSynthesis(
         process=process,
         netlist=nl,
@@ -278,18 +292,94 @@ def synthesize_system(system: System, share: bool = True,
                       optimize: bool = True,
                       ir_passes: bool = True, passes=None,
                       validate: str = "off") -> SystemSynthesis:
-    """Synthesize every timed component of *system* (Fig. 8 flow)."""
-    components = [
-        synthesize_process(p, share=share, encoding=encoding,
-                           optimize=optimize, ir_passes=ir_passes,
-                           passes=passes, validate=validate)
-        for p in system.timed_processes()
-    ]
+    """Synthesize every timed component of *system* (Fig. 8 flow).
+
+    Each component's netlist is what :func:`synthesize_process` gives for
+    it alone.  A component whose unoptimized netlist repeats an earlier
+    one's (:func:`_repeat_names`) is not optimized again: it gets a copy
+    of the earlier optimized netlist.
+    """
+    components = []
+    #: Each distinct unoptimized netlist so far, with its optimized one.
+    distinct: List[Tuple[Netlist, Netlist]] = []
+    for process in system.timed_processes():
+        synthesis = _bit_blast(process, share, encoding,
+                               two_level=False, expose_registers=False,
+                               ir_passes=ir_passes, passes=passes,
+                               validate=validate)
+        if optimize:
+            synthesis.netlist = _optimize_once(synthesis.netlist, distinct,
+                                               validate)
+        components.append(synthesis)
     return SystemSynthesis(
         system=system,
         components=components,
         ram_macros=list(system.untimed_processes()),
     )
+
+
+def _optimize_once(raw: Netlist, distinct: List[Tuple[Netlist, Netlist]],
+                   validate: str) -> Netlist:
+    """``optimize_netlist(raw)``, copied from an earlier repeat if any;
+    a new distinct netlist joins *distinct*."""
+    for earlier_raw, earlier in distinct:
+        phi = _repeat_names(earlier_raw, raw)
+        if phi is not None:
+            return _renamed_copy(earlier, raw.name, phi)
+    result = optimize_netlist(raw, validate=validate)
+    distinct.append((raw, result))
+    return result
+
+
+def _repeat_names(earlier: Netlist, raw: Netlist) -> Optional[Dict[str, str]]:
+    """How *raw* renames *earlier*'s nets, if it repeats it structurally.
+
+    A repeat has as many nets as *earlier*, the same gates in the same
+    order (kind, nets and DFF init) and the same ports, and names the
+    same nets, with names that map consistently: every net *earlier*
+    calls ``a``, *raw* calls ``phi[a]``.  The optimizer reads nothing else
+    of a netlist but its name, and carries only its net names through, so
+    *raw* optimizes to *earlier*'s result with each name ``a`` read as
+    ``phi[a]``.  Returns ``phi``, or None when *raw* is no repeat.  The
+    counts and ports are compared first, so a netlist of another shape
+    costs a few comparisons.
+    """
+    if (earlier._net_count != raw._net_count
+            or len(earlier.gates) != len(raw.gates)
+            or list(earlier.inputs.items()) != list(raw.inputs.items())
+            or list(earlier.outputs.items()) != list(raw.outputs.items())
+            or len(earlier.net_names) != len(raw.net_names)):
+        return None
+    for a, b in zip(earlier.gates, raw.gates):
+        if (a.kind is not b.kind or a.inputs != b.inputs
+                or a.output != b.output or a.init != b.init):
+            return None
+    phi: Dict[str, str] = {}
+    raw_names = raw.net_names
+    for net, name in earlier.net_names.items():
+        renamed = raw_names.get(net)
+        if renamed is None or phi.setdefault(name, renamed) != renamed:
+            return None
+    return phi
+
+
+def _renamed_copy(netlist: Netlist, name: str,
+                  phi: Dict[str, str]) -> Netlist:
+    """A new netlist equal to *netlist* but for its name and net names
+    (each name ``a`` becomes ``phi[a]``)."""
+    renamed = Netlist(name)
+    for gate in netlist.gates:
+        renamed.add(gate.kind, gate.inputs, output=gate.output,
+                    init=gate.init)
+    renamed._net_count = netlist._net_count
+    renamed.net_names = {net: phi[label]
+                         for net, label in netlist.net_names.items()}
+    renamed.inputs = {port: list(bus)
+                      for port, bus in netlist.inputs.items()}
+    renamed.outputs = {port: list(bus)
+                       for port, bus in netlist.outputs.items()}
+    renamed._const0, renamed._const1 = netlist._const0, netlist._const1
+    return renamed
 
 
 def verify_component(log: PortLog, synthesis: ComponentSynthesis,

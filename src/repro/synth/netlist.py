@@ -85,11 +85,13 @@ class LevelSchedule:
 class Netlist:
     """A flat gate-level netlist.
 
-    :meth:`schedule` is memoized; :meth:`add` (the only mutator of the
-    gate graph) clears it, and pickles leave it out, so a netlist pickles
-    to the same bytes whether or not it has been simulated.
+    :meth:`levelize` and :meth:`schedule` are memoized; :meth:`add` (the
+    only mutator of the gate graph) clears both memos, and pickles leave
+    them out, so a netlist pickles to the same bytes whether or not it
+    has been levelized or simulated.
     """
 
+    _order: Optional[List[Gate]] = None
     _schedule: Optional[LevelSchedule] = None
 
     def __init__(self, name: str):
@@ -132,6 +134,7 @@ class Netlist:
         gate = Gate(kind, inputs, output, init)
         self.gates.append(gate)
         self._driver[output] = gate
+        self._order = None
         self._schedule = None
         return output
 
@@ -210,13 +213,18 @@ class Netlist:
         return f"n{net}"
 
     def levelize(self) -> List[Gate]:
-        """Combinational gates in topological order.
+        """Combinational gates in topological order (a fresh list).
 
         DFF outputs and primary inputs are level-0 sources.  The order is
         a depth-first post-order from each gate in :attr:`gates` order,
         visiting a gate's drivers in input order; netlist rewrites depend
         on it.  Raises :class:`SynthesisError` on a combinational cycle.
         """
+        if self._order is None:
+            self._order = self._levelize()
+        return list(self._order)
+
+    def _levelize(self) -> List[Gate]:
         # An explicit stack of (gate, pending-input iterator) frames, so
         # deep cones need no recursion limit.
         order: List[Gate] = []
@@ -274,6 +282,7 @@ class Netlist:
 
     def __getstate__(self) -> Dict[str, object]:
         state = self.__dict__.copy()
+        state.pop("_order", None)
         state.pop("_schedule", None)
         return state
 

@@ -7,17 +7,19 @@ pass pipeline with translation validation on, and exits non-zero with a
 concrete counterexample (divergent input valuation, first divergent op,
 source location) if any pass application fails to preserve equivalence.
 
-With ``--netlist <datapath>`` it additionally synthesizes one DECT
-datapath twice — IR passes off and on — and proves the two netlists
-equal with the word-parallel miter check
-(:func:`repro.synth.equiv.check_netlists`), closing the gap between IR
-semantics and the bit-level interpretation synthesis gives to fraction
-labels.
+With ``--netlist <datapath> [<datapath> ...]`` it additionally
+synthesizes each named DECT datapath twice — raw (no IR passes, no
+netlist optimization) and optimized — and proves the two netlists equal
+with the word-parallel miter check
+(:func:`repro.synth.equiv.check_netlists`).  That closes the gap between
+IR semantics and the bit-level interpretation synthesis gives to fraction
+labels, and checks the netlist optimizer on the way.
 
 CI runs this as the equivalence smoke job: ``--design hcor --validate
 exhaustive`` and ``--design transceiver --validate sampled``, for the
 ``aggressive`` pipeline and for ``engine`` (the compiled simulators'
-default, whose ``elide_quantize`` pass drops range-proven saturations).
+default, whose ``elide_quantize`` pass drops range-proven saturations),
+with the netlist miters ``--netlist disc alu lms hcor_dp``.
 """
 
 import argparse
@@ -117,13 +119,16 @@ def main(argv=None) -> int:
                         default="aggressive")
     parser.add_argument("--validate", choices=("sampled", "exhaustive"),
                         default="sampled")
-    parser.add_argument("--netlist", metavar="DATAPATH", default=None,
-                        help="also miter-check one DECT datapath's raw vs "
-                             "optimized netlist (e.g. disc, sum, lms)")
+    parser.add_argument("--netlist", metavar="DATAPATH", nargs="+",
+                        default=[],
+                        help="also miter-check these DECT datapaths' raw vs "
+                             "optimized netlists (e.g. disc alu lms hcor_dp)")
     args = parser.parse_args(argv)
     status = prove_design(args.design, args.passes, args.validate)
-    if status == 0 and args.netlist:
-        status = prove_netlist(args.netlist, args.passes, args.validate)
+    for datapath in args.netlist:
+        if status != 0:
+            break
+        status = prove_netlist(datapath, args.passes, args.validate)
     return status
 
 
