@@ -20,6 +20,8 @@ generated RT HDL.  Run with ``pytest benchmarks/bench_table1.py
 --benchmark-only -s`` to see the regenerated table.
 """
 
+import itertools
+
 import pytest
 
 from common import (
@@ -31,6 +33,7 @@ from common import (
     hcor_interpreted_rate,
     hcor_loc,
     hcor_netlist_batched_rate,
+    hcor_netlist_programs,
     hcor_netlist_rate,
     table1_rows,
 )
@@ -95,8 +98,9 @@ def test_bench_hcor_netlist(benchmark):
 
     synthesis = synthesize_process(build_hcor().process)
     simulator = GateSimulator(synthesis.netlist)
-    pins = {"soft": 16}
-    benchmark.pedantic(lambda: simulator.step(pins), rounds=5, iterations=4)
+    program = itertools.cycle(hcor_netlist_programs())
+    benchmark.pedantic(lambda: simulator.step(next(program)), rounds=5,
+                       iterations=4)
 
 
 def test_bench_hcor_compiled_batched(benchmark):
@@ -116,8 +120,9 @@ def test_bench_hcor_netlist_batched(benchmark):
 
     synthesis = synthesize_process(build_hcor().process)
     simulator = GateSimulator(synthesis.netlist, lanes=64)
-    pins = {"soft": 16}
-    benchmark.pedantic(lambda: simulator.step(pins), rounds=5, iterations=4)
+    program = itertools.cycle(hcor_netlist_programs(lanes=64))
+    benchmark.pedantic(lambda: simulator.step(next(program)), rounds=5,
+                       iterations=4)
 
 
 class TestBatchedColumn:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import inspect
+import itertools
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -94,6 +95,24 @@ def hcor_event_rate() -> float:
     return _timed_rate(lambda: simulator.step(pins))
 
 
+def hcor_netlist_programs(lanes: int = 1,
+                          cycles: int = 2000) -> List[Dict[str, object]]:
+    """Per-cycle pins of the HCOR netlist rows, one seeded stream per lane
+    (a list of per-lane raws when ``lanes > 1``).
+
+    Each soft symbol is +-1 plus noise of one LSB, as raw s<6,3> values
+    (eighths), like perfbench's HCOR stream without its sync words.
+    """
+    streams = []
+    for lane in range(lanes):
+        rng = np.random.default_rng(1998 + lane)
+        signs = rng.integers(0, 2, size=cycles) * 16 - 8
+        streams.append((signs + rng.integers(-1, 2, size=cycles)).tolist())
+    if lanes == 1:
+        return [{"soft": raw} for raw in streams[0]]
+    return [{"soft": list(raws)} for raws in zip(*streams)]
+
+
 def hcor_netlist_rate() -> float:
     from repro.designs.hcor import build_hcor
     from repro.synth import GateSimulator, synthesize_process
@@ -101,9 +120,9 @@ def hcor_netlist_rate() -> float:
     design = build_hcor()
     synthesis = synthesize_process(design.process)
     simulator = GateSimulator(synthesis.netlist)
-    pins = {"soft": 16}
-    return _timed_rate(lambda: simulator.step(pins), min_seconds=0.3,
-                       max_cycles=2000)
+    program = itertools.cycle(hcor_netlist_programs())
+    return _timed_rate(lambda: simulator.step(next(program)),
+                       min_seconds=0.3, max_cycles=2000)
 
 
 def hcor_compiled_batched_rate(lanes: int = 64) -> float:
@@ -123,8 +142,8 @@ def hcor_netlist_batched_rate(lanes: int = 64) -> float:
 
     synthesis = synthesize_process(build_hcor().process)
     simulator = GateSimulator(synthesis.netlist, lanes=lanes)
-    pins = {"soft": 16}
-    return lanes * _timed_rate(lambda: simulator.step(pins),
+    program = itertools.cycle(hcor_netlist_programs(lanes))
+    return lanes * _timed_rate(lambda: simulator.step(next(program)),
                                min_seconds=0.3, max_cycles=2000)
 
 
@@ -157,7 +176,9 @@ def _dect_stimulus():
     return burst, list(samples[::4]), equalizer.weights
 
 
-def dect_interpreted_rate(cycles: int = 400) -> float:
+def _dect_interpreted_run():
+    """The interpreted transceiver and a step that feeds it one cycle of
+    the seeded burst, paced by the chip's sample acknowledge."""
     from repro.designs.dect import DectTransceiver
 
     _burst, grid, weights = _dect_stimulus()
@@ -178,6 +199,11 @@ def dect_interpreted_rate(cycles: int = 400) -> float:
         if chip.ack.valid and int(chip.ack.value):
             pointer[0] += 1
 
+    return transceiver, step
+
+
+def dect_interpreted_rate(cycles: int = 400) -> float:
+    _transceiver, step = _dect_interpreted_run()
     start = time.perf_counter()
     for _ in range(cycles):
         step()
@@ -213,22 +239,52 @@ def dect_event_rate(cycles: int = 150) -> float:
     return cycles / (time.perf_counter() - start)
 
 
-def dect_netlist_rate(cycles: int = 4):
+def dect_netlist_rate(cycles: int = 200):
+    """Cycles/sec of every DECT component netlist replaying the port logs
+    of a *cycles*-long interpreted run (the generated testbench of Fig. 8).
+
+    The replay runs twice from the initial state and the second pass is
+    timed, so the gate simulators have measured the netlists' activity.
+    """
     from repro.designs.dect import build_transceiver
+    from repro.fixpt import Fx, quantize_raw
+    from repro.sim import PortLog
     from repro.synth import GateSimulator, synthesize_system
 
-    chip = build_transceiver()
-    synthesis = synthesize_system(chip.system)
-    # Simulate the largest component (a FIR slice) plus count the rest:
-    # gate-level system simulation time scales with total cell count, so
-    # we simulate every component netlist once per cycle.
-    simulators = [GateSimulator(c.netlist) for c in synthesis.components]
-    start = time.perf_counter()
+    transceiver, step = _dect_interpreted_run()
+    logs = {process.name: PortLog(process)
+            for process in transceiver.chip.system.timed_processes()}
+    transceiver.scheduler.monitors.extend(logs.values())
     for _ in range(cycles):
-        for simulator in simulators:
-            simulator.step()
-    rate = cycles / (time.perf_counter() - start)
-    return rate, synthesis
+        step()
+
+    def raw(token, fmt) -> int:
+        return token.raw if isinstance(token, Fx) else quantize_raw(token, fmt)
+
+    synthesis = synthesize_system(build_transceiver().system)
+    replays = []
+    for component in synthesis.components:
+        log = logs[component.netlist.name]
+        ports = [(port.name, port.sig.fmt, log.inputs[port.name])
+                 for port in log.process.in_ports()]
+        program = [{name: raw(tokens[cycle], fmt)
+                    for name, fmt, tokens in ports
+                    if tokens[cycle] is not None}
+                   for cycle in range(cycles)]
+        simulator = GateSimulator(component.netlist)
+        replays.append((simulator, simulator.save_state(), program))
+
+    def replay() -> float:
+        for simulator, initial, _program in replays:
+            simulator.restore_state(initial)
+        start = time.perf_counter()
+        for cycle in range(cycles):
+            for simulator, _initial, program in replays:
+                simulator.step(program[cycle])
+        return time.perf_counter() - start
+
+    replay()
+    return cycles / replay(), synthesis
 
 
 def dect_loc() -> Dict[str, int]:
