@@ -13,6 +13,8 @@ every back-end of the environment:
 Run:  python examples/codegen_tour.py
 """
 
+import sys
+
 from repro.core import SFG, Clock, Register, Sig, System, TimedProcess, mux, gt
 from repro.fixpt import FxFormat
 from repro.hdl import generate_verilog, generate_vhdl, vhdl_testbench, vector_file
@@ -94,7 +96,8 @@ def main():
     mismatches = verify_component(log, synthesis)
     print(f"  netlist vs captured stimuli: "
           f"{'VERIFIED' if not mismatches else mismatches[:2]}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

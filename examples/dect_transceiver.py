@@ -11,6 +11,7 @@ the Fig. 2 freeze/resume behaviour.
 Run:  python examples/dect_transceiver.py
 """
 
+import sys
 import time
 
 import numpy as np
@@ -110,9 +111,11 @@ def main():
     elapsed2 = time.perf_counter() - start
     print(f"  cycles: {result2['cycles']} "
           f"({result2['cycles'] / elapsed2:.0f} cycles/s compiled)")
-    print(f"  bit-exact vs interpreted: "
-          f"{result2['a_bits'] == result['a_bits'] and result2['b_bits'] == result['b_bits']}")
+    exact = (result2["a_bits"] == result["a_bits"]
+             and result2["b_bits"] == result["b_bits"])
+    print(f"  bit-exact vs interpreted: {exact}")
+    return 0 if exact else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,6 +16,7 @@ Run:  PYTHONPATH=src python examples/fault_campaign.py
 """
 
 import random
+import sys
 
 from repro.designs.hcor import SOFT_FMT, build_hcor
 from repro.fixpt import Fx
@@ -91,9 +92,13 @@ def main():
     def clean():
         return GateAdapter.from_synthesis(synthesis)
 
-    assert Lockstep(golden, clean, soft).run() is None
+    divergence = Lockstep(golden, clean, soft).run()
+    if divergence is not None:
+        print(f"  engines disagree: {divergence}")
+        return 1
     print("  engines agree on every cycle")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -9,6 +9,8 @@ flow) and the netlist is verified against the captured stimuli.
 Run:  python examples/hcor_correlator.py
 """
 
+import sys
+
 import numpy as np
 
 from repro.designs.hcor import build_hcor, run_hcor
@@ -62,7 +64,8 @@ def main():
     mismatches = verify_component(log, synthesis)
     print(f"  netlist vs 300 captured cycles: "
           f"{'VERIFIED' if not mismatches else mismatches[:3]}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

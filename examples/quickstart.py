@@ -15,6 +15,7 @@ miniature):
 Run:  python examples/quickstart.py
 """
 
+import sys
 import time
 
 from repro.core import (
@@ -151,7 +152,8 @@ def main():
     mismatches = verify_component(log, synthesis)
     print(f"  netlist vs simulation: "
           f"{'VERIFIED' if not mismatches else mismatches[:3]}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

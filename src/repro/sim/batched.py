@@ -318,7 +318,7 @@ class BatchedCompiledSimulator:
         timed = layout.timed
         sig_name = layout.sig_name
         reg_name = layout.reg_name
-        self._pin_fmts = layout.pin_fmts
+        self._pin_fmts: Dict[str, FxFormat] = {}
         registers = layout.registers
         fsm_index = layout.fsm_index
         emitter = _VecEmitter(layout.sig_ref_full)
@@ -435,10 +435,23 @@ class BatchedCompiledSimulator:
                       f"'FSM {process.name}: no transition from "
                       f"{state.name}')")
 
-        # Pin reads: one int64 array per primary-input channel.
+        # Pin reads: one array per primary-input channel, converted by
+        # _convert_pins into the one format its consumers read.
         for chan in layout.pin_channels:
-            var = f"pin_{_sanitize(chan.name)}"
-            b(f"        {var} = pins.get({chan.name!r}, _ZEROS)")
+            fmts = layout.boundary[chan]
+            unformatted = any(c.sig is not None and c.sig.fmt is None
+                              for c in chan.consumers)
+            if len(fmts) + unformatted > 1:
+                raise CodegenError(
+                    f"pin {chan.name!r} feeds consumers of different "
+                    "formats; the batched backend converts each pin "
+                    "into one format"
+                )
+            fmt = fmts[0] if fmts else None
+            if fmt is not None:
+                self._pin_fmts[chan.name] = fmt
+            b(f"        {layout.boundary_var(chan, fmt)} = "
+              f"pins.get({chan.name!r}, _ZEROS)")
 
         guard_counter = [0]
         bound_sigs: set = set()

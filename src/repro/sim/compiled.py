@@ -10,7 +10,14 @@ the shared three-address IR (:mod:`repro.ir`), optionally optimizes it
 specialized Python ``step()`` function:
 
 * fixed-point signals become raw integers; operator alignment, rounding and
-  saturation arrive pre-lowered as explicit shift/quantize IR ops;
+  saturation arrive pre-lowered as explicit shift/quantize IR ops, and a
+  saturation renders as compare-and-branch;
+* values enter from outside only at the boundary — primary-input pins
+  and untimed processes' outputs — and are quantized there once into
+  each formatted consumer's format, as the cycle scheduler coerces a
+  token into the reading signal's format; untimed behaviours are called
+  directly, with ``Fx`` inputs built without a second range check
+  (:attr:`SystemLayout.boundary`, DESIGN.md §18);
 * the FSM transition selection of every component is emitted first (the
   conditions depend only on registers, so this is the scheduler's phase 0);
 * all assignments of all components are emitted in one global topological
@@ -45,8 +52,8 @@ import itertools
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..fixpt import Fx, FxFormat, Overflow, Rounding, quantize_raw
-from ..core.errors import CodegenError
+from ..fixpt import Fx, FxFormat, Overflow, Rounding
+from ..core.errors import CodegenError, SimulationError
 from ..core.process import TimedProcess, UntimedProcess
 from ..core.signal import Register, Sig
 from ..core.system import Channel, System
@@ -96,7 +103,11 @@ def gen_quantize(code: str, frac: Optional[int], fmt: FxFormat) -> str:
         body = f"(({code}) >> {shift})"
     lo, hi = fmt.raw_min, fmt.raw_max
     if fmt.overflow is Overflow.SATURATE:
-        return f"min(max({body}, {lo}), {hi})"
+        # Compare-and-branch, evaluating the body once: two comparisons
+        # in range instead of two builtin calls.  A nested clamp finishes
+        # with _q before the enclosing one assigns it.
+        return (f"(_q if {lo} <= (_q := {body}) <= {hi} "
+                f"else ({lo} if _q < {lo} else {hi}))")
     if fmt.overflow is Overflow.WRAP:
         mask = (1 << fmt.wl) - 1
         masked = f"(({body}) & {mask})"
@@ -278,7 +289,7 @@ class SystemLayout:
     """The scalar semantics of a system, shared by every compiled emitter.
 
     One :class:`SystemLayout` answers every *what-does-a-cycle-compute*
-    question — channel aliasing, pin formats, register/FSM inventories,
+    question — channel aliasing, boundary formats, register/FSM inventories,
     the globally scheduled assignment order and its structured
     :data:`Guard` s — without committing to *how many* stimulus streams
     evaluate it.  The scalar :class:`CompiledSimulator` and the
@@ -293,21 +304,34 @@ class SystemLayout:
         self.untimed: List[UntimedProcess] = system.untimed_processes()
         self.sig_name = _Namer("s")
         self.reg_name = _Namer("r")
-        self.pin_fmts: Dict[str, FxFormat] = {}
 
         # Map every timed input-port signal to its channel's producing sig.
         alias: Dict[Sig, Sig] = {}
         self.pin_channels: List[Channel] = []
-        self.untimed_out_var: Dict[Tuple[UntimedProcess, str], str] = {}
+        #: Boundary channels — primary-input pins and untimed outputs,
+        #: whose values come from outside the generated step — mapped
+        #: to the distinct formats of their formatted timed consumers.
+        #: Each (channel, format) pair is one raw-integer variable of the
+        #: step (:meth:`boundary_var`), quantized once where the value
+        #: enters (DESIGN.md §18).
+        self.boundary: Dict[Channel, List[FxFormat]] = {}
         for chan in system.channels:
+            producer = chan.producer
             driver_sig = None
-            if chan.producer is not None and chan.producer.sig is not None:
-                driver_sig = chan.producer.sig
+            if producer is not None and producer.sig is not None:
+                driver_sig = producer.sig
             for consumer in chan.consumers:
                 if consumer.sig is not None and driver_sig is not None:
                     alias[consumer.sig] = driver_sig
-            if chan.producer is None:
+            if producer is None:
                 self.pin_channels.append(chan)
+            elif not isinstance(producer.process, UntimedProcess):
+                continue
+            fmts = self.boundary[chan] = []
+            for consumer in chan.consumers:
+                fmt = consumer.sig.fmt if consumer.sig is not None else None
+                if fmt is not None and fmt not in fmts:
+                    fmts.append(fmt)
         self._alias = alias
 
         # Collect all registers and FSMs.  The hierarchical names are the
@@ -334,39 +358,17 @@ class SystemLayout:
                     s.name: i for i, s in enumerate(process.fsm.states)
                 }
 
-        # Channels driven by untimed outputs feed consumers through a
-        # variable; the untimed behaviour returns interpreter-domain
-        # values, so reads of these variables are float/Fx-typed (fmt None
-        # in the override means "already a Python value", handled by the
-        # quantize slow path).
-        for chan in system.channels:
-            producer = chan.producer
-            if producer is not None and isinstance(producer.process,
-                                                  UntimedProcess):
-                var = (f"u_{_sanitize(producer.process.name)}"
-                       f"_{_sanitize(producer.name)}")
-                self.untimed_out_var[(producer.process, producer.name)] = var
-
+        # A timed consumer of a boundary channel reads the variable of its
+        # own format at that format's binary point, as the cycle scheduler
+        # coerces a token into the reading signal's format; an
+        # unformatted consumer reads the value as driven (float domain).
         self.overrides: Dict[Sig, Tuple[str, Optional[FxFormat]]] = {}
-        for chan in system.channels:
-            producer = chan.producer
-            if producer is not None and isinstance(producer.process,
-                                                  UntimedProcess):
-                var = self.untimed_out_var[(producer.process, producer.name)]
-                for consumer in chan.consumers:
-                    if consumer.sig is not None:
-                        # The variable holds an interpreter-domain value
-                        # (whatever the untimed behaviour returned: Fx, int
-                        # or float), so reads go through the exact slow
-                        # quantization path rather than raw-integer codegen.
-                        self.overrides[consumer.sig] = (var, None)
-            if producer is None:
-                for consumer in chan.consumers:
-                    if consumer.sig is not None:
-                        var = f"pin_{_sanitize(chan.name)}"
-                        self.overrides[consumer.sig] = (var, consumer.sig.fmt)
-                        if consumer.sig.fmt is not None:
-                            self.pin_fmts[chan.name] = consumer.sig.fmt
+        for chan in self.boundary:
+            for consumer in chan.consumers:
+                sig = consumer.sig
+                if sig is not None:
+                    self.overrides[sig] = (self.boundary_var(chan, sig.fmt),
+                                           sig.fmt)
 
         # The globally scheduled assignment order (with structured guards)
         # plus interleaved untimed processes.
@@ -392,6 +394,25 @@ class SystemLayout:
             return self.overrides[sig]
         return self.sig_ref(sig)
 
+    def boundary_var(self, chan: Channel,
+                     fmt: Optional[FxFormat] = None) -> str:
+        """The step variable of a boundary channel.
+
+        With *fmt* None, the value as driven (a pin's value from the
+        caller, an untimed output as its behaviour returned it);
+        otherwise that value quantized into *fmt*, one of
+        ``boundary[chan]``, as a raw integer.
+        """
+        producer = chan.producer
+        if producer is None:
+            var = f"pin_{_sanitize(chan.name)}"
+        else:
+            var = (f"u_{_sanitize(producer.process.name)}"
+                   f"_{_sanitize(producer.name)}")
+        if fmt is None:
+            return var
+        return f"q{self.boundary[chan].index(fmt)}_{var}"
+
     # The lowering resolves aliases up front so one producing signal is
     # one IR read; override signals keep their identity (their variable
     # is the canonical reference).
@@ -408,15 +429,11 @@ class SystemLayout:
 
     def watch_ref(self, chan: Channel) -> Tuple[str, Optional[FxFormat]]:
         """Variable reference and format of one watched channel."""
-        producer = chan.producer
-        if producer is None:
-            return f"pins.get({chan.name!r}, 0)", None
-        if isinstance(producer.process, UntimedProcess):
-            return (self.untimed_out_var[(producer.process, producer.name)],
-                    None)
+        if chan in self.boundary:
+            return self.boundary_var(chan), None
         # A watched register sees the pre-edge value, like the cycle
         # scheduler (the commit happens after the watch emission).
-        return self.sig_ref_full(producer.sig)
+        return self.sig_ref_full(chan.producer.sig)
 
     # -- schedule -----------------------------------------------------------------
 
@@ -550,7 +567,7 @@ class CompiledSimulator:
 
     def step(self, pins: Optional[Dict[str, object]] = None) -> None:
         """Simulate one clock cycle; *pins* drives primary-input channels."""
-        self._step(self._convert_pins(pins), self.outputs)
+        self._step(pins or {}, self.outputs)
         self.cycle += 1
 
     def run(self, cycles: int,
@@ -565,7 +582,7 @@ class CompiledSimulator:
             self.cycle += cycles
             return
         for _ in range(cycles):
-            step(self._convert_pins(pins_fn(self.cycle)), outputs)
+            step(pins_fn(self.cycle) or {}, outputs)
             self.cycle += 1
 
     def output(self, chan: Channel):
@@ -584,18 +601,6 @@ class CompiledSimulator:
         """Restore a checkpoint taken with :meth:`save_state`."""
         self._load(state["state"])
         self.cycle = state["cycle"]
-
-    def _convert_pins(self, pins: Optional[Dict[str, object]]) -> Dict[str, int]:
-        if not pins:
-            return {}
-        converted = {}
-        for name, value in pins.items():
-            fmt = self._pin_fmts.get(name)
-            if fmt is None:
-                converted[name] = value
-            else:
-                converted[name] = quantize_raw(value, fmt)
-        return converted
 
     # -- code generation -----------------------------------------------------------
 
@@ -623,7 +628,6 @@ class CompiledSimulator:
         timed = layout.timed
         sig_name = layout.sig_name
         reg_name = layout.reg_name
-        self._pin_fmts = layout.pin_fmts
         registers = layout.registers
         fsm_index = layout.fsm_index
         emitter = _PyEmitter(layout.sig_ref_full)
@@ -632,7 +636,8 @@ class CompiledSimulator:
         lines: List[str] = []
         emit = lines.append
         emit("from repro.fixpt import Fx, quantize_raw as _quantize_raw")
-        emit("from repro.sim.compiled import _check_overflow")
+        emit("from repro.fixpt.fixed import _fx")
+        emit("from repro.sim.compiled import _check_overflow, _no_token")
         emit("")
         emit("def _make_step():")
 
@@ -648,6 +653,19 @@ class CompiledSimulator:
 
         body: List[str] = []
         b = body.append
+
+        def convert(chan: Channel) -> None:
+            """Quantize a boundary channel's value into each of its formats."""
+            value = layout.boundary_var(chan)
+            for fmt in layout.boundary[chan]:
+                b(f"        {layout.boundary_var(chan, fmt)} = "
+                  f"_quantize_raw({value}, {_fmt_ref(fmt)})")
+
+        # Pins: the value as driven, then once per consumer format.
+        for chan in layout.pin_channels:
+            b(f"        {layout.boundary_var(chan)} = "
+              f"pins.get({chan.name!r}, 0)")
+            convert(chan)
 
         def condition_code(expr) -> Tuple[str, Optional[int]]:
             """Lower, optimize and inline-render one FSM guard."""
@@ -707,12 +725,6 @@ class CompiledSimulator:
                     b(f"                raise RuntimeError("
                       f"'FSM {process.name}: no transition from {state.name}')")
 
-        # Pin reads.
-        for chan in layout.pin_channels:
-            var = f"pin_{_sanitize(chan.name)}"
-            default = 0
-            b(f"        {var} = pins.get({chan.name!r}, {default})")
-
         def flush_group(group: List[tuple]) -> None:
             """Lower one same-guard run of assignments as a single block."""
             if not group:
@@ -751,9 +763,51 @@ class CompiledSimulator:
             if prof_index is not None:
                 b(f"{indent}_obs_block({prof_index}, _obs_perf() - _obs_t)")
 
+        def call_untimed(process: UntimedProcess) -> None:
+            """Fire one behaviour and convert its outputs where they enter.
+
+            Inputs are ``Fx`` values built without a range check: every
+            formatted variable already holds a raw value inside its format
+            (DESIGN.md §15's leaf-range invariant).
+            """
+            fn = behavior_name(process, process.name)
+            proc = process_name(process, process.name)
+            self._env_untimed[fn] = process.behavior
+            self._env_untimed[proc] = process
+            args = []
+            for port in process.in_ports():
+                chan = port.channel
+                if chan is None:
+                    args.append(f"{port.name}=0")
+                elif chan in layout.boundary:
+                    args.append(f"{port.name}={layout.boundary_var(chan)}")
+                else:
+                    code, fmt = layout.sig_ref_full(chan.producer.sig)
+                    if fmt is not None:
+                        code = f"_fx({code}, {_fmt_ref(fmt)})"
+                    args.append(f"{port.name}={code}")
+            result = f"res_{_sanitize(process.name)}"
+            b(f"        {result} = {fn}({', '.join(args)})")
+            outs = [port for port in process.out_ports()
+                    if port.channel is not None]
+            if outs:
+                # The cycle scheduler's typed error for a missing token;
+                # the try costs nothing while every token is there.
+                b("        try:")
+                for port in outs:
+                    b(f"            {layout.boundary_var(port.channel)} = "
+                      f"{result}[{port.name!r}]")
+                b("        except (KeyError, TypeError):")
+                b(f"            _no_token({proc}, {result})")
+                b("            raise")
+            b(f"        {proc}.firings += 1")
+            for port in outs:
+                convert(port.channel)
+
         # Main body: assignments and untimed calls in global order.
-        untimed_name = _Namer("beh")
-        self._env_behaviors: Dict[str, Callable] = {}
+        behavior_name = _Namer("beh")
+        process_name = _Namer("proc")
+        self._env_untimed: Dict[str, object] = {}
         group: List[tuple] = []
         for node in layout.order:
             if isinstance(node, tuple):
@@ -764,44 +818,15 @@ class CompiledSimulator:
             else:
                 flush_group(group)
                 group = []
-                process = node
-                fn = untimed_name(process, process.name)
-                self._env_behaviors[fn] = _wrap_behavior(process)
-                args = []
-                for port in process.in_ports():
-                    chan = port.channel
-                    src = chan.producer if chan is not None else None
-                    if src is None:
-                        expr_code = f"pins.get({chan.name!r}, 0)" if chan else "0"
-                        fmt = None
-                    elif isinstance(src.process, UntimedProcess):
-                        expr_code = layout.untimed_out_var[
-                            (src.process, src.name)]
-                        fmt = None
-                    else:
-                        expr_code, fmt = layout.sig_ref_full(src.sig)
-                    if fmt is not None:
-                        args.append(
-                            f"{port.name}=Fx(raw={expr_code}, fmt={_fmt_ref(fmt)})"
-                        )
-                    else:
-                        args.append(f"{port.name}={expr_code}")
-                result_var = f"res_{_sanitize(process.name)}"
-                b(f"        {result_var} = {fn}({', '.join(args)})")
-                for port in process.out_ports():
-                    var = layout.untimed_out_var.get((process, port.name))
-                    if var is not None:
-                        b(f"        {var} = {result_var}[{port.name!r}]")
+                call_untimed(node)
         flush_group(group)
 
         # Watched outputs.
         for chan in self.watch:
             value_code, fmt = layout.watch_ref(chan)
             if fmt is not None:
-                b(f"        outputs[{chan.name!r}] = "
-                  f"Fx(raw={value_code}, fmt={_fmt_ref(fmt)})")
-            else:
-                b(f"        outputs[{chan.name!r}] = {value_code}")
+                value_code = f"_fx({value_code}, {_fmt_ref(fmt)})"
+            b(f"        outputs[{chan.name!r}] = {value_code}")
 
         # Assemble: next-value pre-initialization + commit.
         pre: List[str] = []
@@ -898,7 +923,7 @@ class CompiledSimulator:
         source = "\n".join(lines) + "\n"
         # Provide formats and behaviors in the module environment.
         self._env.update(_FMT_POOL)
-        self._env.update(self._env_behaviors)
+        self._env.update(self._env_untimed)
         if self._obs_hook is not None:
             self._env["_obs_end_cycle"] = self._obs_hook
         if self._obs_profile is not None:
@@ -918,13 +943,20 @@ def _global_transitions(process: TimedProcess):
     return list(process.fsm.transitions)
 
 
-def _wrap_behavior(process: UntimedProcess):
-    def behavior(**kwargs):
-        result = process.behavior(**kwargs) or {}
-        process.firings += 1
-        return result
+def _no_token(process: UntimedProcess, result) -> None:
+    """Raise the cycle scheduler's error if *result* lacks an output token.
 
-    return behavior
+    Called by the generated step when extracting a behaviour's outputs
+    failed; returns (and the step re-raises the original error) when
+    every output is there after all.
+    """
+    results = result or {}
+    for port in process.out_ports():
+        if port.name not in results:
+            raise SimulationError(
+                f"untimed process {process.name!r} produced no token for "
+                f"output {port.name!r}"
+            )
 
 
 def _guard_affinity(node) -> object:

@@ -20,12 +20,14 @@ plain shift ``quantize_raw_at`` performs.  Checked here:
    synthesis and HDL keep ``default``; a proved ``Overflow.ERROR``
    store leaves no ``_check_overflow`` in the generated step, an
    unproved one still raises; the DECT and HCOR steps keep at most
-   20 and 1 clamps and every float-domain store.
+   26 and 1 clamps, and the DECT step converts each boundary (channel,
+   format) pair once and stores nothing in the float domain.
 """
 
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -253,12 +255,19 @@ class TestFloatDomain:
     def test_untimed_outputs_keep_their_quantize(self):
         from repro.designs.dect.transceiver import build_transceiver
 
-        default = CompiledSimulator(build_transceiver().system,
-                                    passes="default").source
-        engine = CompiledSimulator(build_transceiver().system).source
-        # The scratch RAM and coefficient ROM stores stay float-domain.
-        assert engine.count("_quantize_raw(") == \
-            default.count("_quantize_raw(") > 0
+        for passes in ("default", "engine"):
+            sim = CompiledSimulator(build_transceiver().system, passes=passes)
+            pairs = sum(len(fmts) for fmts in sim.layout.boundary.values())
+            # Pins and untimed outputs (the scratch RAM, the coefficient
+            # RAMs, the instruction ROM) are quantized once per consumer
+            # format where they enter; no store is left in the float
+            # domain.
+            conversions = re.findall(r"(\w+) = _quantize_raw\(",
+                                     sim.source)
+            assert len(conversions) == \
+                sim.source.count("_quantize_raw(") == pairs == 9
+            assert all(re.fullmatch(r"q\d+_(pin|u)_\w+", var)
+                       for var in conversions)
 
 
 class TestRandomEquivalence:
@@ -383,7 +392,7 @@ class TestEngines:
         stats = manager.stats["elide_quantize"]
         assert stats["changed"] > 0 and stats["validated"] == stats["changed"]
 
-    @pytest.mark.parametrize("design,limit", [("hcor", 1), ("dect", 20)])
+    @pytest.mark.parametrize("design,limit", [("hcor", 1), ("dect", 26)])
     def test_generated_step_clamp_counts(self, design, limit):
         if design == "hcor":
             from repro.designs.hcor import build_hcor
@@ -397,6 +406,8 @@ class TestEngines:
                 return build_transceiver().system
         default = CompiledSimulator(build(), passes="default")
         engine = CompiledSimulator(build())
-        clamps = engine.source.count("min(max(")
-        assert clamps <= limit < default.source.count("min(max(")
+        # SATURATE renders as compare-and-branch, one walrus per clamp.
+        clamps = engine.source.count("(_q := ")
+        assert clamps <= limit < default.source.count("(_q := ")
+        assert "min(max(" not in engine.source + default.source
         assert engine.ir_op_count < default.ir_op_count
