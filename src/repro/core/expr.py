@@ -21,6 +21,7 @@ helpers instead.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Optional, Sequence, Set, Tuple, Union
 
 from ..fixpt import Fx, FxFormat, quantize
@@ -29,16 +30,86 @@ from .srcloc import here
 
 Value = Union[int, float, Fx]
 
-#: Binary operators with their evaluation semantics.
-_ARITH_OPS = {"+", "-", "*"}
-_BIT_OPS = {"&", "|", "^"}
 _SHIFT_OPS = {"<<", ">>"}
 _CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
-BINARY_OPS = _ARITH_OPS | _BIT_OPS | _SHIFT_OPS | _CMP_OPS
 UNARY_OPS = {"-", "~", "abs"}
 
 #: Format used for boolean results (comparisons, bit selects).
 BOOL = FxFormat(wl=1, iwl=1, signed=False)
+
+
+# -- binary operator evaluators -----------------------------------------------
+#
+# Module-level functions, one per operator, so that a BinOp picks its
+# evaluator once and a captured design stays picklable.
+
+
+def _shift_left(a: Value, b: Value) -> Value:
+    bits = int(b)
+    if isinstance(a, (Fx, int)):
+        return a << bits
+    return a * (2.0 ** bits)
+
+
+def _shift_right(a: Value, b: Value) -> Value:
+    bits = int(b)
+    if isinstance(a, (Fx, int)):
+        return a >> bits
+    return a * (2.0 ** -bits)
+
+
+def _bit_and(a: Value, b: Value) -> Value:
+    return _bit_operand(a) & _bit_operand(b)
+
+
+def _bit_or(a: Value, b: Value) -> Value:
+    return _bit_operand(a) | _bit_operand(b)
+
+
+def _bit_xor(a: Value, b: Value) -> Value:
+    return _bit_operand(a) ^ _bit_operand(b)
+
+
+def _bit_operand(value: Value) -> Value:
+    return value if isinstance(value, Fx) else int(value)
+
+
+# Comparisons give a 1-bit unsigned value.
+
+
+def _cmp_eq(a: Value, b: Value) -> int:
+    return 1 if a == b else 0
+
+
+def _cmp_ne(a: Value, b: Value) -> int:
+    return 1 if a != b else 0
+
+
+def _cmp_lt(a: Value, b: Value) -> int:
+    return 1 if a < b else 0
+
+
+def _cmp_le(a: Value, b: Value) -> int:
+    return 1 if a <= b else 0
+
+
+def _cmp_gt(a: Value, b: Value) -> int:
+    return 1 if a > b else 0
+
+
+def _cmp_ge(a: Value, b: Value) -> int:
+    return 1 if a >= b else 0
+
+
+#: Binary operators with their evaluation semantics.
+_EVALUATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "&": _bit_and, "|": _bit_or, "^": _bit_xor,
+    "<<": _shift_left, ">>": _shift_right,
+    "==": _cmp_eq, "!=": _cmp_ne, "<": _cmp_lt, "<=": _cmp_le,
+    ">": _cmp_gt, ">=": _cmp_ge,
+}
+BINARY_OPS = set(_EVALUATORS)
 
 
 def _as_expr(value) -> "Expr":
@@ -193,58 +264,21 @@ class Constant(Expr):
 class BinOp(Expr):
     """A binary operator node (the paper's ``sigadd`` generalized)."""
 
-    __slots__ = ("op", "left", "right", "children")
+    __slots__ = ("op", "left", "right", "children", "_apply")
 
     def __init__(self, op: str, left: Expr, right: Expr):
         if op not in BINARY_OPS:
             raise ModelError(f"unknown binary operator {op!r}")
         self.op = op
+        #: The operator's evaluator, picked once: ``_apply(a, b)``.
+        self._apply = _EVALUATORS[op]
         self.left = left
         self.right = right
         self.children = (left, right)
         self.loc = here()
 
     def evaluate(self) -> Value:
-        a = self.left.evaluate()
-        op = self.op
-        if op in _SHIFT_OPS:
-            bits = int(self.right.evaluate())
-            if isinstance(a, Fx):
-                return a << bits if op == "<<" else a >> bits
-            if isinstance(a, int):
-                return a << bits if op == "<<" else a >> bits
-            return a * (2.0 ** bits) if op == "<<" else a * (2.0 ** -bits)
-        b = self.right.evaluate()
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op in _BIT_OPS:
-            if not isinstance(a, Fx):
-                a = int(a)
-            if not isinstance(b, Fx):
-                b = int(b)
-            if op == "&":
-                return a & b
-            if op == "|":
-                return a | b
-            return a ^ b
-        # Comparison: result is a 1-bit unsigned value.
-        if op == "==":
-            res = a == b
-        elif op == "!=":
-            res = a != b
-        elif op == "<":
-            res = a < b
-        elif op == "<=":
-            res = a <= b
-        elif op == ">":
-            res = a > b
-        else:
-            res = a >= b
-        return 1 if res else 0
+        return self._apply(self.left.evaluate(), self.right.evaluate())
 
     def result_fmt(self) -> Optional[FxFormat]:
         if self.op in _CMP_OPS:
@@ -342,8 +376,9 @@ class Mux(Expr):
 
     def evaluate(self) -> Value:
         sel = self.sel.evaluate()
-        taken = bool(int(sel)) if isinstance(sel, (int, Fx)) else bool(sel)
-        return self.if_true.evaluate() if taken else self.if_false.evaluate()
+        if sel.__class__ is not int:
+            sel = int(sel) if isinstance(sel, (int, Fx)) else bool(sel)
+        return self.if_true.evaluate() if sel else self.if_false.evaluate()
 
     def result_fmt(self) -> Optional[FxFormat]:
         tf = self.if_true.result_fmt()

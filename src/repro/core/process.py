@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .clock import Clock
 from .errors import ModelError, SimulationError
-from .fsm import FSM
+from .fsm import FSM, Transition
 from .sfg import SFG
 from .signal import Register, Sig
 from .srcloc import here
@@ -241,9 +241,13 @@ class TimedProcess(Process):
 
     def select_sfgs(self) -> List[SFG]:
         """Phase 0: the SFGs marked for execution this cycle."""
+        return self.marked_sfgs(
+            self.fsm.select() if self.fsm is not None else None)
+
+    def marked_sfgs(self, transition: Optional[Transition]) -> List[SFG]:
+        """The SFGs marked when the FSM takes *transition* (None: no FSM)."""
         marked: List[SFG] = []
-        if self.fsm is not None:
-            transition = self.fsm.select()
+        if transition is not None:
             marked.extend(transition.sfgs)
         for sfg in self.static_sfgs:
             if sfg not in marked:

@@ -65,7 +65,9 @@ class Sig(Expr):
 
     @value.setter
     def value(self, new: Value) -> None:
-        self._value = _coerce_value(new, self.fmt)
+        fmt = self.fmt
+        self._value = (quantize(new, fmt) if fmt is not None
+                       else _coerce_value(new, None))
 
     def evaluate(self) -> Value:
         return self._value
@@ -127,7 +129,9 @@ class Register(Sig):
 
     def set_next(self, value: Value) -> None:
         """Schedule *value* to become current at the next clock tick."""
-        self._next = _coerce_value(value, self.fmt)
+        fmt = self.fmt
+        self._next = (quantize(value, fmt) if fmt is not None
+                      else _coerce_value(value, None))
         self._next_set = True
 
     def _update(self) -> None:

@@ -27,7 +27,10 @@ class Channel:
         self.capacity = capacity
         self.producer: Optional[Port] = None
         self.consumers: List[Port] = []
-        self._queue: Deque = deque()
+        #: The token FIFO.  Under cycle semantics the channel is valid
+        #: while it is non-empty and its value is the last token; the
+        #: cycle scheduler reads it directly on its hot path.
+        self.queue: Deque = deque()
         #: Total tokens ever produced (for throughput statistics).
         self.total_produced = 0
 
@@ -35,53 +38,53 @@ class Channel:
 
     def put(self, token) -> None:
         """Produce one token."""
-        if self.capacity is not None and len(self._queue) >= self.capacity:
+        if self.capacity is not None and len(self.queue) >= self.capacity:
             raise SimulationError(
                 f"channel {self.name!r} overflow (capacity {self.capacity})"
             )
-        self._queue.append(token)
+        self.queue.append(token)
         self.total_produced += 1
 
     def get(self):
         """Consume the oldest token."""
-        if not self._queue:
+        if not self.queue:
             raise SimulationError(f"channel {self.name!r} underflow")
-        return self._queue.popleft()
+        return self.queue.popleft()
 
     def peek(self, index: int = 0):
         """Read a token without consuming it."""
-        return self._queue[index]
+        return self.queue[index]
 
     def tokens(self) -> int:
         """Number of tokens currently queued."""
-        return len(self._queue)
+        return len(self.queue)
 
     # -- wire interface (cycle semantics) --------------------------------------------
 
     @property
     def valid(self) -> bool:
         """True when a token was produced this cycle (cycle semantics)."""
-        return bool(self._queue)
+        return bool(self.queue)
 
     @property
     def value(self):
         """The current cycle's token (cycle semantics)."""
-        if not self._queue:
+        if not self.queue:
             raise SimulationError(f"channel {self.name!r} has no token this cycle")
-        return self._queue[-1]
+        return self.queue[-1]
 
     def clear(self) -> None:
         """Drop all tokens (start of a new cycle under the cycle scheduler)."""
-        self._queue.clear()
+        self.queue.clear()
 
     def preload(self, tokens: Iterable) -> None:
         """Place initial tokens (data-flow delay / initial tokens)."""
         for token in tokens:
             self.put(token)
-        self.total_produced -= len(self._queue)
+        self.total_produced -= len(self.queue)
 
     def __repr__(self) -> str:
-        return f"Channel({self.name!r}, tokens={len(self._queue)})"
+        return f"Channel({self.name!r}, tokens={len(self.queue)})"
 
 
 class System:

@@ -436,6 +436,18 @@ class Fx:
         return raw << (at - frac), value
 
     def __eq__(self, other) -> bool:
+        # Fx and exact-int operands align inline, as _aligned would.
+        kind = other.__class__
+        if kind is Fx:
+            shift = self._fmt.frac_bits - other._fmt.frac_bits
+            if shift >= 0:
+                return self._raw == other._raw << shift
+            return self._raw << -shift == other._raw
+        if kind is int:
+            frac = self._fmt.frac_bits
+            if frac >= 0:
+                return self._raw == other << frac
+            return self._raw << -frac == other
         if not isinstance(other, (Fx, int, float, Fraction)):
             return NotImplemented
         a, b = self._aligned(other)

@@ -101,5 +101,16 @@ def quantize_raw(value: Union[int, float, Fraction, Fx], fmt: FxFormat) -> int:
 
 
 def quantize(value: Union[int, float, Fraction, Fx], fmt: FxFormat) -> Fx:
-    """Quantize *value* into *fmt*, returning an :class:`Fx`."""
+    """Quantize *value* into *fmt*, returning an :class:`Fx`.
+
+    An :class:`Fx` already in *fmt* (the same format object) comes back
+    unchanged: it fits by construction, and ``Fx`` is immutable.
+    """
+    kind = value.__class__
+    if kind is Fx:
+        if value._fmt is fmt:
+            return value
+        return _fx(quantize_raw_at(value._raw, value._fmt.frac_bits, fmt), fmt)
+    if kind is int:
+        return _fx(quantize_raw_at(value, 0, fmt), fmt)
     return _fx(quantize_raw(value, fmt), fmt)

@@ -16,9 +16,9 @@ from typing import Dict, List, Optional
 
 from ..fixpt import Fx
 from ..core.process import TimedProcess
+from ..ir.formats import sig_fmt as _sig_fmt, vector_width
 from ..sim.stimuli import PortLog
 from .naming import sanitize
-from .formats import sig_fmt as _sig_fmt, vector_width
 from .vhdl import PACKAGE_NAME
 
 

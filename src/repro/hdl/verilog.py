@@ -22,7 +22,7 @@ from ..core.process import TimedProcess, UntimedProcess
 from ..core.signal import Register, Sig
 from ..core.system import System
 from ..ir import IRBlock, PassManager, lower_expr, lower_sfg
-from .formats import sig_fmt, vector_width
+from ..ir.formats import sig_fmt, vector_width
 from .naming import NameScope, sanitize
 from .vhdl import _BlockRefs
 

@@ -27,15 +27,10 @@ from ..core.process import TimedProcess, UntimedProcess
 from ..core.signal import Register, Sig
 from ..core.system import System
 from ..ir import IRBlock, PassManager, lower_expr, lower_sfg
-from .formats import sig_fmt, vector_width
+from ..ir.formats import sig_fmt, vector_width
 from .naming import NameScope, sanitize
 
 PACKAGE_NAME = "repro_pkg"
-
-
-# Back-compat aliases: the canonical definitions moved to
-# repro.ir.formats (re-exported by repro.hdl.formats).
-_sig_fmt = sig_fmt
 
 
 def support_package() -> str:
@@ -326,7 +321,7 @@ class VhdlGenerator:
         emit("  port (")
         port_lines = ["    clk : in std_logic;", "    rst : in std_logic;"]
         for port in process.ports.values():
-            fmt = _sig_fmt(port.sig)
+            fmt = sig_fmt(port.sig)
             width = vector_width(fmt)
             direction = "in" if port.direction == "in" else "out"
             port_lines.append(
@@ -347,7 +342,7 @@ class VhdlGenerator:
             emit(f"  signal state, state_next : state_t := "
                  f"st_{sanitize(fsm.initial_state.name)};")
         for reg in registers:
-            fmt = _sig_fmt(reg)
+            fmt = sig_fmt(reg)
             width = vector_width(fmt)
             reg_id = sig_name(reg)
             init = reg.init.raw if isinstance(reg.init, Fx) else int(reg.init)
@@ -358,7 +353,7 @@ class VhdlGenerator:
         emit("  -- combinational process: FSM transitions + datapath SFGs")
         emit("  comb : process (all)")
         for sig in internal:
-            fmt = _sig_fmt(sig)
+            fmt = sig_fmt(sig)
             width = vector_width(fmt)
             emit(f"    variable {sig_name(sig)} : signed({width - 1} downto 0);")
         emit("  begin")
@@ -369,7 +364,7 @@ class VhdlGenerator:
             emit(f"    {reg_id}_next <= {reg_id};")
         for port in process.out_ports():
             if not port.sig.is_register():
-                fmt = _sig_fmt(port.sig)
+                fmt = sig_fmt(port.sig)
                 width = vector_width(fmt)
                 emit(f"    {scope.name(port, port.name)} <= to_signed(0, {width});")
         emit("")
@@ -444,7 +439,7 @@ class VhdlGenerator:
         if fsm is not None:
             emit(f"      state <= st_{sanitize(fsm.initial_state.name)};")
         for reg in registers:
-            fmt = _sig_fmt(reg)
+            fmt = sig_fmt(reg)
             width = vector_width(fmt)
             init = reg.init.raw if isinstance(reg.init, Fx) else int(reg.init)
             emit(f"      {sig_name(reg)} <= to_signed({init}, {width});")

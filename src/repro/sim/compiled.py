@@ -15,9 +15,11 @@ specialized Python ``step()`` function:
 * values enter from outside only at the boundary — primary-input pins
   and untimed processes' outputs — and are quantized there once into
   each formatted consumer's format, as the cycle scheduler coerces a
-  token into the reading signal's format; untimed behaviours are called
-  directly, with ``Fx`` inputs built without a second range check
-  (:attr:`SystemLayout.boundary`, DESIGN.md §18);
+  token into the reading signal's format (an ``Overflow.ERROR`` format,
+  which can raise, is quantized where a marked assignment reads it);
+  untimed behaviours are called directly, with ``Fx`` inputs built
+  without a second range check (:attr:`SystemLayout.boundary`,
+  DESIGN.md §18);
 * the FSM transition selection of every component is emitted first (the
   conditions depend only on registers, so this is the scheduler's phase 0);
 * all assignments of all components are emitted in one global topological
@@ -55,6 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..fixpt import Fx, FxFormat, Overflow, Rounding
 from ..core.errors import CodegenError, SimulationError
 from ..core.process import TimedProcess, UntimedProcess
+from ..core.sfg import Assignment
 from ..core.signal import Register, Sig
 from ..core.system import Channel, System
 from ..ir import IRBlock, Lowerer, PassManager
@@ -370,6 +373,32 @@ class SystemLayout:
                     self.overrides[sig] = (self.boundary_var(chan, sig.fmt),
                                            sig.fmt)
 
+        #: The ``Overflow.ERROR`` boundary formats each assignment reads
+        #: through its input cone, as (channel, format) pairs.  Such a
+        #: conversion can raise, so it happens where a marked assignment
+        #: reads the port — where the cycle scheduler copies the token
+        #: into the port's signal — not where the value enters.
+        self.checked_reads: Dict[Assignment,
+                                 List[Tuple[Channel, FxFormat]]] = {}
+        for process in self.timed:
+            in_ports = {port.sig: port for port in process.in_ports()
+                        if port.sig is not None}
+            checked = sorted(
+                (sig for sig, port in in_ports.items()
+                 if sig.fmt is not None
+                 and sig.fmt.overflow is Overflow.ERROR
+                 and port.channel in self.boundary),
+                key=lambda s: s.name)
+            if not checked:
+                continue
+            for sfg in process.all_sfgs():
+                deps = sfg.assignment_input_deps(set(in_ports))
+                for assignment in sfg.ordered_assignments():
+                    reads = [(in_ports[sig].channel, sig.fmt)
+                             for sig in checked if sig in deps[assignment]]
+                    if reads:
+                        self.checked_reads[assignment] = reads
+
         # The globally scheduled assignment order (with structured guards)
         # plus interleaved untimed processes.
         nodes, edges = self._build_graph()
@@ -654,18 +683,22 @@ class CompiledSimulator:
         body: List[str] = []
         b = body.append
 
-        def convert(chan: Channel) -> None:
-            """Quantize a boundary channel's value into each of its formats."""
-            value = layout.boundary_var(chan)
+        def convert(chan: Channel, fmt: FxFormat, indent: str) -> None:
+            """Quantize a boundary channel's value into one of its formats."""
+            b(f"{indent}{layout.boundary_var(chan, fmt)} = "
+              f"_quantize_raw({layout.boundary_var(chan)}, {_fmt_ref(fmt)})")
+
+        def convert_entering(chan: Channel) -> None:
+            """Convert a value where it enters, but for ERROR formats."""
             for fmt in layout.boundary[chan]:
-                b(f"        {layout.boundary_var(chan, fmt)} = "
-                  f"_quantize_raw({value}, {_fmt_ref(fmt)})")
+                if fmt.overflow is not Overflow.ERROR:
+                    convert(chan, fmt, "        ")
 
         # Pins: the value as driven, then once per consumer format.
         for chan in layout.pin_channels:
             b(f"        {layout.boundary_var(chan)} = "
               f"pins.get({chan.name!r}, 0)")
-            convert(chan)
+            convert_entering(chan)
 
         def condition_code(expr) -> Tuple[str, Optional[int]]:
             """Lower, optimize and inline-render one FSM guard."""
@@ -734,6 +767,12 @@ class CompiledSimulator:
             if guard is not None:
                 b(f"        if {guard}:")
                 indent = "            "
+            checked: List[Tuple[Channel, FxFormat]] = []
+            for _process, assignment, _guard in group:
+                for read in layout.checked_reads.get(assignment, ()):
+                    if read not in checked:
+                        checked.append(read)
+                        convert(*read, indent)
             prof_index = None
             if self._obs_profile is not None:
                 # Self-profiling: bracket the rendered block with clock
@@ -802,7 +841,7 @@ class CompiledSimulator:
                 b("            raise")
             b(f"        {proc}.firings += 1")
             for port in outs:
-                convert(port.channel)
+                convert_entering(port.channel)
 
         # Main body: assignments and untimed calls in global order.
         behavior_name = _Namer("beh")

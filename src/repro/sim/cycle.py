@@ -34,18 +34,37 @@ from ..core.signal import Sig
 from ..core.system import Channel, System
 
 
+#: The wire of an unconnected input port: never holds a token.
+_NO_WIRE = ()
+
+
+def _wire(port: Port):
+    """The token queue *port* reads under cycle semantics."""
+    return port.channel.queue if port.channel is not None else _NO_WIRE
+
+
 class _PlanStep:
-    """One assignment of a marked SFG, with its external-input dependencies."""
+    """One assignment of a marked SFG, with the wires it waits on.
 
-    __slots__ = ("assignment", "input_ports", "output_port", "label")
+    ``reads`` pairs each input wire (a channel's token queue) with the
+    signal its token drives; ``out`` is the channel the assignment's
+    target feeds this cycle, or None.
+    """
 
-    def __init__(self, assignment: Assignment,
+    __slots__ = ("execute", "reads", "out", "target", "input_ports",
+                 "process", "label")
+
+    def __init__(self, assignment: Assignment, process: TimedProcess,
                  input_ports: Tuple[Port, ...],
                  output_port: Optional[Port],
                  label: str = ""):
-        self.assignment = assignment
+        self.execute = assignment.execute
+        self.reads = tuple((_wire(port), port.sig) for port in input_ports)
+        self.out = output_port.channel if output_port is not None else None
+        self.target = assignment.target
+        #: The ports behind ``reads``, for deadlock diagnostics.
         self.input_ports = input_ports
-        self.output_port = output_port
+        self.process = process
         #: ``process/sfg`` attribution label for engine self-profiling.
         self.label = label
 
@@ -53,10 +72,9 @@ class _PlanStep:
 class _ProcessPlan:
     """The cached execution plan of one timed process for one SFG marking."""
 
-    __slots__ = ("process", "steps", "register_output_ports")
+    __slots__ = ("steps", "register_outputs")
 
     def __init__(self, process: TimedProcess, marked: Sequence[SFG]):
-        self.process = process
         port_of_sig: Dict[Sig, Port] = {}
         in_port_of_sig: Dict[Sig, Port] = {}
         for port in process.ports.values():
@@ -71,7 +89,6 @@ class _ProcessPlan:
                 in_port_of_sig[port.sig] = port
 
         self.steps: List[_PlanStep] = []
-        driven: Set[Sig] = set()
         # Port-bound signals are inputs by construction, whether or not
         # the SFG declared them with inp().
         port_bound = set(in_port_of_sig)
@@ -88,15 +105,15 @@ class _ProcessPlan:
                 target = assignment.target
                 if not target.is_register() and target in port_of_sig:
                     output_port = port_of_sig[target]
-                self.steps.append(
-                    _PlanStep(assignment, input_ports, output_port, label))
-                driven.add(target)
+                self.steps.append(_PlanStep(
+                    assignment, process, input_ports, output_port, label))
 
         # Output ports bound to registers always emit the (phase-1) current
         # value; output ports bound to plain signals not driven this cycle
         # emit nothing.
-        self.register_output_ports: List[Port] = [
-            port for sig, port in port_of_sig.items() if sig.is_register()
+        self.register_outputs: List[Tuple[Channel, Sig]] = [
+            (port.channel, sig) for sig, port in port_of_sig.items()
+            if sig.is_register() and port.channel is not None
         ]
 
 
@@ -127,7 +144,20 @@ class CycleScheduler:
                         f"{port.rate}; under the cycle scheduler untimed "
                         "blocks are single-rate"
                     )
-        self._plan_cache: Dict[Tuple[int, Tuple[int, ...]], _ProcessPlan] = {}
+        # Per timed process: its FSM and its plans keyed by the selected
+        # transition (None for a process without an FSM).
+        self._selectors: List[Tuple[TimedProcess, object,
+                                    Dict[object, _ProcessPlan]]] = [
+            (process, process.fsm, {}) for process in self.timed
+        ]
+        # Per untimed process: its input wires by port name and its
+        # output channels, in declaration order.
+        self._untimed_io = [
+            (process,
+             tuple((port.name, _wire(port)) for port in process.in_ports()),
+             tuple((port.name, port.channel) for port in process.out_ports()))
+            for process in self.untimed
+        ]
         #: Per-cycle hook list: called as fn(scheduler) after each step.
         self.monitors: List[Callable[["CycleScheduler"], None]] = []
         self._stimuli: List[Tuple[Channel, Callable[[int], object]]] = []
@@ -170,74 +200,75 @@ class CycleScheduler:
 
         # Phase 0: transition selection; mark SFGs.
         plans: List[_ProcessPlan] = []
-        for process in self.timed:
-            marked = process.select_sfgs()
-            key = (id(process), tuple(id(s) for s in marked))
-            plan = self._plan_cache.get(key)
+        for process, fsm, cache in self._selectors:
+            transition = fsm.select() if fsm is not None else None
+            plan = cache.get(transition)
             if plan is None:
-                plan = _ProcessPlan(process, marked)
-                self._plan_cache[key] = plan
+                plan = _ProcessPlan(process, process.marked_sfgs(transition))
+                cache[transition] = plan
             plans.append(plan)
 
         # Phase 1: token production — register-driven output ports emit
         # immediately, and the relaxation below starts with assignments
         # whose cones touch no input tokens.
         for plan in plans:
-            for port in plan.register_output_ports:
-                if port.channel is not None:
-                    port.channel.put(port.sig.current)
+            for chan, reg in plan.register_outputs:
+                chan.put(reg.current)
 
-        # Phase 2: evaluation — relax until everything fired.
-        pending: List[Tuple[_ProcessPlan, _PlanStep]] = [
-            (plan, step) for plan in plans for step in plan.steps
-        ]
-        fired_untimed: Set[UntimedProcess] = set()
+        # Phase 2: evaluation — relax until everything fired.  An
+        # assignment runs once every wire it reads holds a token; an
+        # untimed block fires once its inputs are valid and its firing
+        # rule holds.
+        pending = [step for plan in plans for step in plan.steps]
+        waiting = self._untimed_io
         iterations = 0
         trace: List[int] = []
         prof = self._prof
         while True:
             iterations += 1
             if iterations > self.max_iterations:
-                raise self._deadlock_error(pending, fired_untimed,
-                                           iterations - 1, trace)
-            progress = 0
+                raise self._deadlock_error(pending, iterations - 1, trace)
 
-            still_pending: List[Tuple[_ProcessPlan, _PlanStep]] = []
-            for plan, step in pending:
-                ready = all(
-                    port.channel is not None and port.channel.valid
-                    for port in step.input_ports
-                )
-                if not ready:
-                    still_pending.append((plan, step))
-                    continue
-                for port in step.input_ports:
-                    port.sig.value = port.channel.value
-                if prof is None:
-                    step.assignment.execute()
+            blocked: List[_PlanStep] = []
+            for step in pending:
+                for wire, _sig in step.reads:
+                    if not wire:
+                        blocked.append(step)
+                        break
                 else:
-                    t0 = _perf()
-                    step.assignment.execute()
-                    prof.add(step.label, _perf() - t0)
-                if step.output_port is not None and step.output_port.channel is not None:
-                    step.output_port.channel.put(step.assignment.target.value)
-                progress += 1
-            pending = still_pending
+                    for wire, sig in step.reads:
+                        sig.value = wire[-1]
+                    if prof is None:
+                        step.execute()
+                    else:
+                        t0 = _perf()
+                        step.execute()
+                        prof.add(step.label, _perf() - t0)
+                    if step.out is not None:
+                        step.out.put(step.target.value)
+            progress = len(pending) - len(blocked)
+            pending = blocked
 
-            for process in self.untimed:
-                if process in fired_untimed:
-                    continue
-                if self._untimed_ready(process):
-                    self._fire_untimed(process)
-                    fired_untimed.add(process)
-                    progress += 1
+            if waiting:
+                unfired = []
+                for io in waiting:
+                    process, inputs, outputs = io
+                    for _name, wire in inputs:
+                        if not wire:
+                            break
+                    else:
+                        if process.firing_rule():
+                            self._fire_untimed(process, inputs, outputs)
+                            progress += 1
+                            continue
+                    unfired.append(io)
+                waiting = unfired
 
             trace.append(progress)
             if not pending:
                 break
             if not progress:
-                raise self._deadlock_error(pending, fired_untimed,
-                                           iterations, trace)
+                raise self._deadlock_error(pending, iterations, trace)
 
         # Phase 3: register update.
         for clock in self.clocks:
@@ -248,39 +279,36 @@ class CycleScheduler:
         for monitor in self.monitors:
             monitor(self)
 
-    def _untimed_ready(self, process: UntimedProcess) -> bool:
-        for port in process.in_ports():
-            if port.channel is None or not port.channel.valid:
-                return False
-        return process.firing_rule()
-
-    def _fire_untimed(self, process: UntimedProcess) -> None:
+    @staticmethod
+    def _fire_untimed(process: UntimedProcess, inputs, outputs) -> None:
         # Under cycle semantics untimed blocks *read* the interconnect
         # (wire semantics, fan-out allowed) rather than consuming tokens.
-        kwargs = {port.name: port.channel.value for port in process.in_ports()}
-        results = process.behavior(**kwargs) or {}
-        for port in process.out_ports():
-            if port.name not in results:
+        results = process.behavior(
+            **{name: wire[-1] for name, wire in inputs}) or {}
+        for name, chan in outputs:
+            if name not in results:
                 raise SimulationError(
                     f"untimed process {process.name!r} produced no token for "
-                    f"output {port.name!r}"
+                    f"output {name!r}"
                 )
-            if port.channel is not None:
-                port.channel.put(results[port.name])
+            if chan is not None:
+                chan.put(results[name])
         process.firings += 1
 
-    def _blocked_map(self, pending, fired_untimed=()) -> Dict[str, List[str]]:
-        """Per-process names of the ports each blocked process waits on."""
+    def _blocked_map(self, pending) -> Dict[str, List[str]]:
+        """Per-process names of the ports each blocked process waits on.
+
+        An untimed block that fired has every input valid, so it never
+        shows; one still waiting shows the inputs it lacks.
+        """
         blocked: Dict[str, Set[str]] = {}
-        for plan, step in pending:
+        for step in pending:
             waits = [
                 port.name for port in step.input_ports
                 if port.channel is None or not port.channel.valid
             ]
-            blocked.setdefault(plan.process.name, set()).update(waits)
+            blocked.setdefault(step.process.name, set()).update(waits)
         for process in self.untimed:
-            if process in fired_untimed:
-                continue
             waits = {
                 port.name for port in process.in_ports()
                 if port.channel is None or not port.channel.valid
@@ -299,10 +327,10 @@ class CycleScheduler:
             f"(combinational loop or missing token): {detail}"
         )
 
-    def _deadlock_error(self, pending, fired_untimed, iterations: int,
+    def _deadlock_error(self, pending, iterations: int,
                         trace: List[int]) -> DeadlockError:
         """A :class:`DeadlockError` with structured diagnostics attached."""
-        blocked = self._blocked_map(pending, fired_untimed)
+        blocked = self._blocked_map(pending)
         channels = {c.name: c.tokens() for c in self.system.channels}
         if self.obs is not None and self.obs.events is not None:
             # The same diagnostics the exception carries, but on the

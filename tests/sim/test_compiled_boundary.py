@@ -4,10 +4,13 @@ Values enter the generated step from outside at primary-input pins and
 at untimed processes' outputs.  Each is quantized once, into the format
 of each timed consumer, where it enters (DESIGN.md §18): the value the
 consumer signal holds under the cycle scheduler, which coerces a token
-into the reading signal's format.  Untimed consumers and watched pins
-see the value as driven.  Every case runs both engines, each on its own
-instance of the design, and compares them.  The batched engine, which
-converts each pin into one format, rejects a pin read in two.
+into the reading signal's format.  An ``Overflow.ERROR`` format, whose
+conversion can raise, is quantized where a marked SFG reads the port
+instead, as the cycle scheduler copies the token only then.  Untimed
+consumers and watched pins see the value as driven.  Every case runs
+both engines, each on its own instance of the design, and compares
+them.  The batched engine, which converts each pin into one format,
+rejects a pin read in two.
 """
 
 import itertools
@@ -15,15 +18,18 @@ import itertools
 import pytest
 
 from repro.core import (
+    FSM,
     SFG,
     Clock,
     CodegenError,
     FxOverflowError,
+    Register,
     Sig,
     SimulationError,
     System,
     TimedProcess,
     actor,
+    always,
 )
 from repro.fixpt import FxFormat, Overflow
 from repro.sim import (
@@ -175,6 +181,88 @@ class TestOutOfRange:
             assert run(build, [{}])[0] == [[3.0]]
             with pytest.raises(FxOverflowError):
                 run(build, [{}, {}])
+
+
+def _fsm_reader(value, reads: bool, pin: bool = False):
+    """An untimed source feeding *value* into an FSM process's input x.
+
+    With *pin*, x reads the primary-input pin ``u`` instead.
+
+    x is s<4,4> with ``Overflow.ERROR``.  The FSM starts in ``idle``,
+    whose transition runs SFG ``skip`` (a counter; it never reads x).
+    With *reads*, it then moves to ``use``, whose transition runs SFG
+    ``read`` (``y <<= x``) and returns to ``idle``; without, it stays
+    in ``idle``.
+    """
+    clk = Clock()
+    x = Sig("x", FxFormat(4, 4, overflow=Overflow.ERROR))
+    y = Sig("y", S16_8)
+    count = Register("count", clk, S8_4)
+    skip = SFG("skip")
+    with skip:
+        count <<= count + 1
+    read = SFG("read")
+    with read:
+        y <<= x
+    read.inp(x).out(y)
+    fsm = FSM("f")
+    idle = fsm.initial("idle")
+    if reads:
+        use = fsm.state("use")
+        idle << always << skip << use
+        use << always << read << idle
+    else:
+        idle << always << skip << idle
+    process = TimedProcess("p", clk, fsm=fsm)
+    process.add_input("x", x)
+    process.add_output("y", y)
+    system = System("marked")
+    producer = None
+    if not pin:
+        src = actor("src", lambda: {"y": value}, inputs={}, outputs={"y": 1})
+        system.add(src)
+        producer = src.port("y")
+    system.add(process)
+    system.connect(producer, process.port("x"), name="u")
+    out = system.connect(process.port("y"), name="out")
+    return system, out, count
+
+
+@pytest.mark.parametrize("pin", [False, True], ids=["untimed", "pin"])
+class TestErrorBoundary:
+    """An ERROR-format boundary raises only where a marked SFG reads it."""
+
+    def _engines(self, reads, pin):
+        system, _out, count = _fsm_reader(9.0, reads, pin)
+        cycle = CycleScheduler(system)
+        u = next(chan for chan in system.channels if chan.name == "u")
+        system, _out, _count = _fsm_reader(9.0, reads, pin)
+        compiled = CompiledSimulator(system)
+
+        def cycle_step():
+            cycle.step({u: 9.0} if pin else None)
+
+        def compiled_step():
+            compiled.step({"u": 9.0} if pin else None)
+
+        return cycle_step, count, compiled_step, compiled
+
+    def test_unread_error_input_does_not_raise(self, pin):
+        cycle_step, count, compiled_step, compiled = self._engines(False, pin)
+        for _ in range(3):
+            cycle_step()
+            compiled_step()
+        assert float(count.current) == 3.0
+        assert float(compiled.snapshot()["count"]) == 3.0
+
+    def test_marked_reader_raises_on_both_engines(self, pin):
+        cycle_step, _count, compiled_step, _ = self._engines(True, pin)
+        cycle_step()
+        compiled_step()
+        with pytest.raises(FxOverflowError):
+            cycle_step()
+        with pytest.raises(FxOverflowError):
+            compiled_step()
 
 
 class TestEngineBookkeeping:

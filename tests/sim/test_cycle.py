@@ -2,7 +2,10 @@
 
 import pytest
 
+from collections import Counter
+
 from repro.core import (
+    FSM,
     SFG,
     Clock,
     DeadlockError,
@@ -12,8 +15,13 @@ from repro.core import (
     System,
     TimedProcess,
     actor,
+    always,
+    cnd,
+    ge,
+    le,
 )
 from repro.fixpt import FxFormat
+from repro.obs import Capture
 from repro.sim import CycleScheduler, Recorder
 
 from tests.conftest import (
@@ -300,3 +308,61 @@ class TestDeadlockPaths:
         assert float(out.value) == 8.0
         scheduler.step({pin: 7})
         assert float(out.value) == 10.0
+
+
+class TestEngineProfile:
+    """``Capture(profile=True)`` attributes time to every assignment run."""
+
+    @staticmethod
+    def _sawtooth():
+        """An FSM counting up with a two-assignment SFG, then down with a
+        three-assignment one, plus a one-assignment static SFG."""
+        clk = Clock()
+        n = Register("n", clk, W)
+        last = Register("last", clk, W)
+        ticks = Register("ticks", clk, W)
+        delta = Sig("delta", W)
+        up = SFG("up")
+        with up:
+            n <<= n + 1
+            last <<= n
+        down = SFG("down")
+        with down:
+            delta <<= n - last
+            n <<= n - 1
+            last <<= delta
+        tick = SFG("tick")
+        with tick:
+            ticks <<= ticks + 1
+        fsm = FSM("saw")
+        rise = fsm.initial("rise")
+        fall = fsm.state("fall")
+        rise << cnd(ge(n, 3)) << down << fall
+        rise << always << up << rise
+        fall << cnd(le(n, 0)) << up << rise
+        fall << always << down << fall
+        process = TimedProcess("saw", clk, fsm=fsm, sfgs=[tick])
+        process.add_output("n", n)
+        system = System("sawtooth")
+        system.add(process)
+        system.connect(process.port("n"), name="n")
+        return system, fsm, process
+
+    def test_calls_equal_executed_assignments(self):
+        system, fsm, process = self._sawtooth()
+        capture = Capture(activity=False, fsm=False, events=False,
+                          profile=True)
+        scheduler = CycleScheduler(system, obs=capture)
+        executed = Counter()
+        taken = set()
+        for _ in range(20):
+            scheduler.step()
+            taken.add(fsm.last_taken)
+            for sfg in fsm.last_taken.sfgs + process.static_sfgs:
+                executed[f"saw/{sfg.name}"] += len(sfg.assignments)
+        assert taken == set(fsm.transitions)  # every transition fired
+        records = capture.profile.records()
+        assert {label: record.calls for label, record in records.items()} \
+            == dict(executed)
+        assert executed["saw/down"] % 3 == 0 and executed["saw/down"] > 0
+        assert all(record.seconds >= 0 for record in records.values())
