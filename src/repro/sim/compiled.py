@@ -336,6 +336,9 @@ class SystemLayout:
                 if fmt is not None and fmt not in fmts:
                     fmts.append(fmt)
         self._alias = alias
+        #: Built by :meth:`watch_guard` on first use.
+        self._assigned: Optional[Dict[
+            Sig, Optional[Tuple[TimedProcess, Set[int]]]]] = None
 
         # Collect all registers and FSMs.  The hierarchical names are the
         # same ones repro.obs.register_watchlist derives for the cycle
@@ -463,6 +466,49 @@ class SystemLayout:
         # A watched register sees the pre-edge value, like the cycle
         # scheduler (the commit happens after the watch emission).
         return self.sig_ref_full(chan.producer.sig)
+
+    def watch_guard(self, chan: Channel) -> Guard:
+        """When a watched channel holds a token: every cycle (None), or
+        the cycles whose selected transition assigns its plain signal.
+
+        A register or a boundary channel always has a value.  A plain
+        signal assigned only in some of its process's transitions has a
+        token only in the cycles that select one of them, as in the cycle
+        scheduler.
+        """
+        if chan in self.boundary:
+            return None
+        sig = self.resolve(chan.producer.sig)
+        if sig.is_register():
+            return None
+        if self._assigned is None:
+            self._assigned = self._assigning_transitions()
+        found = self._assigned.get(sig)
+        if found is None:
+            return None
+        process, transitions = found
+        if len(transitions) == len(_global_transitions(process)):
+            return None
+        return process, tuple(sorted(transitions))
+
+    def _assigning_transitions(
+            self) -> Dict[Sig, Optional[Tuple[TimedProcess, Set[int]]]]:
+        """Each assigned signal's process and the transitions whose
+        assignments write it, or None where an assignment of it is
+        unguarded; one pass over the schedule."""
+        assigned: Dict[Sig, Optional[Tuple[TimedProcess, Set[int]]]] = {}
+        for node in self.order:
+            if not isinstance(node, tuple):
+                continue
+            sig = self.resolve(node[1].target)
+            guard = node[2]
+            if guard is None:
+                assigned[sig] = None
+            elif sig not in assigned:
+                assigned[sig] = (guard[0], set(guard[1]))
+            elif assigned[sig] is not None:
+                assigned[sig][1].update(guard[1])
+        return assigned
 
     # -- schedule -----------------------------------------------------------------
 
@@ -860,11 +906,14 @@ class CompiledSimulator:
                 call_untimed(node)
         flush_group(group)
 
-        # Watched outputs.
+        # Watched outputs: None in a cycle without a token.
         for chan in self.watch:
             value_code, fmt = layout.watch_ref(chan)
             if fmt is not None:
                 value_code = f"_fx({value_code}, {_fmt_ref(fmt)})"
+            guard = self._guard_code(layout.watch_guard(chan))
+            if guard is not None:
+                value_code = f"{value_code} if {guard} else None"
             b(f"        outputs[{chan.name!r}] = {value_code}")
 
         # Assemble: next-value pre-initialization + commit.

@@ -18,6 +18,15 @@ from ..core.errors import SynthesisError
 from .gates import GateKind
 from .netlist import Net, Netlist
 
+# Reading an enum member through its class costs a metaclass lookup; the
+# per-bit expansions below pass module constants instead.
+_INV = GateKind.INV
+_AND2 = GateKind.AND2
+_OR2 = GateKind.OR2
+_XOR2 = GateKind.XOR2
+_XNOR2 = GateKind.XNOR2
+_MUX2 = GateKind.MUX2
+
 
 @dataclass
 class Word:
@@ -69,11 +78,11 @@ def align(nl: Netlist, word: Word, frac: int) -> Word:
 
 
 def _full_adder(nl: Netlist, a: Net, b: Net, cin: Net):
-    x = nl.add(GateKind.XOR2, [a, b])
-    s = nl.add(GateKind.XOR2, [x, cin])
-    t1 = nl.add(GateKind.AND2, [a, b])
-    t2 = nl.add(GateKind.AND2, [x, cin])
-    cout = nl.add(GateKind.OR2, [t1, t2])
+    x = nl.add(_XOR2, (a, b))
+    s = nl.add(_XOR2, (x, cin))
+    t1 = nl.add(_AND2, (a, b))
+    t2 = nl.add(_AND2, (x, cin))
+    cout = nl.add(_OR2, (t1, t2))
     return s, cout
 
 
@@ -95,7 +104,7 @@ def add(nl: Netlist, a: Word, b: Word, extra_bits: int = 1) -> Word:
 
 def invert(nl: Netlist, a: Word) -> Word:
     """Bitwise complement."""
-    return Word([nl.add(GateKind.INV, [n]) for n in a.nets], a.frac)
+    return Word([nl.add(_INV, (n,)) for n in a.nets], a.frac)
 
 
 def sub(nl: Netlist, a: Word, b: Word, extra_bits: int = 1) -> Word:
@@ -143,7 +152,7 @@ def multiply(nl: Netlist, a: Word, b: Word) -> Word:
     for i in range(width):
         row_nets = [nl.const(0)] * i
         for j in range(width - i):
-            row_nets.append(nl.add(GateKind.AND2, [ax.nets[j], bx.nets[i]]))
+            row_nets.append(nl.add(_AND2, (ax.nets[j], bx.nets[i])))
         row = Word(row_nets[:width], 0)
         if acc is None:
             acc = row
@@ -163,7 +172,7 @@ def equal(nl: Netlist, a: Word, b: Word) -> Net:
     a = sign_extend(nl, a, width)
     b = sign_extend(nl, b, width)
     bits = [
-        nl.add(GateKind.XNOR2, [a.nets[i], b.nets[i]]) for i in range(width)
+        nl.add(_XNOR2, (a.nets[i], b.nets[i])) for i in range(width)
     ]
     return _and_tree(nl, bits)
 
@@ -181,7 +190,7 @@ def _and_tree(nl: Netlist, bits: Sequence[Net]) -> Net:
     while len(nodes) > 1:
         nxt = []
         for i in range(0, len(nodes) - 1, 2):
-            nxt.append(nl.add(GateKind.AND2, [nodes[i], nodes[i + 1]]))
+            nxt.append(nl.add(_AND2, (nodes[i], nodes[i + 1])))
         if len(nodes) % 2:
             nxt.append(nodes[-1])
         nodes = nxt
@@ -196,7 +205,7 @@ def or_tree(nl: Netlist, bits: Sequence[Net]) -> Net:
     while len(nodes) > 1:
         nxt = []
         for i in range(0, len(nodes) - 1, 2):
-            nxt.append(nl.add(GateKind.OR2, [nodes[i], nodes[i + 1]]))
+            nxt.append(nl.add(_OR2, (nodes[i], nodes[i + 1])))
         if len(nodes) % 2:
             nxt.append(nodes[-1])
         nodes = nxt
@@ -209,7 +218,7 @@ def bitwise(nl: Netlist, kind: GateKind, a: Word, b: Word) -> Word:
     a = sign_extend(nl, a, width)
     b = sign_extend(nl, b, width)
     return Word(
-        [nl.add(kind, [a.nets[i], b.nets[i]]) for i in range(width)], a.frac
+        [nl.add(kind, (a.nets[i], b.nets[i])) for i in range(width)], a.frac
     )
 
 
@@ -222,7 +231,7 @@ def mux_word(nl: Netlist, sel: Net, if_true: Word, if_false: Word) -> Word:
     t = sign_extend(nl, t, width)
     f = sign_extend(nl, f, width)
     return Word(
-        [nl.add(GateKind.MUX2, [sel, t.nets[i], f.nets[i]])
+        [nl.add(_MUX2, (sel, t.nets[i], f.nets[i]))
          for i in range(width)],
         frac,
     )

@@ -147,6 +147,7 @@ class OperatorAllocator:
     def finalize(self) -> None:
         """Drive every shared instance's operand buses with AND-OR muxes."""
         nl = self.nl
+        and2, or2, buf = GateKind.AND2, GateKind.OR2, GateKind.BUF
         for pool in self._pools.values():
             for instance in pool:
                 for op_index, bus in enumerate(instance.input_buses):
@@ -158,16 +159,14 @@ class OperatorAllocator:
                             # (possibly wider) shared instance.
                             source = word.nets[bit_index] \
                                 if bit_index < word.width else word.msb
-                            terms.append(
-                                nl.add(GateKind.AND2, [select, source])
-                            )
+                            terms.append(nl.add(and2, (select, source)))
                         if len(terms) == 1:
-                            nl.add(GateKind.BUF, [terms[0]], output=target_net)
+                            nl.add(buf, (terms[0],), output=target_net)
                         else:
                             node = terms[0]
                             for term in terms[1:-1]:
-                                node = nl.add(GateKind.OR2, [node, term])
-                            nl.add(GateKind.OR2, [node, terms[-1]],
+                                node = nl.add(or2, (node, term))
+                            nl.add(or2, (node, terms[-1]),
                                    output=target_net)
 
     def sharing_report(self) -> Dict[str, int]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
-from .gates import GateKind
+from .gates import KINDS, GateKind
 from .netlist import Net, Netlist
 
 #: Total primary-input bits below which the check enumerates every
@@ -95,12 +95,13 @@ def _instantiate(dst: Netlist, src: Netlist,
                  pi_map: Dict[Net, Net]) -> Dict[Net, Net]:
     """Copy *src*'s gates into *dst*, sharing the mapped PI nets."""
     net_map = dict(pi_map)
-    for gate in src.gates:
-        if gate.output not in net_map:
-            net_map[gate.output] = dst.new_net()
-    for gate in src.gates:
-        inputs = [net_map.setdefault(i, dst.new_net()) for i in gate.inputs]
-        dst.add(gate.kind, inputs, net_map[gate.output], init=gate.init)
+    for output in src.gate_outputs:
+        if output not in net_map:
+            net_map[output] = dst.new_net()
+    for code, inputs, output, init in zip(src.gate_kinds, src.gate_inputs,
+                                          src.gate_outputs, src.gate_inits):
+        inputs = [net_map.setdefault(i, dst.new_net()) for i in inputs]
+        dst.add(KINDS[code], inputs, net_map[output], init=init)
     return net_map
 
 
@@ -203,7 +204,7 @@ def check_netlists(a: Netlist, b: Netlist, mode: str = "sampled",
     rng = random.Random(seed)
     in_widths = {name: len(bus) for name, bus in miter.inputs.items()}
     names = sorted(in_widths)
-    sequential = bool(a.dffs() or b.dffs())
+    sequential = bool(a.indices(GateKind.DFF) or b.indices(GateKind.DFF))
     sim = GateSimulator(miter, lanes=lanes)
 
     def run_chunk(chunk: List[Dict[str, int]], cycle: int = 0

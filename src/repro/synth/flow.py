@@ -221,6 +221,7 @@ def _bit_blast(process: TimedProcess, share: bool, encoding: str,
     alloc.finalize()
 
     # Register D: priority mux chain, hold (Q) as the base case.
+    dff = GateKind.DFF
     for reg in registers:
         fmt = _fmt_of(reg)
         q = reg_q[id(reg)]
@@ -231,8 +232,7 @@ def _bit_blast(process: TimedProcess, share: bool, encoding: str,
             d = Word(d.nets[:q.width], q.frac)
         init = reg.init.raw if isinstance(reg.init, Fx) else int(reg.init)
         for i, q_net in enumerate(q.nets):
-            nl.add(GateKind.DFF, [d.nets[i]], output=q_net,
-                   init=(init >> i) & 1)
+            nl.add(dff, (d.nets[i],), output=q_net, init=(init >> i) & 1)
 
     # Primary outputs: priority mux chain over the driving instructions,
     # constant 0 when no driver is active (matching the RTL default).
@@ -325,7 +325,7 @@ def _optimize_once(raw: Netlist, distinct: List[Tuple[Netlist, Netlist]],
     for earlier_raw, earlier in distinct:
         phi = _repeat_names(earlier_raw, raw)
         if phi is not None:
-            return _renamed_copy(earlier, raw.name, phi)
+            return earlier.renamed(raw.name, phi)
     result = optimize_netlist(raw, validate=validate)
     distinct.append((raw, result))
     return result
@@ -345,15 +345,14 @@ def _repeat_names(earlier: Netlist, raw: Netlist) -> Optional[Dict[str, str]]:
     costs a few comparisons.
     """
     if (earlier._net_count != raw._net_count
-            or len(earlier.gates) != len(raw.gates)
+            or earlier.gate_kinds != raw.gate_kinds
             or list(earlier.inputs.items()) != list(raw.inputs.items())
             or list(earlier.outputs.items()) != list(raw.outputs.items())
-            or len(earlier.net_names) != len(raw.net_names)):
+            or len(earlier.net_names) != len(raw.net_names)
+            or earlier.gate_outputs != raw.gate_outputs
+            or earlier.gate_inits != raw.gate_inits
+            or earlier.gate_inputs != raw.gate_inputs):
         return None
-    for a, b in zip(earlier.gates, raw.gates):
-        if (a.kind is not b.kind or a.inputs != b.inputs
-                or a.output != b.output or a.init != b.init):
-            return None
     phi: Dict[str, str] = {}
     raw_names = raw.net_names
     for net, name in earlier.net_names.items():
@@ -361,25 +360,6 @@ def _repeat_names(earlier: Netlist, raw: Netlist) -> Optional[Dict[str, str]]:
         if renamed is None or phi.setdefault(name, renamed) != renamed:
             return None
     return phi
-
-
-def _renamed_copy(netlist: Netlist, name: str,
-                  phi: Dict[str, str]) -> Netlist:
-    """A new netlist equal to *netlist* but for its name and net names
-    (each name ``a`` becomes ``phi[a]``)."""
-    renamed = Netlist(name)
-    for gate in netlist.gates:
-        renamed.add(gate.kind, gate.inputs, output=gate.output,
-                    init=gate.init)
-    renamed._net_count = netlist._net_count
-    renamed.net_names = {net: phi[label]
-                         for net, label in netlist.net_names.items()}
-    renamed.inputs = {port: list(bus)
-                      for port, bus in netlist.inputs.items()}
-    renamed.outputs = {port: list(bus)
-                       for port, bus in netlist.outputs.items()}
-    renamed._const0, renamed._const1 = netlist._const0, netlist._const1
-    return renamed
 
 
 def verify_component(log: PortLog, synthesis: ComponentSynthesis,

@@ -8,11 +8,16 @@ standard-cell relative areas for a 0.7 um CMOS library of the era.
 from __future__ import annotations
 
 import enum
-from typing import Dict
+from typing import Dict, Tuple
 
 
 class GateKind(enum.Enum):
-    """Primitive cell types available to technology mapping."""
+    """Primitive cell types available to technology mapping.
+
+    Each member carries ``code``, its position in :data:`KINDS`: a
+    :class:`~repro.synth.netlist.Netlist` stores kinds as these small
+    integers, which need no enum hashing or class lookups.
+    """
 
     CONST0 = "const0"
     CONST1 = "const1"
@@ -26,6 +31,13 @@ class GateKind(enum.Enum):
     XNOR2 = "xnor2"
     MUX2 = "mux2"  # inputs: (sel, a, b) -> sel ? a : b
     DFF = "dff"    # input: (d,) -> q, clocked
+
+
+#: Every kind in code order: ``KINDS[kind.code] is kind``.
+KINDS: Tuple[GateKind, ...] = tuple(GateKind)
+for _code, _kind in enumerate(KINDS):
+    _kind.code = _code
+del _code, _kind
 
 
 #: Area per cell in NAND2 equivalents.

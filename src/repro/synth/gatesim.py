@@ -114,12 +114,14 @@ class GateSimulator:
         #: Lane-packed net values: bit L of ``values[net]`` is lane L.
         self.values: List[int] = [0] * netlist._net_count
         self._schedule = schedule = netlist.schedule()
-        dffs = netlist.dffs()
-        self._d_nets = [dff.inputs[0] for dff in dffs]
-        self._q_nets = [dff.output for dff in dffs]
+        dffs = netlist.indices(GateKind.DFF)
+        ins, outs = netlist.gate_inputs, netlist.gate_outputs
+        self._d_nets = [ins[index][0] for index in dffs]
+        self._q_nets = [outs[index] for index in dffs]
         self._q_set = frozenset(self._q_nets)
-        for dff in dffs:
-            self.values[dff.output] = -(dff.init & 1) & self.lane_mask
+        inits = netlist.gate_inits
+        for index in dffs:
+            self.values[outs[index]] = -(inits[index] & 1) & self.lane_mask
         self.cycle = 0
         self.monitors = []
         #: Word-level gate evaluations performed so far (one per gate per
@@ -350,7 +352,7 @@ class GateSimulator:
         for net in forces.keys() | flips.keys():
             set_mask, bits = forces.get(net, (0, 0))
             flip = flips.get(net, 0) & ~set_mask
-            plan.setdefault(level_of.get(net, 0), []).append(
+            plan.setdefault(level_of[net], []).append(
                 (net, ~set_mask, bits, flip))
         return plan
 

@@ -4,34 +4,66 @@ Nets are integers; gates connect input nets to one output net.  Registers
 are DFF cells with an initial value.  The structure supports levelization
 and the level schedule (for the gate simulator), per-kind statistics and
 NAND2-equivalent area (for the paper's Kgate complexity figures).
+
+A netlist stores its gates by column (DESIGN.md §20): gate ``i`` has kind
+code ``gate_kinds[i]`` (``KINDS[code]`` is its :class:`GateKind`), input
+nets ``gate_inputs[i]`` (a tuple of ints), output net ``gate_outputs[i]``
+and initial state ``gate_inits[i]``.  Ints, a bytearray and tuples of
+ints are nothing the garbage collector walks once it has seen them, so a
+synthesized design holds a few tracked containers per netlist instead of
+one object per gate.  :class:`Gate` objects are built on demand for the
+callers that read :attr:`Netlist.gates`, :meth:`~Netlist.driver`,
+:meth:`~Netlist.fanout` or :meth:`~Netlist.levelize`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import SynthesisError
-from .gates import AREA, ARITY, GateKind
+from .gates import AREA, ARITY, KINDS, GateKind
 
 Net = int
 
+_CONST0 = GateKind.CONST0.code
+_CONST1 = GateKind.CONST1.code
+_DFF = GateKind.DFF.code
+#: Inputs and area per kind code.
+_ARITY = tuple(ARITY[kind] for kind in KINDS)
+_AREA = tuple(AREA[kind] for kind in KINDS)
+
 
 class Gate:
-    """One cell instance."""
+    """One cell instance, as a read-only record.
+
+    A netlist hands these out built from its columns; change a netlist
+    through :meth:`Netlist.add` only.  Assigning a field raises
+    :class:`AttributeError`.
+    """
 
     __slots__ = ("kind", "inputs", "output", "init")
 
-    def __init__(self, kind: GateKind, inputs: Sequence[Net], output: Net,
+    def __init__(self, kind: GateKind, inputs: Tuple[Net, ...], output: Net,
                  init: int = 0):
-        if len(inputs) != ARITY[kind]:
-            raise SynthesisError(
-                f"{kind.value} expects {ARITY[kind]} inputs, got {len(inputs)}"
-            )
-        self.kind = kind
-        self.inputs = tuple(inputs)
-        self.output = output
-        self.init = init  # DFF initial state
+        _set = object.__setattr__
+        _set(self, "kind", kind)
+        _set(self, "inputs", inputs)
+        _set(self, "output", output)
+        _set(self, "init", init)  # DFF initial state
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Gate.{name} is read-only: change the netlist "
+                             f"through Netlist.add")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Gate.{name} is read-only")
+
+    def __setstate__(self, state: Tuple[None, Dict[str, object]]) -> None:
+        # A pickled gate (an older netlist pickle holds one per gate)
+        # carries its fields as the slot state.
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         return f"{self.kind.value}({', '.join(map(str, self.inputs))}) -> {self.output}"
@@ -48,8 +80,8 @@ class LevelSchedule:
     Primary inputs and DFF outputs are level 0; a combinational gate sits
     one level above the highest level it reads, so every reader of a
     level-L net sits above L.  ``levels[L - 1]`` holds level L's gates as
-    one :data:`Run` per :class:`GateKind`.  ``level_of`` maps each
-    combinational output net to its level (absent nets are level 0).
+    one :data:`Run` per :class:`GateKind`.  ``level_of[net]`` is each
+    net's level (0 for primary inputs and DFF outputs).
 
     :meth:`trace` adds, on first use, the tables of a settle that
     evaluates only the gates whose inputs changed.  ``activity`` is that
@@ -60,33 +92,43 @@ class LevelSchedule:
     __slots__ = ("levels", "level_of", "size", "_net_count", "_trace",
                  "activity")
 
-    def __init__(self, order: Sequence[Gate], net_count: int):
-        level_of: Dict[Net, int] = {}
-        buckets: List[Dict[GateKind, List[Gate]]] = []
-        for gate in order:
+    def __init__(self, netlist: "Netlist", order: Sequence[int]):
+        kinds = netlist.gate_kinds
+        ins = netlist.gate_inputs
+        outs = netlist.gate_outputs
+        level_of = [0] * netlist._net_count
+        #: Per level, each kind code's gates in order of first appearance.
+        buckets: List[Dict[int, List[int]]] = []
+        for index in order:
             level = 0
-            for net in gate.inputs:
-                upstream = level_of.get(net, 0)
+            for net in ins[index]:
+                upstream = level_of[net]
                 if upstream > level:
                     level = upstream
-            level += 1
-            level_of[gate.output] = level
+            level_of[outs[index]] = level + 1
             # Topological order: a gate is at most one level above the
             # highest level seen so far.
-            if level > len(buckets):
+            if level == len(buckets):
                 buckets.append({})
-            buckets[level - 1].setdefault(gate.kind, []).append(gate)
+            runs = buckets[level]
+            code = kinds[index]
+            members = runs.get(code)
+            if members is None:
+                members = runs[code] = []
+            members.append(index)
+        # A run's cells are made together, so they lie together in the
+        # heap, which its settle loop walks in order.
         self.levels: List[Tuple[Run, ...]] = [
-            tuple((kind, tuple((gate.output, *gate.inputs)
-                               for gate in gates))
-                  for kind, gates in bucket.items())
-            for bucket in buckets
+            tuple((KINDS[code], tuple([(outs[index], *ins[index])
+                                       for index in members]))
+                  for code, members in runs.items())
+            for runs in buckets
         ]
         self.level_of = level_of
         #: Combinational gates in the schedule (one evaluation each per
         #: settle).
         self.size = len(order)
-        self._net_count = net_count
+        self._net_count = netlist._net_count
         self._trace: Optional[TraceTables] = None
         #: Share of the scheduled gates the last traced settles evaluated
         #: (None until measured).
@@ -107,49 +149,64 @@ class TraceTables:
     the cells reading *net* grouped by run, as ``(r, cells)`` pairs,
     each cell the schedule's own ``(out, in0[, in1, in2])`` tuple.
     Everything below ``fanout`` is a tuple of ints and tuples, which the
-    garbage collector stops tracking.
+    garbage collector stops tracking; the build makes no other container
+    per net or per cell, so it gives the collector nothing to walk.
     """
 
     __slots__ = ("kinds", "fanout")
 
     def __init__(self, schedule: LevelSchedule):
         kinds: List[GateKind] = []
-        fanout: List[List[Tuple[int, Tuple[Tuple[Net, ...], ...]]]] = [
-            [] for _ in range(schedule._net_count)]
+        fanout: List[Tuple[Tuple[int, Tuple[Tuple[Net, ...], ...]], ...]] = \
+            [()] * schedule._net_count
         for runs in schedule.levels:
             for kind, cells in runs:
-                readers: Dict[Net, List[Tuple[Net, ...]]] = {}
+                # Each net's readers in this run, a cell reading it twice
+                # listed once.  Groups are short: growing a tuple costs
+                # less than tracking a list.
+                readers: Dict[Net, Tuple[Tuple[Net, ...], ...]] = {}
+                group_of = readers.get
                 for cell in cells:
                     for net in cell[1:]:
-                        group = readers.get(net)
-                        if group is None:
-                            readers[net] = [cell]
-                        elif group[-1] is not cell:
-                            group.append(cell)
+                        group = group_of(net, ())
+                        if not group or group[-1] is not cell:
+                            readers[net] = group + (cell,)
                 run = len(kinds)
                 kinds.append(kind)
                 for net, group in readers.items():
-                    fanout[net].append((run, tuple(group)))
+                    fanout[net] += ((run, group),)
         self.kinds = kinds
-        self.fanout = [tuple(groups) for groups in fanout]
+        self.fanout = fanout
 
 
 class Netlist:
-    """A flat gate-level netlist.
+    """A flat gate-level netlist, stored by column.
 
-    :meth:`levelize` and :meth:`schedule` are memoized; :meth:`add` (the
-    only mutator of the gate graph) clears both memos, and pickles leave
-    them out, so a netlist pickles to the same bytes whether or not it
-    has been levelized or simulated.
+    ``gate_kinds`` (a bytearray of kind codes), ``gate_inputs``,
+    ``gate_outputs`` and ``gate_inits`` hold one entry per gate, in the
+    order :meth:`add` received them; only :meth:`add` changes them.
+    :meth:`levelize` and :meth:`schedule` are memoized, and so are the
+    :class:`Gate` records of :attr:`gates`; :meth:`add` clears all three
+    and pickles leave them out, so a netlist pickles to the same bytes
+    whether or not it has been levelized, simulated or read gate by
+    gate.
     """
 
-    _order: Optional[List[Gate]] = None
+    _order: Optional[List[int]] = None
     _schedule: Optional[LevelSchedule] = None
+    _gates: Optional[List[Gate]] = None
 
     def __init__(self, name: str):
         self.name = name
         self._net_count = 0
-        self.gates: List[Gate] = []
+        #: Kind code of each gate (``KINDS[code]`` is its kind).
+        self.gate_kinds = bytearray()
+        #: Input nets of each gate.
+        self.gate_inputs: List[Tuple[Net, ...]] = []
+        #: Output net of each gate.
+        self.gate_outputs: List[Net] = []
+        #: Initial state of each gate (DFFs; 0 elsewhere).
+        self.gate_inits: List[int] = []
         self.net_names: Dict[Net, str] = {}
         #: Primary inputs: name -> list of nets (LSB first).
         self.inputs: Dict[str, List[Net]] = {}
@@ -157,7 +214,8 @@ class Netlist:
         self.outputs: Dict[str, List[Net]] = {}
         self._const0: Optional[Net] = None
         self._const1: Optional[Net] = None
-        self._driver: Dict[Net, Gate] = {}
+        #: Driven net -> index of its gate.
+        self._driver: Dict[Net, int] = {}
 
     # -- construction ------------------------------------------------------------
 
@@ -179,15 +237,27 @@ class Netlist:
     def add(self, kind: GateKind, inputs: Sequence[Net],
             output: Optional[Net] = None, init: int = 0) -> Net:
         """Add a gate; returns its output net."""
+        code = kind.code
+        inputs = tuple(inputs)
+        if len(inputs) != _ARITY[code]:
+            raise SynthesisError(
+                f"{kind.value} expects {_ARITY[code]} inputs, "
+                f"got {len(inputs)}")
+        driver = self._driver
         if output is None:
-            output = self.new_net()
-        if output in self._driver:
+            output = self._net_count
+            self._net_count = output + 1
+        elif output in driver:
             raise SynthesisError(f"net {output} already driven")
-        gate = Gate(kind, inputs, output, init)
-        self.gates.append(gate)
-        self._driver[output] = gate
-        self._order = None
-        self._schedule = None
+        driver[output] = len(self.gate_outputs)
+        self.gate_kinds.append(code)
+        self.gate_inputs.append(inputs)
+        self.gate_outputs.append(output)
+        self.gate_inits.append(init)
+        if self._order is not None:  # the schedule needs the order
+            self._order = self._schedule = None
+        if self._gates is not None:
+            self._gates = None
         return output
 
     def const(self, value: int) -> Net:
@@ -214,34 +284,63 @@ class Netlist:
             raise SynthesisError(f"duplicate output {name!r}")
         self.outputs[name] = list(nets)
 
+    def renamed(self, name: str, names: Dict[str, str]) -> "Netlist":
+        """A copy of this netlist called *name*, each net name ``a``
+        becoming ``names[a]``; it shares no mutable object with this one."""
+        copy = Netlist(name)
+        # The columns hold ints and tuples of ints: shallow copies share
+        # nothing mutable.
+        copy.gate_kinds = bytearray(self.gate_kinds)
+        copy.gate_inputs = list(self.gate_inputs)
+        copy.gate_outputs = list(self.gate_outputs)
+        copy.gate_inits = list(self.gate_inits)
+        copy._driver = dict(self._driver)
+        copy._net_count = self._net_count
+        copy.net_names = {net: names[label]
+                          for net, label in self.net_names.items()}
+        copy.inputs = {port: list(bus) for port, bus in self.inputs.items()}
+        copy.outputs = {port: list(bus) for port, bus in self.outputs.items()}
+        copy._const0, copy._const1 = self._const0, self._const1
+        return copy
+
+    # -- gates as records ---------------------------------------------------------
+
+    @property
+    def gates(self) -> List[Gate]:
+        """Every gate as a :class:`Gate`, in :meth:`add` order.
+
+        Built on first read and kept until the next :meth:`add`, so this
+        list, :meth:`driver`, :meth:`dffs` and :meth:`levelize` hand out
+        the same records in between.
+        """
+        if self._gates is None:
+            self._gates = [
+                Gate(KINDS[code], inputs, output, init)
+                for code, inputs, output, init in zip(
+                    self.gate_kinds, self.gate_inputs, self.gate_outputs,
+                    self.gate_inits)
+            ]
+        return self._gates
+
     def driver(self, net: Net) -> Optional[Gate]:
         """The gate driving *net* (None for primary inputs)."""
-        return self._driver.get(net)
+        index = self._driver.get(net)
+        return None if index is None else self.gates[index]
 
-    # -- queries ----------------------------------------------------------------------
+    def driver_index(self, net: Net) -> Optional[int]:
+        """The index of the gate driving *net* (None for primary inputs)."""
+        return self._driver.get(net)
 
     def dffs(self) -> List[Gate]:
         """All sequential cells."""
-        return [g for g in self.gates if g.kind is GateKind.DFF]
+        gates = self.gates
+        return [gates[index] for index in self.indices(GateKind.DFF)]
 
     def combinational(self) -> List[Gate]:
         """All combinational cells."""
-        return [g for g in self.gates if g.kind is not GateKind.DFF]
-
-    def counts(self) -> Counter:
-        """Cell count per kind."""
-        return Counter(gate.kind for gate in self.gates)
-
-    def area(self) -> float:
-        """Total area in NAND2 equivalents."""
-        return sum(AREA[gate.kind] for gate in self.gates)
-
-    def gate_count(self) -> int:
-        """Total cell count excluding constants."""
-        return sum(
-            1 for gate in self.gates
-            if gate.kind not in (GateKind.CONST0, GateKind.CONST1)
-        )
+        gates = self.gates
+        return [gates[index] for index, code in enumerate(self.gate_kinds)
+                if code != _DFF]
 
     def fanout(self) -> Dict[Net, List[Gate]]:
         """Map every net to the gates reading it (its fanout set)."""
@@ -251,6 +350,34 @@ class Netlist:
                 table.setdefault(net, []).append(gate)
         return table
 
+    # -- queries ----------------------------------------------------------------------
+
+    def indices(self, kind: GateKind) -> List[int]:
+        """Indices of the gates of *kind*, in gate order."""
+        code = kind.code
+        kinds = self.gate_kinds
+        found = []
+        index = kinds.find(code)
+        while index >= 0:
+            found.append(index)
+            index = kinds.find(code, index + 1)
+        return found
+
+    def counts(self) -> Counter:
+        """Cell count per kind."""
+        kinds = self.gate_kinds
+        return Counter({KINDS[code]: kinds.count(code)
+                        for code in sorted(set(kinds))})
+
+    def area(self) -> float:
+        """Total area in NAND2 equivalents."""
+        return sum(map(_AREA.__getitem__, self.gate_kinds))
+
+    def gate_count(self) -> int:
+        """Total cell count excluding constants."""
+        kinds = self.gate_kinds
+        return len(kinds) - kinds.count(_CONST0) - kinds.count(_CONST1)
+
     def net_label(self, net: Net) -> str:
         """A human-readable label for *net* (for fault/divergence reports)."""
         name = self.net_names.get(net)
@@ -259,9 +386,9 @@ class Netlist:
         for out_name, nets in self.outputs.items():
             if net in nets:
                 return f"{out_name}[{nets.index(net)}]"
-        driver = self._driver.get(net)
-        if driver is not None:
-            return f"n{net}:{driver.kind.value}"
+        index = self._driver.get(net)
+        if index is not None:
+            return f"n{net}:{KINDS[self.gate_kinds[index]].value}"
         return f"n{net}"
 
     def levelize(self) -> List[Gate]:
@@ -272,47 +399,72 @@ class Netlist:
         visiting a gate's drivers in input order; netlist rewrites depend
         on it.  Raises :class:`SynthesisError` on a combinational cycle.
         """
+        gates = self.gates
+        return [gates[index] for index in self.levelize_indices()]
+
+    def levelize_indices(self) -> List[int]:
+        """:meth:`levelize` as gate indices (memoized: do not mutate)."""
         if self._order is None:
             self._order = self._levelize()
-        return list(self._order)
+        return self._order
 
-    def _levelize(self) -> List[Gate]:
-        # An explicit stack of (gate, pending-input iterator) frames, so
-        # deep cones need no recursion limit.
-        order: List[Gate] = []
-        done = set()
-        visiting = set()
-        driver = self._driver
-        dff = GateKind.DFF
-        for root in self.gates:
-            if root.kind is dff or root.output in done:
+    def _levelize(self) -> List[int]:
+        # Gates added in topological order, as synthesis and the
+        # optimizer mostly add them, are their own depth-first order: every
+        # combinational driver precedes its reader, so each search ends at
+        # its root.  One pass checks that.
+        kinds = self.gate_kinds
+        ins = self.gate_inputs
+        driver = self._driver.get
+        order = []
+        for index, code in enumerate(kinds):
+            if code == _DFF:
                 continue
-            visiting.add(root.output)
-            stack = [(root, iter(root.inputs))]
+            for net in ins[index]:
+                upstream = driver(net)
+                if upstream is not None and upstream >= index \
+                        and kinds[upstream] != _DFF:
+                    return self._search()
+            order.append(index)
+        return order
+
+    def _search(self) -> List[int]:
+        # An explicit stack of (gate, pending-input iterator) frames, so
+        # deep cones need no recursion limit.  ``state`` is 1 for a gate
+        # on the stack, 2 once it is placed.
+        kinds = self.gate_kinds
+        ins = self.gate_inputs
+        driver = self._driver.get
+        state = bytearray(len(kinds))
+        order: List[int] = []
+        for root, code in enumerate(kinds):
+            if code == _DFF or state[root]:
+                continue
+            state[root] = 1
+            stack = [(root, iter(ins[root]))]
             while stack:
-                gate, pending = stack[-1]
+                index, pending = stack[-1]
                 for net in pending:
-                    upstream = driver.get(net)
-                    if upstream is None or upstream.kind is dff \
-                            or net in done:
+                    upstream = driver(net)
+                    if upstream is None or kinds[upstream] == _DFF \
+                            or state[upstream] == 2:
                         continue
-                    if net in visiting:
+                    if state[upstream]:
                         raise SynthesisError(
                             f"combinational cycle through net {net}")
-                    visiting.add(net)
-                    stack.append((upstream, iter(upstream.inputs)))
+                    state[upstream] = 1
+                    stack.append((upstream, iter(ins[upstream])))
                     break
                 else:
                     stack.pop()
-                    visiting.discard(gate.output)
-                    done.add(gate.output)
-                    order.append(gate)
+                    state[index] = 2
+                    order.append(index)
         return order
 
     def schedule(self) -> LevelSchedule:
         """The :class:`LevelSchedule` of the combinational gates."""
         if self._schedule is None:
-            self._schedule = LevelSchedule(self.levelize(), self._net_count)
+            self._schedule = LevelSchedule(self, self.levelize_indices())
         return self._schedule
 
     def logic_depth(self) -> int:
@@ -336,8 +488,23 @@ class Netlist:
         state = self.__dict__.copy()
         state.pop("_order", None)
         state.pop("_schedule", None)
+        state.pop("_gates", None)
         return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        if "gates" not in state:
+            self.__dict__.update(state)
+            return
+        # Pickled before gates were stored by column (an older
+        # artifact-cache entry): rebuild the columns in gate order.
+        Netlist.__init__(self, state["name"])
+        for gate in state["gates"]:
+            self.add(gate.kind, gate.inputs, gate.output, gate.init)
+        for key in ("_net_count", "net_names", "inputs", "outputs",
+                    "_const0", "_const1"):
+            setattr(self, key, state[key])
 
     def __repr__(self) -> str:
         return (f"Netlist({self.name!r}, {self.gate_count()} cells, "
-                f"{len(self.dffs())} DFFs, area={self.area():.0f})")
+                f"{self.gate_kinds.count(_DFF)} DFFs, "
+                f"area={self.area():.0f})")

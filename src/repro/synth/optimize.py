@@ -32,23 +32,28 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .gates import GateKind
-from .netlist import Gate, Net, Netlist
+from .gates import KINDS, GateKind
+from .netlist import Net, Netlist
 
-# Reading an enum member through its class costs a metaclass lookup; the
-# per-gate loops below compare against module constants instead.
-_CONST0 = GateKind.CONST0
-_CONST1 = GateKind.CONST1
-_BUF = GateKind.BUF
-_INV = GateKind.INV
-_AND2 = GateKind.AND2
-_OR2 = GateKind.OR2
-_NAND2 = GateKind.NAND2
-_NOR2 = GateKind.NOR2
-_XOR2 = GateKind.XOR2
-_XNOR2 = GateKind.XNOR2
-_MUX2 = GateKind.MUX2
-_DFF = GateKind.DFF
+# The per-gate loops below read a netlist's kind codes and compare them
+# with these integers: no enum hashing and no class lookups.
+_CONST0 = GateKind.CONST0.code
+_CONST1 = GateKind.CONST1.code
+_BUF = GateKind.BUF.code
+_INV = GateKind.INV.code
+_AND2 = GateKind.AND2.code
+_OR2 = GateKind.OR2.code
+_NAND2 = GateKind.NAND2.code
+_NOR2 = GateKind.NOR2.code
+_XOR2 = GateKind.XOR2.code
+_XNOR2 = GateKind.XNOR2.code
+_MUX2 = GateKind.MUX2.code
+_DFF = GateKind.DFF.code
+
+#: A gate as the rewrite keeps it: ``(kind code, *resolved inputs)``,
+#: each input a net or a constant "0"/"1".  It is also the structural
+#: hash key.
+Cell = Tuple[Union[int, str], ...]
 
 
 def _resolve(alias: Dict[Net, Union[Net, str]], net: Union[Net, str]
@@ -62,16 +67,16 @@ def _resolve(alias: Dict[Net, Union[Net, str]], net: Union[Net, str]
     return net
 
 
-def _simplify(kind: GateKind, inputs: List[Union[Net, str]]
-              ) -> Optional[Union[Net, str, Tuple[GateKind, List]]]:
+def _simplify(kind: int, inputs: Tuple[Union[Net, str], ...]
+              ) -> Optional[Union[Net, str, Cell]]:
     """Local rewrite of one gate given resolved inputs.
 
-    Returns a net/const the output aliases to, a replacement (kind,
-    inputs) pair, or None to keep the gate as-is.
+    Returns a net/const the output aliases to, a replacement
+    :data:`Cell`, or None to keep the gate as-is.
     """
-    if kind is _BUF:
+    if kind == _BUF:
         return inputs[0]
-    if kind is _INV:
+    if kind == _INV:
         a = inputs[0]
         if a == "0":
             return "1"
@@ -80,35 +85,35 @@ def _simplify(kind: GateKind, inputs: List[Union[Net, str]]
         return None
     if kind in (_AND2, _NAND2):
         a, b = inputs
-        inverting = kind is _NAND2
+        inverting = kind == _NAND2
         if a == "0" or b == "0":
             return "1" if inverting else "0"
         if a == "1" and b == "1":
             return "0" if inverting else "1"
         if a == "1":
-            return (_INV, [b]) if inverting else b
+            return (_INV, b) if inverting else b
         if b == "1":
-            return (_INV, [a]) if inverting else a
+            return (_INV, a) if inverting else a
         if a == b:
-            return (_INV, [a]) if inverting else a
+            return (_INV, a) if inverting else a
         return None
     if kind in (_OR2, _NOR2):
         a, b = inputs
-        inverting = kind is _NOR2
+        inverting = kind == _NOR2
         if a == "1" or b == "1":
             return "0" if inverting else "1"
         if a == "0" and b == "0":
             return "1" if inverting else "0"
         if a == "0":
-            return (_INV, [b]) if inverting else b
+            return (_INV, b) if inverting else b
         if b == "0":
-            return (_INV, [a]) if inverting else a
+            return (_INV, a) if inverting else a
         if a == b:
-            return (_INV, [a]) if inverting else a
+            return (_INV, a) if inverting else a
         return None
     if kind in (_XOR2, _XNOR2):
         a, b = inputs
-        inverting = kind is _XNOR2
+        inverting = kind == _XNOR2
         if isinstance(a, str) and isinstance(b, str):
             bit = (a == "1") ^ (b == "1")
             bit ^= inverting
@@ -117,11 +122,11 @@ def _simplify(kind: GateKind, inputs: List[Union[Net, str]]
             return "1" if inverting else "0"
         for x, y in ((a, b), (b, a)):
             if x == "0":
-                return (_INV, [y]) if inverting else y
+                return (_INV, y) if inverting else y
             if x == "1":
-                return y if inverting else (_INV, [y])
+                return y if inverting else (_INV, y)
         return None
-    if kind is _MUX2:
+    if kind == _MUX2:
         sel, t, f = inputs
         if sel == "1":
             return t
@@ -132,7 +137,7 @@ def _simplify(kind: GateKind, inputs: List[Union[Net, str]]
         if t == "1" and f == "0":
             return sel
         if t == "0" and f == "1":
-            return (_INV, [sel])
+            return (_INV, sel)
         return None
     return None
 
@@ -144,7 +149,7 @@ _NOT = (1, 0, _X)
 _AND_TABLE = (0, 0, 0, 0, 1, _X, 0, _X, _X)
 _OR_TABLE = (0, 1, _X, 1, 1, 1, _X, 1, _X)
 _XOR_TABLE = (0, 1, _X, 1, 0, _X, _X, _X, _X)
-_TABLES = {
+_TABLE_OF = {
     _AND2: _AND_TABLE,
     _NAND2: tuple(_NOT[v] for v in _AND_TABLE),
     _OR2: _OR_TABLE,
@@ -152,29 +157,30 @@ _TABLES = {
     _XOR2: _XOR_TABLE,
     _XNOR2: tuple(_NOT[v] for v in _XOR_TABLE),
 }
+#: The truth table of each two-input kind code (None for the others).
+_TABLES = tuple(_TABLE_OF.get(code) for code in range(len(KINDS)))
 
 
-def _ternary(gate: Gate, value: List[int]) -> int:
+def _ternary(kind: int, inputs: Tuple[Net, ...], value: List[int]) -> int:
     """Evaluate one gate over {0, 1, X}; *value* is indexed by net."""
-    kind = gate.kind
-    table = _TABLES.get(kind)
+    table = _TABLES[kind]
     if table is not None:
-        a, b = gate.inputs
+        a, b = inputs
         return table[3 * value[a] + value[b]]
-    if kind is _INV:
-        return _NOT[value[gate.inputs[0]]]
-    if kind is _MUX2:
-        sel, t, f = gate.inputs
+    if kind == _INV:
+        return _NOT[value[inputs[0]]]
+    if kind == _MUX2:
+        sel, t, f = inputs
         s = value[sel]
         if s == _X:
             t = value[t]
             return t if t == value[f] else _X
         return value[t] if s else value[f]
-    if kind is _BUF:
-        return value[gate.inputs[0]]
-    if kind is _CONST0:
+    if kind == _BUF:
+        return value[inputs[0]]
+    if kind == _CONST0:
         return 0
-    if kind is _CONST1:
+    if kind == _CONST1:
         return 1
     return _X
 
@@ -194,43 +200,64 @@ def sequential_constants(netlist: Netlist) -> Dict[Net, str]:
     for every net the final symbolic cycle pins down — DFF outputs and
     any combinational cone forced by them.
     """
-    order = netlist.levelize()
-    dffs = netlist.dffs()
+    kinds = netlist.gate_kinds
+    ins = netlist.gate_inputs
+    outs = netlist.gate_outputs
+    inits = netlist.gate_inits
+    order = netlist.levelize_indices()
+    dffs = netlist.indices(GateKind.DFF)
     value = [_X] * netlist._net_count
-    for dff in dffs:
-        value[dff.output] = 1 if dff.init else 0
+    for index in dffs:
+        value[outs[index]] = 1 if inits[index] else 0
     # The first sweep.  A gate with a known value can only turn X through
-    # one of its known inputs, so only those edges are watched.
-    readers: Dict[Net, List[Gate]] = {}
-    for gate in order:
-        known = value[gate.output] = _ternary(gate, value)
+    # one of its known inputs, so only those edges are watched.  The
+    # gates watching a net form a chain through flat lists, not a list
+    # per net: ``last[net]`` is the net's latest edge (or -1),
+    # ``watcher[e]`` edge e's gate and ``earlier[e]`` the net's edge
+    # before e.
+    last = [-1] * netlist._net_count
+    watcher: List[int] = []
+    earlier: List[int] = []
+    for index in order:
+        inputs = ins[index]
+        known = value[outs[index]] = _ternary(kinds[index], inputs, value)
         if known != _X:
-            for net in gate.inputs:
+            for net in inputs:
                 if value[net] != _X:
-                    readers.setdefault(net, []).append(gate)
+                    earlier.append(last[net])
+                    last[net] = len(watcher)
+                    watcher.append(index)
     # Demote the registers the sweep contradicts; watch the others' D.
     turned: List[Net] = []
-    for dff in dffs:
-        d, q = dff.inputs[0], dff.output
+    for index in dffs:
+        d, q = ins[index][0], outs[index]
         if value[d] == value[q]:
-            readers.setdefault(d, []).append(dff)
+            earlier.append(last[d])
+            last[d] = len(watcher)
+            watcher.append(index)
         else:
             value[q] = _X
             turned.append(q)
-    # Spread X along the fanout of every net that turned X.
+    # Spread X along the fanout of every net that turned X.  The order
+    # of the visits does not matter: each net turns X at most once.
     while turned:
-        for gate in readers.pop(turned.pop(), ()):
-            out = gate.output
+        edge = last[turned.pop()]
+        while edge >= 0:
+            index = watcher[edge]
+            edge = earlier[edge]
+            out = outs[index]
             if value[out] == _X:
                 continue
-            if gate.kind is _DFF or _ternary(gate, value) == _X:
+            kind = kinds[index]
+            if kind == _DFF or _ternary(kind, ins[index], value) == _X:
                 value[out] = _X
                 turned.append(out)
     consts: Dict[Net, str] = {}
-    for cell in (*dffs, *order):
-        known = value[cell.output]
+    for index in (*dffs, *order):
+        out = outs[index]
+        known = value[out]
         if known != _X:
-            consts[cell.output] = "1" if known else "0"
+            consts[out] = "1" if known else "0"
     return consts
 
 
@@ -275,63 +302,75 @@ def _one_pass(old: Netlist,
     ran.  Every other rewrite is final, because gates are visited in
     topological order and each one reads its inputs' rewritten form.
     """
+    kinds = old.gate_kinds
+    ins = old.gate_inputs
+    outs = old.gate_outputs
+    inits = old.gate_inits
+    driver = old.driver_index
     alias: Dict[Net, Union[Net, str]] = {}
-    #: Each kept gate's output -> the (kind, resolved inputs) it is
-    #: rebuilt from, in topological order.
-    kept: Dict[Net, Tuple[GateKind, List[Union[Net, str]]]] = {}
-    hash_table: Dict[tuple, Net] = {}
-    order = old.levelize()
-    dffs = old.dffs()
+    #: Each kept gate's output -> the cell it is rebuilt from, in
+    #: topological order.
+    kept: Dict[Net, Cell] = {}
+    hash_table: Dict[Cell, Net] = {}
+    order = old.levelize_indices()
+    dffs = old.indices(GateKind.DFF)
 
     if seq_consts:
         # Sequential-constant seeding: alias the proven-constant DFF
         # outputs (and the cones they force) before local rewriting, so
         # mutually-dependent constant registers dissolve in one pass.
         for net, value in seq_consts.items():
-            driver = old.driver(net)
-            if driver is None or driver.kind not in (_CONST0, _CONST1):
+            index = driver(net)
+            if index is None or kinds[index] not in (_CONST0, _CONST1):
                 alias[net] = value
 
     # During the sweep every alias target is final: one lookup resolves.
     lookup = alias.get
-    for gate in order:
-        kind = gate.kind
-        if kind is _CONST0:
-            alias[gate.output] = "0"
+    for index in order:
+        kind = kinds[index]
+        out = outs[index]
+        if kind == _CONST0:
+            alias[out] = "0"
             continue
-        if kind is _CONST1:
-            alias[gate.output] = "1"
+        if kind == _CONST1:
+            alias[out] = "1"
             continue
-        inputs = [lookup(net, net) for net in gate.inputs]
+        inputs = ins[index]
+        inputs = tuple(map(lookup, inputs, inputs))
         result = _simplify(kind, inputs)
-        if result is not None:
-            if not isinstance(result, tuple):
-                alias[gate.output] = result
-                continue
-            kind, inputs = result
-        if kind is _INV:
+        if result is None:
+            cell = (kind, *inputs)
+        elif type(result) is tuple:
+            cell = result
+            kind = cell[0]
+        else:
+            alias[out] = result
+            continue
+        if kind == _INV:
             # Double-inverter collapse, for an old inverter and for a gate
             # just rewritten to one alike.  The upstream gate is checked
             # in its rewritten kind: NAND(x, 1), XOR(x, 1), MUX(s, 0, 1)
             # and the like are inverters now.
-            upstream = kept.get(inputs[0])
-            if upstream is not None and upstream[0] is _INV:
-                alias[gate.output] = upstream[1][0]
+            upstream = kept.get(cell[1])
+            if upstream is not None and upstream[0] == _INV:
+                alias[out] = upstream[1]
                 continue
-        first = hash_table.setdefault((kind, *inputs), gate.output)
-        if first != gate.output:
-            alias[gate.output] = first
+        first = hash_table.setdefault(cell, out)
+        if first != out:
+            alias[out] = first
         else:
-            kept[gate.output] = (kind, inputs)
+            kept[out] = cell
 
     # Local sequential constant propagation: D constant and equal to init.
     again = False
-    for dff in dffs:
-        d = _resolve(alias, dff.inputs[0])
-        if (d == "0" and dff.init == 0) or (d == "1" and dff.init == 1):
-            if dff.output not in alias:
+    for index in dffs:
+        d = _resolve(alias, ins[index][0])
+        init = inits[index]
+        if (d == "0" and init == 0) or (d == "1" and init == 1):
+            q = outs[index]
+            if q not in alias:
                 again = True  # its readers saw a register, not a constant
-            alias[dff.output] = d
+            alias[q] = d
 
     # Liveness: walk back from primary outputs and live DFFs (a DFF is
     # traversed like any other cell, so its D cone is live too).
@@ -343,13 +382,13 @@ def _one_pass(old: Netlist,
         if not isinstance(net, int) or net in live:
             continue
         live.add(net)
-        rebuilt = kept.get(net)
-        if rebuilt is not None:
-            frontier.extend(rebuilt[1])
+        cell = kept.get(net)
+        if cell is not None:
+            frontier.extend(cell[1:])
         else:
-            driver = old.driver(net)
-            if driver is not None:
-                frontier.extend(driver.inputs)
+            index = driver(net)
+            if index is not None:
+                frontier.extend(ins[index])
 
     # Rebuild.
     new = Netlist(old.name)
@@ -369,14 +408,17 @@ def _one_pass(old: Netlist,
 
     for name, bus in old.inputs.items():
         new.inputs[name] = [map_net(n) for n in bus]
-    for dff in dffs:
-        if dff.output in alias or dff.output not in live:
+    dff = KINDS[_DFF]
+    for index in dffs:
+        q = outs[index]
+        if q in alias or q not in live:
             continue  # a constant, or dead
-        new.add(_DFF, [map_net(dff.inputs[0])],
-                output=map_net(dff.output), init=dff.init)
-    for out, (kind, inputs) in kept.items():
+        new.add(dff, (map_net(ins[index][0]),), output=map_net(q),
+                init=inits[index])
+    for out, cell in kept.items():
         if out in live:
-            new.add(kind, [map_net(n) for n in inputs], output=map_net(out))
+            new.add(KINDS[cell[0]], tuple(map(map_net, cell[1:])),
+                    output=map_net(out))
     for name, bus in old.outputs.items():
         new.set_output(name, [map_net(n) for n in bus])
     return new, again

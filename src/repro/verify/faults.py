@@ -17,10 +17,13 @@ net fault equals a line fault.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..synth.gates import GateKind
+from ..synth.gates import KINDS, GateKind
 from ..synth.netlist import Net, Netlist
 
 
@@ -55,19 +58,20 @@ def enumerate_faults(netlist: Netlist) -> List[StuckAtFault]:
     or exported as a primary output), minus the trivially-redundant
     faults on constant nets (const-0 stuck at 0 changes nothing).
     """
-    observable = set(netlist.fanout())
+    observable = set(chain.from_iterable(netlist.gate_inputs))
     for nets in netlist.outputs.values():
         observable.update(nets)
+    # The one stuck value that changes nothing on each constant net.
+    redundant: Dict[Net, int] = {}
+    for kind, value in ((GateKind.CONST0, 0), (GateKind.CONST1, 1)):
+        for index in netlist.indices(kind):
+            redundant[netlist.gate_outputs[index]] = value
     faults: List[StuckAtFault] = []
     for net in sorted(observable):
-        driver = netlist.driver(net)
+        skip = redundant.get(net)
         for value in (0, 1):
-            if driver is not None:
-                if driver.kind is GateKind.CONST0 and value == 0:
-                    continue
-                if driver.kind is GateKind.CONST1 and value == 1:
-                    continue
-            faults.append(StuckAtFault(net, value))
+            if value != skip:
+                faults.append(StuckAtFault(net, value))
     return faults
 
 
@@ -82,6 +86,8 @@ _EQUIVALENCE: Dict[GateKind, Dict[int, int]] = {
     GateKind.OR2: {1: 1},
     GateKind.NOR2: {1: 0},
 }
+#: :data:`_EQUIVALENCE` by kind code (None for kinds without rules).
+_RULES = tuple(_EQUIVALENCE.get(kind) for kind in KINDS)
 
 
 @dataclass
@@ -128,7 +134,8 @@ def collapse_faults(netlist: Netlist,
     if faults is None:
         faults = enumerate_faults(netlist)
     universe = set(faults)
-    fanout = netlist.fanout()
+    #: How many gate inputs read each net.
+    readers = Counter(chain.from_iterable(netlist.gate_inputs))
     primary_outputs = set()
     for nets in netlist.outputs.values():
         primary_outputs.update(nets)
@@ -143,24 +150,26 @@ def collapse_faults(netlist: Netlist,
             parent[fault], fault = root, parent[fault]
         return root
 
-    for gate in netlist.gates:
-        rules = _EQUIVALENCE.get(gate.kind)
+    for code, inputs, output in zip(netlist.gate_kinds, netlist.gate_inputs,
+                                    netlist.gate_outputs):
+        rules = _RULES[code]
         if rules is None:
             continue
-        for net in gate.inputs:
+        for net in inputs:
             # The equivalence needs the input fault's entire effect to
             # flow through this gate: single-gate fanout, not observed
             # directly as a primary output.
-            if net in primary_outputs or len(fanout.get(net, ())) != 1:
+            if net in primary_outputs or readers[net] != 1:
                 continue
             for in_value, out_value in rules.items():
                 source = StuckAtFault(net, in_value)
-                target = StuckAtFault(gate.output, out_value)
+                target = StuckAtFault(output, out_value)
                 if source in universe and target in universe:
                     parent[find(source)] = find(target)
 
     classes: Dict[StuckAtFault, List[StuckAtFault]] = {}
-    for fault in sorted(universe):
+    # The dataclass order, without a Python-level comparison per step.
+    for fault in sorted(universe, key=attrgetter("net", "value")):
         classes.setdefault(find(fault), []).append(fault)
     return CollapseResult(netlist=netlist, total=len(universe),
                           classes=classes)

@@ -103,6 +103,50 @@ class TestEquivalence:
 
         assert interp == compiled
 
+    def test_watched_signal_of_one_transition(self):
+        """A plain output assigned only in the FSM's second transition
+        has a token every other cycle; the compiled watch reads None in
+        the cycles the cycle scheduler's channel holds none."""
+
+        def build():
+            clk = Clock()
+            count = Register("count", clk, W)
+            y = Sig("y", W)
+            tick = SFG("tick")
+            with tick:
+                count <<= count + 1
+            drive = SFG("drive")
+            with drive:
+                y <<= count * 2
+            drive.out(y)
+            fsm = FSM("f")
+            first = fsm.initial("first")
+            second = fsm.state("second")
+            first << always << tick << second
+            second << always << drive << first
+            process = TimedProcess("p", clk, fsm=fsm)
+            process.add_output("y", y)
+            system = System("one_transition")
+            system.add(process)
+            return system, system.connect(process.port("y"), name="y")
+
+        system_i, chan_i = build()
+        scheduler = CycleScheduler(system_i)
+        interp = []
+        for _ in range(6):
+            scheduler.step()
+            interp.append(as_float(chan_i.value) if chan_i.valid else None)
+
+        system_c, chan_c = build()
+        sim = CompiledSimulator(system_c, watch=[chan_c])
+        compiled = []
+        for _ in range(6):
+            sim.step()
+            compiled.append(as_float(sim.output(chan_c)))
+
+        assert interp == [None, 2.0, None, 4.0, None, 6.0]
+        assert compiled == interp
+
     def test_untimed_loop(self):
         system_i, chans_i, reg_i = build_loop_system()
         CycleScheduler(system_i).run(8)

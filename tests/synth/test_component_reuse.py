@@ -35,25 +35,17 @@ def _netlists(synthesis):
     return {c.process.name: c.netlist for c in synthesis.components}
 
 
-@pytest.fixture(scope="module")
-def dect():
-    from repro.designs.dect import build_transceiver
-
-    design = build_transceiver()
-    return design, synthesize_system(design.system)
-
-
 @pytest.mark.parametrize("name", ["io_q", "coefadr", "fir1", "fir2"])
-def test_dect_repeats_match_synthesis_alone(dect, name):
-    design, synthesis = dect
+def test_dect_repeats_match_synthesis_alone(dect_synthesis, name):
+    design, synthesis = dect_synthesis
     process = next(p for p in design.system.timed_processes()
                    if p.name == name)
     assert pickle.dumps(_netlists(synthesis)[name]) == \
         pickle.dumps(synthesize_process(process).netlist)
 
 
-def test_dect_repeats_are_copies_of_their_first_occurrence(dect):
-    _design, synthesis = dect
+def test_dect_repeats_are_copies_of_their_first_occurrence(dect_synthesis):
+    _design, synthesis = dect_synthesis
     netlists = _netlists(synthesis)
     assert synthesis.total_gates == 89500
     for repeat, first in (("io_q", "io_i"), ("coefadr", "outadr"),
@@ -82,16 +74,18 @@ def test_register_names_stay_with_their_component():
 
 
 def test_copies_share_no_object():
-    """No netlist, gate, bus or name table is shared — within one call
-    between a copy and its original, nor between two calls, so every
-    call builds cold."""
+    """No netlist, gate, gate column, bus or name table is shared — within
+    one call between a copy and its original, nor between two calls, so
+    every call builds cold."""
     system = _counters(("alpha", 8), ("beta", 8))
     once = _netlists(synthesize_system(system))
     twice = _netlists(synthesize_system(system))
     netlists = [*once.values(), *twice.values()]
     seen = set()
     for netlist in netlists:
-        parts = [netlist, netlist.gates, netlist.net_names, netlist.inputs,
+        parts = [netlist, netlist.gates, netlist.gate_kinds,
+                 netlist.gate_inputs, netlist.gate_outputs,
+                 netlist.gate_inits, netlist.net_names, netlist.inputs,
                  netlist.outputs, netlist._driver, *netlist.gates,
                  *netlist.inputs.values(), *netlist.outputs.values()]
         ids = {id(part) for part in parts}

@@ -369,18 +369,6 @@ def test_schedule_reports_cycles_added_after_it_was_memoized():
         nl.schedule()
 
 
-@pytest.fixture(scope="module")
-def design_netlists():
-    """Every synthesized component of HCOR and the DECT transceiver."""
-    from repro.designs.dect import build_transceiver
-    from repro.designs.hcor import build_hcor
-    from repro.synth import synthesize_system
-
-    return [component.netlist
-            for design in (build_hcor(), build_transceiver())
-            for component in synthesize_system(design.system).components]
-
-
 def test_levelize_matches_recursive_reference_on_designs(design_netlists):
     assert len(design_netlists) > 20
     for netlist in design_netlists:

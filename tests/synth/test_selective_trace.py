@@ -26,6 +26,7 @@ from repro.core import SimulationError
 from repro.synth import GateKind, GateSimulator, Netlist
 from repro.synth.gates import ARITY
 from repro.synth.gatesim import TRACE_BELOW
+from repro.synth.netlist import TraceTables
 from repro.verify import (
     FaultCampaign, TransientFault, collapse_faults, random_stimulus,
 )
@@ -300,6 +301,41 @@ def test_restore_rejects_a_checkpoint_of_another_netlist():
         f"checkpoint has {large._net_count} nets, netlist 'gated0' has "
         f"{small._net_count}")
     assert len(sim.values) == small._net_count
+
+
+# -- trace tables ---------------------------------------------------------------
+
+
+def reference_trace_tables(schedule):
+    """``(kinds, fanout)`` as the builder that grew a list of reader
+    groups per net built them (kept here as the reference)."""
+    kinds = []
+    fanout = [[] for _ in range(schedule._net_count)]
+    for runs in schedule.levels:
+        for kind, cells in runs:
+            readers = {}
+            for cell in cells:
+                for net in cell[1:]:
+                    group = readers.get(net)
+                    if group is None:
+                        readers[net] = [cell]
+                    elif group[-1] is not cell:
+                        group.append(cell)
+            run = len(kinds)
+            kinds.append(kind)
+            for net, group in readers.items():
+                fanout[net].append((run, tuple(group)))
+    return kinds, [tuple(groups) for groups in fanout]
+
+
+def test_trace_tables_match_reference_on_designs(design_netlists):
+    random_netlists = [gated_netlist(seed) for seed in range(6)]
+    for netlist in [*design_netlists, *random_netlists]:
+        schedule = netlist.schedule()
+        kinds, fanout = reference_trace_tables(schedule)
+        tables = TraceTables(schedule)
+        assert tables.kinds == kinds, netlist.name
+        assert tables.fanout == fanout, netlist.name
 
 
 # -- DECT netlists --------------------------------------------------------------

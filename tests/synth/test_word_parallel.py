@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.errors import SimulationError
 from repro.synth import GateKind, Netlist
-from repro.synth.gates import evaluate_gate, evaluate_gate_word
+from repro.synth.gates import ARITY, evaluate_gate, evaluate_gate_word
 from repro.synth.gatesim import GateSimulator
 
 COMB_KINDS = [
@@ -31,25 +31,25 @@ def build_random_netlist(seed, n_inputs=3, width=4, n_gates=40, n_dffs=5):
     for i in range(n_inputs):
         pool.extend(nl.add_input(f"in{i}", width))
     # DFF outputs join the pool first so the comb cloud can read state;
-    # their D inputs are patched in once the cloud exists.
-    dff_outs = []
-    for i in range(n_dffs):
-        q = nl.add(GateKind.DFF, [pool[rng.randrange(len(pool))]],
-                   init=rng.randint(0, 1))
-        dff_outs.append(q)
+    # the DFFs themselves are added once the cloud exists.
+    dffs = []
+    for _ in range(n_dffs):
+        rng.randrange(len(pool))  # unused; keeps each seed's netlist fixed
+        q = nl.new_net()
+        dffs.append((q, rng.randint(0, 1)))
         pool.append(q)
     for _ in range(n_gates):
         kind = rng.choice(COMB_KINDS)
-        from repro.synth.gates import ARITY
         inputs = [pool[rng.randrange(len(pool))]
                   for _ in range(ARITY[kind])]
         pool.append(nl.add(kind, inputs))
-    # Rewire each DFF's D to a random comb net (keeps the graph acyclic:
-    # DFF inputs never feed levelization).
-    for gate in nl.dffs():
-        gate.inputs = [pool[rng.randrange(len(pool))]]
+    # Each DFF's D is a random net of the whole pool (keeps the graph
+    # acyclic: DFF inputs never feed levelization).
+    for q, init in dffs:
+        nl.add(GateKind.DFF, [pool[rng.randrange(len(pool))]], output=q,
+               init=init)
     nl.set_output("out", pool[-width:])
-    nl.set_output("probe", [dff_outs[0], pool[-1]])
+    nl.set_output("probe", [dffs[0][0], pool[-1]])
     return nl
 
 
@@ -165,7 +165,6 @@ def test_broadcast_equals_per_lane_duplicate():
 def test_word_evaluator_degenerates_to_scalar():
     rng = random.Random(0)
     for kind in COMB_KINDS + [GateKind.CONST0, GateKind.CONST1]:
-        from repro.synth.gates import ARITY
         for _ in range(16):
             bits = [rng.randint(0, 1) for _ in range(ARITY[kind])]
             assert evaluate_gate_word(kind, bits, 1) == \
