@@ -91,6 +91,14 @@ class NetlistEquivalenceError(ReproError):
         )
 
 
+def _mapped(net_map: Dict[Net, Net], dst: Netlist, net: Net) -> Net:
+    """*net*'s image in *dst*, allocated the first time it is seen."""
+    image = net_map.get(net)
+    if image is None:
+        image = net_map[net] = dst.new_net()
+    return image
+
+
 def _instantiate(dst: Netlist, src: Netlist,
                  pi_map: Dict[Net, Net]) -> Dict[Net, Net]:
     """Copy *src*'s gates into *dst*, sharing the mapped PI nets."""
@@ -100,7 +108,7 @@ def _instantiate(dst: Netlist, src: Netlist,
             net_map[output] = dst.new_net()
     for code, inputs, output, init in zip(src.gate_kinds, src.gate_inputs,
                                           src.gate_outputs, src.gate_inits):
-        inputs = [net_map.setdefault(i, dst.new_net()) for i in inputs]
+        inputs = [_mapped(net_map, dst, i) for i in inputs]
         dst.add(KINDS[code], inputs, net_map[output], init=init)
     return net_map
 
@@ -161,8 +169,8 @@ def build_miter(a: Netlist, b: Netlist) -> Tuple[Netlist, Optional[str]]:
         for net_a, net_b in zip(a.outputs[name], b.outputs[name]):
             bits.append(miter.add(
                 GateKind.XOR2,
-                [map_a.setdefault(net_a, miter.new_net()),
-                 map_b.setdefault(net_b, miter.new_net())]))
+                [_mapped(map_a, miter, net_a),
+                 _mapped(map_b, miter, net_b)]))
         per_output = _or_tree(miter, bits)
         miter.set_output(f"diff__{name}", [per_output])
         diffs.append(per_output)

@@ -2,43 +2,28 @@
 
 This is the "VHDL/Verilog (netlist)" row of Table 1: simulation after
 synthesis.  The netlist's :class:`LevelSchedule` is fixed once (and
-shared by every simulator of the netlist).  A settle either sweeps it
-level by level, running each level's cells of one kind in a loop
-specialized to that kind, or traces changes through it, evaluating only
-the gates one of whose inputs changed; finally the DFFs are clocked.
+shared by every simulator of the netlist).  A settle sweeps it level by
+level, running each level's cells of one kind in a loop specialized to
+that kind; finally the DFFs are clocked.
 
-Two settles
+Two kernels
 -----------
-The level sweep evaluates every gate at the lowest cost per gate.  The
-traced settle pays a fan-out walk and a change test per evaluation,
-three to four times as much, and wins when few gates see a changed
-input: the DECT FIR slices evaluate 3-5% of their gates per cycle, HCOR
-more than half.  A one-lane simulator picks between them by the
-activity it measures.  It traces in windows of :data:`TRACE_WINDOW`
-settles that may evaluate :data:`TRACE_BELOW` of the scheduled gates
-per settle on average; a window that evaluates more ends tracing at
-once, and the simulator sweeps from then on.  The last activity
-measured lives on the netlist's shared schedule: a fresh simulator of a
-netlist measured busy sweeps from the start, and one of a quiet or
-unmeasured netlist traces from its first step.
-
-A traced settle needs every net consistent with the logic except the
-level-0 changes it has recorded: :meth:`GateSimulator.set_input` records
-a pin net only when its bit changes, the clock edge a DFF output only
-when the clocked value differs.  The construction settle, the first
-settle after :meth:`~GateSimulator.restore_state`, :meth:`force`,
-:meth:`flip` or :meth:`release`, every settle with a saboteur armed and
-every multi-lane settle are level sweeps.
-:attr:`GateSimulator.gate_evals` counts one evaluation per scheduled
-gate per settle on either path; :attr:`GateSimulator.gates_evaluated`
-counts the evaluations actually performed.
+A simulator of at most 64 lanes runs the native kernel
+(``gatekernel.c``, DESIGN.md §21): one C sweep over the schedule's flat
+arrays, which also writes the pins, keeps the output buses read, applies
+the saboteurs and clocks the DFFs.  :mod:`repro.synth.native` builds it
+once per source digest with the host's C compiler.  Where there is no
+compiler, where the build fails, and above 64 lanes, the simulator runs
+the Python kernel, :class:`GateSimulator`'s own methods, which is also
+the reference the C kernel is tested against.  Both compute the same
+values bit for bit; ``lanes`` is the one switch.
 
 Word-parallel lanes
 -------------------
 The netlist defines *what* every net computes; ``lanes`` decides *how
 many* independent stimulus vectors evaluate it per step.  Each entry of
 :attr:`values` is an int whose bit L holds lane L's boolean, so one
-bitwise Python operation per gate simulates all lanes at once (classic
+bitwise operation per gate simulates all lanes at once (classic
 bit-sliced simulation; ``lanes=64`` fills a machine word).  ``lanes=1``
 is the scalar simulator: the same loop with a one-bit lane mask.
 
@@ -56,9 +41,14 @@ armed.
 
 from __future__ import annotations
 
+import ctypes
+from array import array
+from contextlib import contextmanager
+from operator import index as _integer
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import SimulationError
+from . import native
 from .gates import GateKind
 from .netlist import Net, Netlist
 
@@ -78,13 +68,25 @@ _MUX2 = GateKind.MUX2
 #: net to ``((value & keep) | bits) ^ flip``.
 _Override = Tuple[Net, int, int, int]
 
-#: A one-lane simulator traces changes while its settles evaluate less
-#: than this share of the scheduled gates.  A traced evaluation costs
-#: three to four swept ones (HCOR traces at 0.39x the sweep's speed with
-#: 79% evaluated), so break-even lies near 30%.
-TRACE_BELOW = 0.25
-#: Settles per activity window while tracing.
-TRACE_WINDOW = 16
+#: Simulators of at most this many lanes run the native kernel, one
+#: ``uint64`` word per net.
+_NATIVE_LANES = 64
+_WORD = (1 << 64) - 1
+
+
+@contextmanager
+def _python_kernel():
+    """Simulators built inside this block run the Python kernel.
+
+    A private seam: the tests hold both kernels to the same values, and
+    Table 1 keeps its Python netlist row.
+    """
+    global _NATIVE_LANES
+    saved, _NATIVE_LANES = _NATIVE_LANES, 0
+    try:
+        yield
+    finally:
+        _NATIVE_LANES = saved
 
 
 def _lane_mask(lanes: Optional[Iterable[int]], all_mask: int) -> int:
@@ -105,33 +107,29 @@ class GateSimulator:
     and injected faults.
     """
 
+    def __new__(cls, netlist: Netlist, obs=None, lanes: int = 1):
+        if cls is GateSimulator and lanes <= _NATIVE_LANES \
+                and native.library() is not None:
+            cls = _NativeGateSimulator
+        return super().__new__(cls)
+
     def __init__(self, netlist: Netlist, obs=None, lanes: int = 1):
         if lanes < 1:
             raise SimulationError(f"lanes must be >= 1, got {lanes}")
         self.netlist = netlist
         self.lanes = lanes
         self.lane_mask = (1 << lanes) - 1
-        #: Lane-packed net values: bit L of ``values[net]`` is lane L.
-        self.values: List[int] = [0] * netlist._net_count
-        self._schedule = schedule = netlist.schedule()
+        self._schedule = netlist.schedule()
         dffs = netlist.indices(GateKind.DFF)
         ins, outs = netlist.gate_inputs, netlist.gate_outputs
         self._d_nets = [ins[index][0] for index in dffs]
         self._q_nets = [outs[index] for index in dffs]
-        self._q_set = frozenset(self._q_nets)
-        inits = netlist.gate_inits
-        for index in dffs:
-            self.values[outs[index]] = -(inits[index] & 1) & self.lane_mask
         self.cycle = 0
         self.monitors = []
         #: Word-level gate evaluations performed so far (one per gate per
-        #: settle, independent of lane count and of the settle path — the
-        #: denominator of the batched campaign's "fewer gate-evaluation
-        #: steps" claim).
+        #: settle, independent of lane count and kernel — the denominator
+        #: of the batched campaign's "fewer gate-evaluation steps" claim).
         self.gate_evals = 0
-        #: Scheduled gate evaluations that traced settles skipped (less
-        #: their repeats); see :attr:`gates_evaluated`.
-        self._skipped = 0
         #: Optional :class:`repro.obs.Capture` instrumenting this run.
         self.obs = obs
         if obs is not None:
@@ -150,30 +148,21 @@ class GateSimulator:
         #: The saboteurs grouped by the level of their net; None when
         #: they changed since the last settle.
         self._overrides: Optional[Dict[int, List[_Override]]] = None
+        #: Lane-packed net values: bit L of ``values[net]`` is lane L.
+        self.values = self._new_values(netlist._net_count)
+        inits = netlist.gate_inits
+        for index, q in zip(dffs, self._q_nets):
+            self.values[q] = -(inits[index] & 1) & self.lane_mask
+        # Settle the combinational logic against the initial state.
+        self._propagate()
+
+    def _new_values(self, count: int) -> List[int]:
         #: Driven values of level-0 nets whose stored value currently
         #: holds an override; restored before the next settle unless the
         #: pin is driven or the DFF clocked first.
         self._held: Dict[Net, int] = {}
-        # Change tracing (one lane only; see the module docstring).
-        #: The next settle traces: every net is consistent with the logic
-        #: but for the level-0 changes recorded in ``_changed``.
-        self._trace_next = False
-        self._changed: List[Net] = []
-        #: One dirty list per run of the schedule, and the runs' kinds
-        #: beside their lists (built on the first traced settle).
-        self._buckets: Optional[List[list]] = None
-        self._runs: List[Tuple[GateKind, list]] = []
-        #: A clean sweep hands over to the traced settle: one lane, and
-        #: the netlist is unmeasured or was quiet when last measured.
-        activity = schedule.activity
-        self._tracing = lanes == 1 and (activity is None
-                                        or activity < TRACE_BELOW)
-        #: Settles left in the current activity window, and the gate
-        #: evaluations it spent so far.
-        self._window = TRACE_WINDOW
-        self._spent = 0
-        # Settle the combinational logic against the initial state.
-        self._propagate()
+        self._q_set = frozenset(self._q_nets)
+        return [0] * count
 
     # -- pin access ------------------------------------------------------------
 
@@ -184,9 +173,6 @@ class GateSimulator:
         for per-lane stimulus.
         """
         bus = self._input_bus(name)
-        if self._trace_next:
-            self._drive_traced(bus, raw)
-            return
         mask = self.lane_mask
         values = self.values
         for i, net in enumerate(bus):
@@ -197,14 +183,7 @@ class GateSimulator:
     def set_input_lanes(self, name: str, raws: Sequence[int]) -> None:
         """Drive a primary input bus with one raw value per lane."""
         bus = self._input_bus(name)
-        if len(raws) != self.lanes:
-            raise SimulationError(
-                f"input {name!r}: got {len(raws)} values for "
-                f"{self.lanes} lanes"
-            )
-        if self._trace_next:
-            self._drive_traced(bus, raws[0])
-            return
+        self._check_lanes(name, raws)
         for i, net in enumerate(bus):
             packed = 0
             for lane, raw in enumerate(raws):
@@ -213,15 +192,12 @@ class GateSimulator:
         if self._held:
             self._unhold(bus)
 
-    def _drive_traced(self, bus: Sequence[Net], raw: int) -> None:
-        """One-lane pin write that records the nets whose bit changed."""
-        values = self.values
-        changed = self._changed
-        for i, net in enumerate(bus):
-            bit = (raw >> i) & 1
-            if values[net] != bit:
-                values[net] = bit
-                changed.append(net)
+    def _check_lanes(self, name: str, raws: Sequence[int]) -> None:
+        if len(raws) != self.lanes:
+            raise SimulationError(
+                f"input {name!r}: got {len(raws)} values for "
+                f"{self.lanes} lanes"
+            )
 
     def _unhold(self, nets: Iterable[Net]) -> None:
         """*nets* were re-driven: their stored values are driven values."""
@@ -282,12 +258,12 @@ class GateSimulator:
         saboteur to a lane subset (default: every lane), so different
         lanes can carry different faults.
         """
+        self._check_net(net)
         lm = _lane_mask(lanes, self.lane_mask)
         bits = -(value & 1) & lm
         set_mask, old_bits = self._forces.get(net, (0, 0))
         self._forces[net] = (set_mask | lm, (old_bits & ~lm) | bits)
         self._overrides = None
-        self._trace_next = False
 
     def flip(self, net: Net, lanes: Optional[Iterable[int]] = None) -> None:
         """Transient saboteur: invert *net*'s settled value while armed.
@@ -296,10 +272,15 @@ class GateSimulator:
         :meth:`release` afterwards for a one-cycle bit flip.  *lanes*
         restricts the flip to a lane subset.
         """
+        self._check_net(net)
         self._flips[net] = self._flips.get(net, 0) \
             | _lane_mask(lanes, self.lane_mask)
         self._overrides = None
-        self._trace_next = False
+
+    def _check_net(self, net: Net) -> None:
+        if not 0 <= net < len(self._schedule.level_of):
+            raise SimulationError(
+                f"netlist {self.netlist.name!r} has no net {net}")
 
     def release(self, net: Optional[Net] = None,
                 lanes: Optional[Iterable[int]] = None) -> None:
@@ -310,7 +291,6 @@ class GateSimulator:
         subset.
         """
         self._overrides = None
-        self._trace_next = False
         if lanes is None:
             if net is None:
                 self._forces.clear()
@@ -357,15 +337,9 @@ class GateSimulator:
         return plan
 
     def _propagate(self) -> None:
-        """Settle the combinational logic: traced, or one pass over the
-        schedule."""
+        """Settle the combinational logic: one pass over the schedule."""
         schedule = self._schedule
         self.gate_evals += schedule.size
-        if self._trace_next:
-            evaluated = self._trace()
-            self._skipped += schedule.size - evaluated
-            self._trace_next = self._choose(evaluated)
-            return
         values = self.values
         mask = self.lane_mask
         held = self._held
@@ -422,131 +396,15 @@ class GateSimulator:
             if plan:
                 for net, keep, bits, flip in plan.get(depth, ()):
                     values[net] = ((values[net] & keep) | bits) ^ flip
-        # A clean sweep of a tracing simulator hands over to the traced
-        # settle.  One that applied saboteurs leaves nets that the logic
-        # alone does not compute: the next settle sweeps too, up to the
-        # first one after the release.
-        if self._tracing and not plan:
-            self._changed.clear()
-            self._trace_next = True
 
-    @property
-    def gates_evaluated(self) -> int:
-        """Gate evaluations actually performed so far: the schedule's size
-        per level sweep; per traced settle, one per changed input of each
-        gate reading it."""
-        return self.gate_evals - self._skipped
-
-    def _choose(self, evaluated: int) -> bool:
-        """After a traced settle: whether the next one traces too.
-
-        A window of ``TRACE_WINDOW`` settles may evaluate ``TRACE_BELOW``
-        times the schedule's size per settle on average.  Evaluating more
-        ends tracing at once, and for good.
-        """
-        self._spent += evaluated
-        self._window -= 1
-        schedule = self._schedule
-        size = schedule.size or 1
-        busy = self._spent > TRACE_BELOW * TRACE_WINDOW * size
-        if not busy and self._window:
-            return True
-        settles = TRACE_WINDOW - self._window
-        schedule.activity = self._spent / (settles * size)
-        self._window = TRACE_WINDOW
-        self._spent = 0
-        self._tracing = not busy
-        return not busy
-
-    def _trace(self) -> int:
-        """Evaluate only the gates with a changed input, run by run.
-
-        Returns the number of gate evaluations.  The readers of every
-        changed net join their run's dirty list, and each run's list is
-        drained in schedule order.  At one lane a gate whose value
-        differs from its output's holds the inverse, so a changed output
-        is flipped in place; a gate listed twice sees its output settled
-        the second time.  Gates of one run never read each other, so their fan-out
-        joins the lists after the run.
-        """
-        tables = self._schedule.trace()
-        buckets = self._buckets
-        if buckets is None:
-            buckets = self._buckets = [[] for _ in tables.kinds]
-            self._runs = list(zip(tables.kinds, buckets))
-        changed = self._changed
-        if not changed:
-            return 0
-        fanout = tables.fanout
+    def _clock(self) -> None:
+        """The clock edge: sample every D before updating any Q."""
         values = self.values
-        for net in changed:
-            for run, cells in fanout[net]:
-                buckets[run].extend(cells)
-        changed.clear()
-        evaluated = 0
-        flipped: List[Net] = []
-        mark = flipped.append
-        for kind, cells in self._runs:
-            if not cells:
-                continue
-            evaluated += len(cells)
-            if kind is _AND2:
-                for out, a, b in cells:
-                    if values[a] & values[b] != values[out]:
-                        values[out] ^= 1
-                        mark(out)
-            elif kind is _XOR2:
-                for out, a, b in cells:
-                    if values[a] ^ values[b] != values[out]:
-                        values[out] ^= 1
-                        mark(out)
-            elif kind is _OR2:
-                for out, a, b in cells:
-                    if values[a] | values[b] != values[out]:
-                        values[out] ^= 1
-                        mark(out)
-            elif kind is _MUX2:
-                for out, sel, a, b in cells:
-                    if (values[a] if values[sel] else values[b]) \
-                            != values[out]:
-                        values[out] ^= 1
-                        mark(out)
-            elif kind is _INV:
-                for out, a in cells:
-                    if values[a] == values[out]:
-                        values[out] ^= 1
-                        mark(out)
-            elif kind is _XNOR2:
-                for out, a, b in cells:
-                    if values[a] ^ values[b] == values[out]:
-                        values[out] ^= 1
-                        mark(out)
-            elif kind is _NAND2:
-                for out, a, b in cells:
-                    if values[a] & values[b] == values[out]:
-                        values[out] ^= 1
-                        mark(out)
-            elif kind is _NOR2:
-                for out, a, b in cells:
-                    if values[a] | values[b] == values[out]:
-                        values[out] ^= 1
-                        mark(out)
-            elif kind is _BUF:
-                for out, a in cells:
-                    if values[a] != values[out]:
-                        values[out] ^= 1
-                        mark(out)
-            else:
-                raise SimulationError(
-                    f"cannot trace {kind} combinationally")
-            cells.clear()
-            if flipped:
-                for out in flipped:
-                    for run, readers in fanout[out]:
-                        buckets[run].extend(readers)
-                flipped.clear()
-        return evaluated
-
+        sampled = [values[net] for net in self._d_nets]
+        for net, value in zip(self._q_nets, sampled):
+            values[net] = value
+        if self._held:
+            self._unhold(self._q_set.intersection(self._held))
 
     #: Hooks called after the logic settles, before the clock edge — the
     #: moment when this cycle's output values are valid (matching the
@@ -560,31 +418,20 @@ class GateSimulator:
         carry one raw per lane.
         """
         if inputs:
-            for name, raw in inputs.items():
-                if isinstance(raw, (list, tuple)):
-                    self.set_input_lanes(name, raw)
-                else:
-                    self.set_input(name, raw)
+            self._drive(inputs)
         self._propagate()
         if self.monitors:
             for monitor in self.monitors:
                 monitor(self)
-        # Sample every D before updating any Q (edge semantics); record
-        # the outputs that change if the next settle traces.
-        values = self.values
-        sampled = [values[net] for net in self._d_nets]
-        if self._trace_next:
-            changed = self._changed
-            for net, value in zip(self._q_nets, sampled):
-                if values[net] != value:
-                    values[net] = value
-                    changed.append(net)
-        else:
-            for net, value in zip(self._q_nets, sampled):
-                values[net] = value
-        if self._held:
-            self._unhold(self._q_set.intersection(self._held))
+        self._clock()
         self.cycle += 1
+
+    def _drive(self, inputs: Mapping[str, object]) -> None:
+        for name, raw in inputs.items():
+            if isinstance(raw, (list, tuple)):
+                self.set_input_lanes(name, raw)
+            else:
+                self.set_input(name, raw)
 
     def run(self, cycles: int,
             inputs_fn=None) -> None:
@@ -635,10 +482,15 @@ class GateSimulator:
     def restore_state(self, state: Dict[str, object]) -> None:
         """Restore a checkpoint taken with :meth:`save_state`.
 
-        The next settle is a level sweep: the restored nets need not
-        agree with the logic (a checkpoint taken after a clock edge
-        holds the new register values and the old logic).
+        The restored nets need not agree with the logic (a checkpoint
+        taken after a clock edge holds the new register values and the
+        old logic); the next settle makes them agree.
         """
+        self.values[:] = self._checkpoint_values(state)
+        self.cycle = state["cycle"]
+        self._held.clear()
+
+    def _checkpoint_values(self, state: Dict[str, object]) -> List[int]:
         lanes = state.get("lanes", 1)
         if lanes != self.lanes:
             raise SimulationError(
@@ -650,7 +502,216 @@ class GateSimulator:
                 f"checkpoint has {len(values)} nets, netlist "
                 f"{self.netlist.name!r} has {len(self.values)}"
             )
+        return values
+
+
+class _Words(array):
+    """Lane words (``uint64``) in a buffer the native kernel shares.
+
+    Indexable like the Python kernel's list, and equal to a list of the
+    same ints.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return self.tolist() == other
+        return array.__eq__(self, other)
+
+    def __ne__(self, other):
+        if isinstance(other, list):
+            return self.tolist() != other
+        return array.__ne__(self, other)
+
+    __hash__ = None
+
+
+def _address(buffer: array) -> int:
+    return buffer.buffer_info()[0]
+
+
+def _zeros(typecode: str, count: int) -> array:
+    return array(typecode, bytes(array(typecode).itemsize * count))
+
+
+class _NativeGateSimulator(GateSimulator):
+    """A :class:`GateSimulator` whose values live in the native kernel.
+
+    Every value-level step is one C call: a pin write, the settle (with
+    the pins :meth:`step` staged), the clock edge, a restore.  The C
+    kernel keeps lane 0 of every output bus packed, so :meth:`output`
+    reads one word.  Buses wider than 64 nets are split into chunks of
+    64.  Saboteur bookkeeping stays in Python; a changed plan becomes
+    the kernel's override arrays before the next settle.
+    """
+
+    def _new_values(self, count: int) -> _Words:
+        lib = native.library()
+        self._settle = lib.gk_settle
+        self._clock_edge = lib.gk_clock
+        self._restored = lib.gk_restored
+        self._write = lib.gk_drive
+        self._write_lanes = lib.gk_drive_lanes
+        self._read = lib.gk_read
+        self._read_lanes = lib.gk_read_lanes
+        values = _Words("Q", bytes(8 * count))
+        # An exported buffer cannot be resized, so the kernel's pointer
+        # to it stays valid.
+        self._export = memoryview(values)
+        netlist = self.netlist
+        starts, nets = [0], []
+
+        def chunk(buses):
+            table = {}
+            for name, bus in buses.items():
+                first = len(starts) - 1
+                for at in range(0, len(bus), 64):
+                    nets.extend(bus[at:at + 64])
+                    starts.append(len(nets))
+                table[name] = (first, len(starts) - 1 - first, len(bus))
+            return table
+
+        #: Input name -> (first chunk, chunks, width).
+        self._pins = chunk(netlist.inputs)
+        self._pin_chunks = pin_chunks = len(starts) - 1
+        #: Output name -> (first chunk, chunks, width), chunks counted
+        #: from the first output chunk (``out_raw``'s index).
+        self._outs = {name: (first - pin_chunks, count, width)
+                      for name, (first, count, width)
+                      in chunk(netlist.outputs).items()}
+        out_chunks = len(starts) - 1 - pin_chunks
+        schedule = self._schedule
+        # Every buffer the record points to, kept alive with it.
+        self._buffers = buffers = {
+            "bus_start": array("i", starts), "bus_nets": array("i", nets),
+            "d_nets": array("i", self._d_nets),
+            "q_nets": array("i", self._q_nets),
+            "sampled": _zeros("Q", len(self._d_nets)),
+            "pin_raw": _zeros("Q", pin_chunks),
+            "pin_staged": _zeros("B", pin_chunks),
+            "out_raw": _zeros("Q", out_chunks),
+            "held_nets": _zeros("i", count),
+            "held_values": _zeros("Q", count),
+            "is_held": _zeros("B", count),
+        }
+        self._pin_raw = buffers["pin_raw"]
+        self._pin_staged = buffers["pin_staged"]
+        self._out_raw = buffers["out_raw"]
+        self._sim = sim = native.Sim(
+            values=_address(values), mask=self.lane_mask,
+            levels=len(schedule.level_end),
+            level_end=_address(schedule.level_end),
+            runs=_address(schedule.runs), cells=_address(schedule.cells),
+            dffs=len(self._d_nets), pin_chunks=pin_chunks,
+            out_chunks=out_chunks,
+            **{name: _address(buffer) for name, buffer in buffers.items()})
+        self._ptr = ctypes.addressof(sim)
+        return values
+
+    def set_input(self, name: str, raw: int) -> None:
+        first, count, _width = self._pin(name)
+        raw = _integer(raw)
+        for k in range(count):
+            self._write(self._ptr, first + k, (raw >> 64 * k) & _WORD)
+
+    def set_input_lanes(self, name: str, raws: Sequence[int]) -> None:
+        first, count, _width = self._pin(name)
+        self._check_lanes(name, raws)
+        for k in range(count):
+            words = array("Q", [(_integer(raw) >> 64 * k) & _WORD
+                                for raw in raws])
+            self._write_lanes(self._ptr, first + k, _address(words))
+
+    def _pin(self, name: str) -> Tuple[int, int, int]:
+        entry = self._pins.get(name)
+        if entry is None:
+            self._input_bus(name)  # raises
+        return entry
+
+    def _drive(self, inputs: Mapping[str, object]) -> None:
+        # One-chunk broadcast writes are staged for the settle that
+        # follows; nothing reads the values in between.
+        pins, raws, staged = self._pins, self._pin_raw, self._pin_staged
+        for name, raw in inputs.items():
+            if isinstance(raw, (list, tuple)):
+                self.set_input_lanes(name, raw)
+                continue
+            entry = pins.get(name)
+            if entry is None or entry[1] != 1:
+                self.set_input(name, raw)  # an unknown pin raises
+                continue
+            raws[entry[0]] = _integer(raw) & _WORD
+            staged[entry[0]] = 1
+
+    def output(self, name: str, signed: bool = True, lane: int = 0) -> int:
+        entry = self._outs.get(name)
+        if entry is None or not 0 <= lane < self.lanes:
+            return GateSimulator.output(self, name, signed, lane)
+        first, count, width = entry
+        if lane == 0 and count == 1:
+            raw = self._out_raw[first]
+        else:
+            chunk = self._pin_chunks + first
+            raw = 0
+            for k in range(count):
+                raw |= self._read(self._ptr, chunk + k, lane) << 64 * k
+        if signed and width and raw >> (width - 1):
+            raw -= 1 << width
+        return raw
+
+    def output_lanes(self, name: str, signed: bool = True) -> List[int]:
+        entry = self._outs.get(name)
+        if entry is None:
+            self._output_bus(name)  # raises
+        first, count, width = entry
+        chunk = self._pin_chunks + first
+        raws = [0] * self.lanes
+        words = _zeros("Q", self.lanes)
+        for k in range(count):
+            self._read_lanes(self._ptr, chunk + k, _address(words))
+            for lane, word in enumerate(words):
+                raws[lane] |= word << 64 * k
+        if signed and width:
+            sign = 1 << (width - 1)
+            raws = [raw - (sign << 1) if raw & sign else raw for raw in raws]
+        return raws
+
+    def _arm(self) -> None:
+        """The armed saboteurs as the kernel's override arrays."""
+        plan = self._overrides = self._plan_overrides()
+        where, words = array("i"), array("Q")
+        for level in sorted(plan):
+            for net, keep, bits, flip in plan[level]:
+                where.extend((level, net))
+                words.extend((keep & _WORD, bits, flip))
+        self._ov_buffers = (where, words)  # alive while the kernel reads them
+        sim = self._sim
+        sim.overrides = len(where) // 2
+        sim.ov = _address(where)
+        sim.ov_words = _address(words)
+
+    def _propagate(self) -> None:
+        self.gate_evals += self._schedule.size
+        if self._overrides is None:
+            self._arm()
+        self._settle(self._ptr)
+
+    def _clock(self) -> None:
+        self._clock_edge(self._ptr)
+
+    def save_state(self) -> Dict[str, object]:
+        values = self.values.tolist()
+        held = self._buffers
+        nets, driven, is_held = \
+            held["held_nets"], held["held_values"], held["is_held"]
+        for k in range(self._sim.n_held):
+            net = nets[k]
+            if is_held[net]:
+                values[net] = driven[k]
+        return {"cycle": self.cycle, "values": values, "lanes": self.lanes}
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        self.values[:] = array("Q", self._checkpoint_values(state))
         self.cycle = state["cycle"]
-        self.values[:] = values
-        self._held.clear()
-        self._trace_next = False
+        self._restored(self._ptr)

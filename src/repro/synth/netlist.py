@@ -18,6 +18,7 @@ callers that read :attr:`Netlist.gates`, :meth:`~Netlist.driver`,
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -79,18 +80,20 @@ class LevelSchedule:
 
     Primary inputs and DFF outputs are level 0; a combinational gate sits
     one level above the highest level it reads, so every reader of a
-    level-L net sits above L.  ``levels[L - 1]`` holds level L's gates as
-    one :data:`Run` per :class:`GateKind`.  ``level_of[net]`` is each
-    net's level (0 for primary inputs and DFF outputs).
+    level-L net sits above L.  Within a level the gates form one *run*
+    per :class:`GateKind`.  ``level_of[net]`` is each net's level (0 for
+    primary inputs and DFF outputs).
 
-    :meth:`trace` adds, on first use, the tables of a settle that
-    evaluates only the gates whose inputs changed.  ``activity`` is that
-    settle's measurement, shared by every one-lane simulator of the
-    netlist (see :mod:`repro.synth.gatesim`).
+    The schedule is stored flat, in the ``int32`` arrays the native gate
+    kernel reads (DESIGN.md §21): ``runs`` holds each run's kind code and
+    cell count, ``cells`` the runs' cells one after another, each its
+    output net and then its input nets, and level L's runs end at run
+    ``level_end[L - 1]``.  :attr:`levels` is the same schedule as tuples,
+    for the Python kernel.
     """
 
-    __slots__ = ("levels", "level_of", "size", "_net_count", "_trace",
-                 "activity")
+    __slots__ = ("level_end", "runs", "cells", "level_of", "size",
+                 "_levels")
 
     def __init__(self, netlist: "Netlist", order: Sequence[int]):
         kinds = netlist.gate_kinds
@@ -116,67 +119,43 @@ class LevelSchedule:
             if members is None:
                 members = runs[code] = []
             members.append(index)
-        # A run's cells are made together, so they lie together in the
-        # heap, which its settle loop walks in order.
-        self.levels: List[Tuple[Run, ...]] = [
-            tuple((KINDS[code], tuple([(outs[index], *ins[index])
-                                       for index in members]))
-                  for code, members in runs.items())
-            for runs in buckets
-        ]
+        self.level_end = array("i")
+        self.runs = array("i")
+        self.cells = array("i")
+        for runs in buckets:
+            for code, members in runs.items():
+                self.runs.extend((code, len(members)))
+                for index in members:
+                    self.cells.append(outs[index])
+                    self.cells.extend(ins[index])
+            self.level_end.append(len(self.runs) // 2)
         self.level_of = level_of
         #: Combinational gates in the schedule (one evaluation each per
         #: settle).
         self.size = len(order)
-        self._net_count = netlist._net_count
-        self._trace: Optional[TraceTables] = None
-        #: Share of the scheduled gates the last traced settles evaluated
-        #: (None until measured).
-        self.activity: Optional[float] = None
+        self._levels: Optional[List[Tuple[Run, ...]]] = None
 
-    def trace(self) -> "TraceTables":
-        """The :class:`TraceTables` of this schedule (built once)."""
-        if self._trace is None:
-            self._trace = TraceTables(self)
-        return self._trace
-
-
-class TraceTables:
-    """Fan-out by run, for a settle that evaluates only changed cones.
-
-    The schedule's runs are numbered in order, level by level:
-    ``kinds[r]`` is run r's :class:`GateKind`.  ``fanout[net]`` lists
-    the cells reading *net* grouped by run, as ``(r, cells)`` pairs,
-    each cell the schedule's own ``(out, in0[, in1, in2])`` tuple.
-    Everything below ``fanout`` is a tuple of ints and tuples, which the
-    garbage collector stops tracking; the build makes no other container
-    per net or per cell, so it gives the collector nothing to walk.
-    """
-
-    __slots__ = ("kinds", "fanout")
-
-    def __init__(self, schedule: LevelSchedule):
-        kinds: List[GateKind] = []
-        fanout: List[Tuple[Tuple[int, Tuple[Tuple[Net, ...], ...]], ...]] = \
-            [()] * schedule._net_count
-        for runs in schedule.levels:
-            for kind, cells in runs:
-                # Each net's readers in this run, a cell reading it twice
-                # listed once.  Groups are short: growing a tuple costs
-                # less than tracking a list.
-                readers: Dict[Net, Tuple[Tuple[Net, ...], ...]] = {}
-                group_of = readers.get
-                for cell in cells:
-                    for net in cell[1:]:
-                        group = group_of(net, ())
-                        if not group or group[-1] is not cell:
-                            readers[net] = group + (cell,)
-                run = len(kinds)
-                kinds.append(kind)
-                for net, group in readers.items():
-                    fanout[net] += ((run, group),)
-        self.kinds = kinds
-        self.fanout = fanout
+    @property
+    def levels(self) -> List[Tuple[Run, ...]]:
+        """The schedule as tuples (built on first use): ``levels[L - 1]``
+        holds level L's runs as :data:`Run` pairs."""
+        if self._levels is None:
+            runs, cells = self.runs, self.cells
+            levels = []
+            first = at = 0
+            for end in self.level_end:
+                level = []
+                for run in range(first, end):
+                    code, count = runs[2 * run], runs[2 * run + 1]
+                    width = 1 + _ARITY[code]
+                    stop = at + count * width
+                    nets = iter(cells[at:stop])
+                    level.append((KINDS[code], tuple(zip(*[nets] * width))))
+                    at = stop
+                levels.append(tuple(level))
+                first = end
+            self._levels = levels
+        return self._levels
 
 
 class Netlist:
@@ -469,7 +448,7 @@ class Netlist:
 
     def logic_depth(self) -> int:
         """Longest combinational path, in gate levels."""
-        return len(self.schedule().levels)
+        return len(self.schedule().level_end)
 
     def stats(self) -> Dict[str, object]:
         """Summary statistics for reports."""

@@ -1,33 +1,52 @@
-"""The level-scheduled gate kernel against its references.
+"""The level-scheduled gate kernels against their references.
 
 * Seeded random netlists over every :class:`GateKind` settle in
   :class:`GateSimulator` and, gate by gate, through
   :func:`evaluate_gate_word` in a reference simulator; every net must
   match after every settle, for several lane counts, with forces, flips,
   releases and checkpoints on pins, register outputs and internal nets.
+  Both kernels run it: the native one (where it builds) and the Python
+  one, chosen through the private seam :func:`_python_kernel`.
 * Saboteurs on level-0 nets (pins, register outputs) change only what
   the logic sees while armed.
+* A simulator of at most 64 lanes runs the native kernel wherever a C
+  compiler exists, so a broken build cannot pass on the fallback.
 * ``Netlist.levelize`` yields the order of the recursive depth-first
   search it replaced (kept here as the reference); the level schedule is
   memoized per netlist, cleared by ``add`` and left out of pickles.
 """
 
 import base64
+import functools
 import pickle
 import random
+import shutil
 import sys
+from contextlib import nullcontext
 
 import pytest
 
-from repro.core import SynthesisError
-from repro.synth import GateKind, GateSimulator, Netlist
+from repro.core import SimulationError, SynthesisError
+from repro.synth import GateKind, GateSimulator, Netlist, native
 from repro.synth.gates import ARITY, evaluate_gate_word
+from repro.synth.gatesim import _NativeGateSimulator, _python_kernel
 
 COMB_KINDS = [
     GateKind.CONST0, GateKind.CONST1, GateKind.BUF, GateKind.INV,
     GateKind.AND2, GateKind.OR2, GateKind.NAND2, GateKind.NOR2,
     GateKind.XOR2, GateKind.XNOR2, GateKind.MUX2,
 ]
+
+
+def both_kernels(test):
+    """Run *test* once on each gate kernel: native (where it builds),
+    then Python."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for kernel in (nullcontext, _python_kernel):
+            with kernel():
+                test(*args, **kwargs)
+    return run
 
 
 def recursive_levelize(netlist):
@@ -171,8 +190,9 @@ def _lane_set(rng, lanes):
     return chosen, mask
 
 
-@pytest.mark.parametrize("lanes", [1, 3, 64, 65, 130])
+@pytest.mark.parametrize("lanes", [1, 3, 5, 64, 65, 130])
 @pytest.mark.parametrize("seed", [0, 1, 2])
+@both_kernels
 def test_kernel_matches_gate_by_gate_reference(seed, lanes):
     netlist = random_netlist(seed)
     rng = random.Random(seed * 1000 + lanes)
@@ -259,6 +279,51 @@ def test_kernel_matches_gate_by_gate_reference(seed, lanes):
             assert sim.values == ref.values, f"cycle {cycle} re-settle"
 
     assert sim.gate_evals == settles * len(comb)
+
+
+@pytest.mark.skipif(shutil.which(native._COMPILER) is None,
+                    reason="no C compiler on this host")
+def test_native_kernel_runs_up_to_64_lanes():
+    netlist = random_netlist(0)
+    assert type(GateSimulator(netlist)) is _NativeGateSimulator
+    assert type(GateSimulator(netlist, lanes=64)) is _NativeGateSimulator
+    assert type(GateSimulator(netlist, lanes=65)) is GateSimulator
+    with _python_kernel():
+        assert type(GateSimulator(netlist)) is GateSimulator
+
+
+@pytest.mark.parametrize("lanes", [1, 64])
+@both_kernels
+def test_mismatches_raise_the_same_errors(lanes):
+    netlist = random_netlist(0)
+    sim = GateSimulator(netlist, lanes=lanes)
+    with pytest.raises(SimulationError) as err:
+        sim.set_input_lanes("in0", [0] * (lanes + 1))
+    assert str(err.value) == \
+        f"input 'in0': got {lanes + 1} values for {lanes} lanes"
+    with pytest.raises(SimulationError) as err:
+        sim.step({"nope": 1})
+    assert str(err.value) == "netlist 'kernel0' has no input 'nope'"
+    with pytest.raises(SimulationError) as err:
+        sim.output("nope")
+    assert str(err.value) == "netlist 'kernel0' has no output 'nope'"
+    state = sim.save_state()
+    other = GateSimulator(netlist, lanes=lanes + 1)
+    with pytest.raises(SimulationError) as err:
+        other.restore_state(state)
+    assert str(err.value) == \
+        f"checkpoint has {lanes} lanes, simulator has {lanes + 1}"
+    short = dict(state, values=state["values"][:-1])
+    with pytest.raises(SimulationError) as err:
+        sim.restore_state(short)
+    count = netlist._net_count
+    assert str(err.value) == \
+        f"checkpoint has {count - 1} nets, netlist 'kernel0' has {count}"
+    with pytest.raises(SimulationError, match="has no net -1$"):
+        sim.force(-1, 1)
+    with pytest.raises(SimulationError, match="has no net -1$"):
+        sim.flip(-1)
+    assert sim.values == GateSimulator(netlist, lanes=lanes).values
 
 
 # -- level-0 saboteurs --------------------------------------------------------

@@ -71,6 +71,18 @@ class TestMiter:
         assert "diff" in miter.outputs
         assert "diff__sum" in miter.outputs
 
+    def test_every_miter_net_is_a_pin_or_driven(self):
+        from repro.designs.hcor import build_hcor
+
+        raw = synthesize_process(build_hcor().process, optimize=False)
+        opt = synthesize_process(build_hcor().process)
+        for a, b in ((_adder("x"), _adder("y")),
+                     (raw.netlist, opt.netlist)):
+            miter, _reason = build_miter(a, b)
+            pins = {net for bus in miter.inputs.values() for net in bus}
+            assert all(net in pins or miter.driver_index(net) is not None
+                       for net in range(miter._net_count)), miter.name
+
 
 class TestOptimizeValidate:
     def test_netlist_optimizer_validates_clean(self):

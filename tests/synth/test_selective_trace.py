@@ -1,21 +1,19 @@
-"""The traced settle of the one-lane gate kernel against its references.
+"""One-lane gate simulation in lockstep with its references.
 
-A one-lane :class:`GateSimulator` either sweeps the whole level schedule
-or traces changes, evaluating only the gates one of whose inputs changed,
-and picks between them by the activity it measures.  Whatever it picks,
-every net after every settle must equal
+These checks were written for the selective-trace settle, which the
+native kernel replaced (DESIGN.md §21); their value assertions stay, and
+each runs on both kernels.  Every net of a one-lane
+:class:`GateSimulator` after every settle must equal
 
 * a gate-by-gate reference (``ReferenceSimulator`` of the kernel tests),
-* and a run kept on the level sweep: a two-lane simulator driven with the
-  same value on both lanes, since every multi-lane settle sweeps.
+* and a two-lane simulator driven with the same value on both lanes.
 
 The seeded random netlists hold their registers while pin ``en`` is low,
 so idle stretches (every pin rewritten with its old value) are quiet and
-busy stretches are not.  Tracing absorbs short bursts and ends for good
-in a long busy stretch; saboteurs and restores switch every quiet
-simulator to the sweep and back.  Saboteurs, checkpoints, settles
-without a clock edge and list-valued pins are mixed in; the DECT FIR, discriminator and ALU netlists replay seeded stimulus,
-and scalar fault campaigns must reproduce the lane-packed reports.
+busy stretches are not.  Saboteurs, checkpoints, settles without a clock
+edge and list-valued pins are mixed in; the DECT FIR, discriminator and
+ALU netlists replay seeded stimulus, and scalar fault campaigns must
+reproduce the lane-packed reports.
 """
 
 import random
@@ -25,13 +23,11 @@ import pytest
 from repro.core import SimulationError
 from repro.synth import GateKind, GateSimulator, Netlist
 from repro.synth.gates import ARITY
-from repro.synth.gatesim import TRACE_BELOW
-from repro.synth.netlist import TraceTables
 from repro.verify import (
     FaultCampaign, TransientFault, collapse_faults, random_stimulus,
 )
 
-from .test_gate_kernel import COMB_KINDS, ReferenceSimulator
+from .test_gate_kernel import COMB_KINDS, ReferenceSimulator, both_kernels
 
 
 def gated_netlist(seed, n_gates=80):
@@ -61,7 +57,7 @@ def gated_netlist(seed, n_gates=80):
 
 
 class Lockstep:
-    """The simulator under test, a level-swept twin and the reference."""
+    """The simulator under test, a two-lane twin and the reference."""
 
     def __init__(self, netlist):
         self.netlist = netlist
@@ -70,7 +66,6 @@ class Lockstep:
         self.ref = ReferenceSimulator(netlist, 1)
         self.ref.settle()
         self.settles = 1
-        self.traced = []
         self.sim.monitors.append(self._snap)
         self.snaps = []
         self.level.monitors.append(
@@ -86,7 +81,6 @@ class Lockstep:
 
     def step(self, inputs, where):
         """One cycle on all three; *inputs* maps pins to int or [int]."""
-        self.traced.append(self.sim._trace_next)
         self.sim.step(inputs)
         self.level.step({name: raw * 2 if isinstance(raw, list) else raw
                          for name, raw in inputs.items()})
@@ -103,7 +97,6 @@ class Lockstep:
 
     def settle_again(self, where):
         """A second settle without a clock edge."""
-        self.traced.append(self.sim._trace_next)
         self.sim._propagate()
         self.level._propagate()
         self.ref.settle()
@@ -137,15 +130,15 @@ class Lockstep:
 
 
 #: The run: quiet stretches with a one-cycle burst every ``BURST``
-#: cycles, which tracing absorbs; a busy stretch from ``BUSY_FROM`` to
-#: ``BUSY_TO``, which ends tracing for good; and a quiet stretch on the
-#: sweep up to ``CYCLES``.
+#: cycles, a busy stretch from ``BUSY_FROM`` to ``BUSY_TO``, and a quiet
+#: stretch up to ``CYCLES``.
 BURST = 24
 BUSY_FROM, BUSY_TO = 240, 280
 CYCLES = 360
 
 
 @pytest.mark.parametrize("seed", range(4))
+@both_kernels
 def test_traced_settles_match_references(seed):
     netlist = gated_netlist(seed)
     rng = random.Random(seed)
@@ -154,8 +147,8 @@ def test_traced_settles_match_references(seed):
     pin = rng.choice(netlist.inputs["in0"])
     register = rng.choice([dff.output for dff in netlist.dffs()])
     internal = netlist.outputs["out"][0]
-    # (cycle, saboteur, net, cycles armed): six while tracing, one of
-    # them across a burst, and two on the sweep after the busy stretch.
+    # (cycle, saboteur, net, cycles armed): six in the first quiet
+    # stretch, one of them across a burst, and two after the busy one.
     events = {
         30: ("force", pin, 3), 50: ("flip", register, 1),
         70: ("flip", internal, 1), 94: ("force", register, 3),
@@ -164,7 +157,6 @@ def test_traced_settles_match_references(seed):
     }
     restores = (170, 200, 340)
     releases = {}
-    tracing_at = {}
     held = {name: 0 for name in netlist.inputs}
     checkpoint = last_registers = None
     burst = False
@@ -185,7 +177,6 @@ def test_traced_settles_match_references(seed):
         if cycle in restores:
             assert checkpoint is not None
             run.restore(checkpoint)
-        tracing_at[cycle] = sim._trace_next
         burst = BUSY_FROM <= cycle < BUSY_TO or (
             cycle < BUSY_FROM and cycle % BURST == BURST // 2)
         inputs = {}
@@ -204,19 +195,6 @@ def test_traced_settles_match_references(seed):
 
     size = netlist.schedule().size
     assert sim.gate_evals == run.settles * size
-    assert sim.gates_evaluated < sim.gate_evals
-    # Every quiet cycle before the busy stretch traced, bar the one after
-    # each saboteur change and restore; none after it did.
-    swept = {cycle + offset for cycle, (_, _, span) in events.items()
-             for offset in range(span + 1)} | set(restores)
-    assert all(tracing_at[cycle] for cycle in range(1, BUSY_FROM)
-               if cycle not in swept)
-    assert not any(tracing_at[cycle] for cycle in range(BUSY_TO, CYCLES))
-    assert netlist.schedule().activity >= TRACE_BELOW
-    # The selection switched both ways, more than once.
-    switches = list(zip(run.traced, run.traced[1:]))
-    assert switches.count((False, True)) >= 3
-    assert switches.count((True, False)) >= 3
 
 
 def _toggle():
@@ -230,67 +208,20 @@ def _toggle():
     return nl
 
 
+@both_kernels
 def test_restore_settles_every_net():
     netlist = _toggle()
-    netlist.schedule().activity = 0.0
     sim = GateSimulator(netlist)
     sim.step({"en": 1})
     state = sim.save_state()  # q is 1, y still shows 0
     for _ in range(3):
         sim.step({"en": 0})
-    assert sim._trace_next
     sim.restore_state(state)
     sim._propagate()
     assert sim.output("y", signed=False) == 1
 
 
-def test_traced_settle_skips_an_idle_netlist():
-    netlist = gated_netlist(5)
-    sim = GateSimulator(netlist)
-    pins = {name: 1 for name in netlist.inputs}
-    pins["en"] = 0
-    for _ in range(40):
-        sim.step(pins)
-    before = sim.gates_evaluated
-    sim.step(pins)
-    sim._propagate()
-    assert sim.gates_evaluated == before
-    assert netlist.schedule().activity < TRACE_BELOW
-    # A fresh simulator of the measured netlist traces from its first
-    # step on.
-    fresh = GateSimulator(netlist)
-    fresh.step(pins)
-    fresh.step(pins)
-    assert fresh.gates_evaluated < fresh.gate_evals
-
-
-def test_busy_netlist_sweeps_for_good():
-    netlist = gated_netlist(6)
-    rng = random.Random(6)
-
-    def busy():
-        return {name: 1 if name == "en" else rng.getrandbits(len(bus))
-                for name, bus in netlist.inputs.items()}
-
-    first = GateSimulator(netlist)
-    for _ in range(64):
-        first.step(busy())
-    assert first.gates_evaluated < first.gate_evals  # the probe traced
-    assert netlist.schedule().activity >= TRACE_BELOW
-    # Neither a quiet stretch nor a restart brings tracing back.
-    skipped = first.gate_evals - first.gates_evaluated
-    quiet = dict(busy(), en=0)
-    first.restore_state(first.save_state())
-    for _ in range(24):
-        first.step(quiet)
-    assert first.gate_evals - first.gates_evaluated == skipped
-    # A fresh simulator of the measured netlist runs no probe.
-    fresh = GateSimulator(netlist)
-    for _ in range(24):
-        fresh.step(busy())
-    assert fresh.gates_evaluated == fresh.gate_evals
-
-
+@both_kernels
 def test_restore_rejects_a_checkpoint_of_another_netlist():
     small, large = gated_netlist(0), gated_netlist(1, n_gates=90)
     state = GateSimulator(large).save_state()
@@ -301,41 +232,6 @@ def test_restore_rejects_a_checkpoint_of_another_netlist():
         f"checkpoint has {large._net_count} nets, netlist 'gated0' has "
         f"{small._net_count}")
     assert len(sim.values) == small._net_count
-
-
-# -- trace tables ---------------------------------------------------------------
-
-
-def reference_trace_tables(schedule):
-    """``(kinds, fanout)`` as the builder that grew a list of reader
-    groups per net built them (kept here as the reference)."""
-    kinds = []
-    fanout = [[] for _ in range(schedule._net_count)]
-    for runs in schedule.levels:
-        for kind, cells in runs:
-            readers = {}
-            for cell in cells:
-                for net in cell[1:]:
-                    group = readers.get(net)
-                    if group is None:
-                        readers[net] = [cell]
-                    elif group[-1] is not cell:
-                        group.append(cell)
-            run = len(kinds)
-            kinds.append(kind)
-            for net, group in readers.items():
-                fanout[net].append((run, tuple(group)))
-    return kinds, [tuple(groups) for groups in fanout]
-
-
-def test_trace_tables_match_reference_on_designs(design_netlists):
-    random_netlists = [gated_netlist(seed) for seed in range(6)]
-    for netlist in [*design_netlists, *random_netlists]:
-        schedule = netlist.schedule()
-        kinds, fanout = reference_trace_tables(schedule)
-        tables = TraceTables(schedule)
-        assert tables.kinds == kinds, netlist.name
-        assert tables.fanout == fanout, netlist.name
 
 
 # -- DECT netlists --------------------------------------------------------------
@@ -354,9 +250,9 @@ def dect_netlists():
 
 
 @pytest.mark.parametrize("name", ["fir0", "disc", "alu"])
+@both_kernels
 def test_dect_replay_matches_level_kernel(dect_netlists, name):
     netlist = dect_netlists[name]
-    netlist.schedule().activity = 0.0  # start tracing at once
     program = [pins for pins in random_stimulus(netlist, 20, seed=17)
                for _ in range(3)]
     sim = GateSimulator(netlist)
@@ -374,7 +270,6 @@ def test_dect_replay_matches_level_kernel(dect_netlists, name):
         sim.step(pins)
         level.step(pins)
         assert snaps.pop() == snaps.pop(), f"{name} cycle {cycle}"
-    assert sim.gates_evaluated < sim.gate_evals
 
 
 # -- fault campaigns --------------------------------------------------------------
@@ -390,10 +285,9 @@ def campaign_netlists(dect_netlists):
 
 
 @pytest.mark.parametrize("name", ["hcor", "alu"])
-def test_scalar_campaign_reports_match_lane_packed(campaign_netlists, name,
-                                                    monkeypatch):
+@both_kernels
+def test_scalar_campaign_reports_match_lane_packed(campaign_netlists, name):
     netlist = campaign_netlists[name]
-    netlist.schedule().activity = 0.0
     stimuli = [pins for pins in random_stimulus(netlist, 8, seed=29)
                for _ in range(4)]
     rng = random.Random(29)
@@ -402,16 +296,7 @@ def test_scalar_campaign_reports_match_lane_packed(campaign_netlists, name,
     nets = sorted({net for gate in netlist.gates for net in gate.inputs})
     faults += [TransientFault(rng.choice(nets), rng.randrange(len(stimuli)))
                for _ in range(24)]
-    traced = []
-    trace = GateSimulator._trace
-
-    def counting(self):
-        traced.append(self.lanes)
-        return trace(self)
-
-    monkeypatch.setattr(GateSimulator, "_trace", counting)
     scalar = FaultCampaign(netlist, stimuli, faults=faults).run()
-    assert traced and set(traced) == {1}
     packed = FaultCampaign(netlist, stimuli, faults=faults, lanes=64).run()
     assert scalar == packed
     assert scalar.report(netlist) == packed.report(netlist)

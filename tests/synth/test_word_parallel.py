@@ -5,6 +5,7 @@ lanes packed into machine-word ints and, lane by lane, against
 independent scalar simulators over the same stimulus — every output,
 every cycle, every lane must match bit for bit.  Saboteur masking
 (per-lane force/flip, force-beats-flip) is differenced the same way.
+Every simulator check runs on both gate kernels, native and Python.
 """
 
 import random
@@ -15,6 +16,8 @@ from repro.core.errors import SimulationError
 from repro.synth import GateKind, Netlist
 from repro.synth.gates import ARITY, evaluate_gate, evaluate_gate_word
 from repro.synth.gatesim import GateSimulator
+
+from .test_gate_kernel import both_kernels
 
 COMB_KINDS = [
     GateKind.BUF, GateKind.INV, GateKind.AND2, GateKind.OR2,
@@ -63,6 +66,7 @@ def _random_program(seed, netlist, cycles):
 
 
 @pytest.mark.parametrize("seed", range(8))
+@both_kernels
 def test_word_parallel_matches_scalar(seed):
     lanes = 7  # deliberately not a power of two
     cycles = 30
@@ -86,6 +90,7 @@ def test_word_parallel_matches_scalar(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+@both_kernels
 def test_lane_faults_match_scalar_faults(seed):
     """Per-lane saboteurs behave exactly like scalar saboteurs."""
     cycles = 20
@@ -117,6 +122,7 @@ def test_lane_faults_match_scalar_faults(seed):
             assert got == want, f"seed {seed} cycle {cycle} output {name}"
 
 
+@both_kernels
 def test_force_beats_flip_per_lane():
     """On the same (net, lane), a force wins over a flip — as in scalar."""
     nl = Netlist("fb")
@@ -135,6 +141,7 @@ def test_force_beats_flip_per_lane():
     assert sim.output_lanes("y", signed=False) == [1, 0]
 
 
+@both_kernels
 def test_lane_aware_checkpoint_round_trip():
     netlist = build_random_netlist(1)
     sim = GateSimulator(netlist, lanes=5)
@@ -151,6 +158,7 @@ def test_lane_aware_checkpoint_round_trip():
         GateSimulator(netlist, lanes=3).restore_state(state)
 
 
+@both_kernels
 def test_broadcast_equals_per_lane_duplicate():
     netlist = build_random_netlist(2)
     program = _random_program(9, netlist, 15)
@@ -171,6 +179,7 @@ def test_word_evaluator_degenerates_to_scalar():
                 evaluate_gate(kind, bits), (kind, bits)
 
 
+@both_kernels
 def test_gate_eval_counter_counts_word_ops():
     netlist = build_random_netlist(3)
     gates = len(netlist.levelize())
