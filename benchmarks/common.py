@@ -13,6 +13,7 @@ import inspect
 import itertools
 import time
 import tracemalloc
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -113,13 +114,22 @@ def hcor_netlist_programs(lanes: int = 1,
     return [{"soft": list(raws)} for raws in zip(*streams)]
 
 
-def hcor_netlist_rate() -> float:
+def _kernel(native: bool):
+    """Where gate simulators run: the native kernel, or the Python kernel
+    of the paper's netlist row."""
+    from repro.synth.gatesim import _python_kernel
+
+    return nullcontext() if native else _python_kernel()
+
+
+def hcor_netlist_rate(native: bool = False) -> float:
     from repro.designs.hcor import build_hcor
     from repro.synth import GateSimulator, synthesize_process
 
     design = build_hcor()
     synthesis = synthesize_process(design.process)
-    simulator = GateSimulator(synthesis.netlist)
+    with _kernel(native):
+        simulator = GateSimulator(synthesis.netlist)
     program = itertools.cycle(hcor_netlist_programs())
     return _timed_rate(lambda: simulator.step(next(program)),
                        min_seconds=0.3, max_cycles=2000)
@@ -239,12 +249,12 @@ def dect_event_rate(cycles: int = 150) -> float:
     return cycles / (time.perf_counter() - start)
 
 
-def dect_netlist_rate(cycles: int = 200):
+def dect_netlist_rate(cycles: int = 200, native: bool = False):
     """Cycles/sec of every DECT component netlist replaying the port logs
     of a *cycles*-long interpreted run (the generated testbench of Fig. 8).
 
     The replay runs twice from the initial state and the second pass is
-    timed, so the gate simulators have measured the netlists' activity.
+    timed.
     """
     from repro.designs.dect import build_transceiver
     from repro.fixpt import Fx, quantize_raw
@@ -271,7 +281,8 @@ def dect_netlist_rate(cycles: int = 200):
                     for name, fmt, tokens in ports
                     if tokens[cycle] is not None}
                    for cycle in range(cycles)]
-        simulator = GateSimulator(component.netlist)
+        with _kernel(native):
+            simulator = GateSimulator(component.netlist)
         replays.append((simulator, simulator.save_state(), program))
 
     def replay() -> float:
@@ -347,6 +358,8 @@ def table1_rows(include_dect: bool = True,
     if include_netlist:
         rows.append(Table1Row("HCOR", "netlist", None,
                               hcor_netlist_rate(), None))
+        rows.append(Table1Row("HCOR", "netlist_native", None,
+                              hcor_netlist_rate(native=True), None))
     if include_dect:
         dect_sizes = dect_loc()
         rows.append(Table1Row("DECT", "interpreted", dect_sizes["python"],
@@ -358,18 +371,21 @@ def table1_rows(include_dect: bool = True,
         if include_netlist:
             rate, _synthesis = dect_netlist_rate()
             rows.append(Table1Row("DECT", "netlist", None, rate, None))
+            rate, _synthesis = dect_netlist_rate(native=True)
+            rows.append(Table1Row("DECT", "netlist_native", None, rate,
+                                  None))
     return rows
 
 
 def format_table1(rows: List[Table1Row]) -> str:
     """Render measured rows next to the paper's numbers."""
-    header = (f"{'design':<6} {'approach':<12} {'LoC':>7} "
+    header = (f"{'design':<6} {'approach':<14} {'LoC':>7} "
               f"{'cyc/s':>10} {'MB':>7} | {'paper c/s':>10} {'paper LoC':>10}")
     lines = [header, "-" * len(header)]
     for row in rows:
         paper = row.paper()
         lines.append(
-            f"{row.design:<6} {row.approach:<12} "
+            f"{row.design:<6} {row.approach:<14} "
             f"{row.loc if row.loc is not None else '-':>7} "
             f"{row.speed:>10.1f} "
             f"{f'{row.size_mb:.1f}' if row.size_mb is not None else '-':>7} | "
