@@ -149,14 +149,15 @@ class GateSimulator:
         #: they changed since the last settle.
         self._overrides: Optional[Dict[int, List[_Override]]] = None
         #: Lane-packed net values: bit L of ``values[net]`` is lane L.
-        self.values = self._new_values(netlist._net_count)
+        self.values = self._init_kernel(netlist._net_count)
         inits = netlist.gate_inits
         for index, q in zip(dffs, self._q_nets):
             self.values[q] = -(inits[index] & 1) & self.lane_mask
         # Settle the combinational logic against the initial state.
         self._propagate()
 
-    def _new_values(self, count: int) -> List[int]:
+    def _init_kernel(self, count: int) -> List[int]:
+        """The kernel's state; returns *count* zeroed net values."""
         #: Driven values of level-0 nets whose stored value currently
         #: holds an override; restored before the next settle unless the
         #: pin is driven or the DFF clocked first.
@@ -524,8 +525,6 @@ class _Words(array):
             return self.tolist() != other
         return array.__ne__(self, other)
 
-    __hash__ = None
-
 
 def _address(buffer: array) -> int:
     return buffer.buffer_info()[0]
@@ -546,7 +545,7 @@ class _NativeGateSimulator(GateSimulator):
     the kernel's override arrays before the next settle.
     """
 
-    def _new_values(self, count: int) -> _Words:
+    def _init_kernel(self, count: int) -> _Words:
         lib = native.library()
         self._settle = lib.gk_settle
         self._clock_edge = lib.gk_clock

@@ -3,8 +3,9 @@
 The C source is compiled with the host's C compiler (``cc`` on
 ``PATH``) into a shared library, which :mod:`ctypes` loads.  The library
 is cached under ``~/.cache/repro``, named by a digest of the source, the
-compiler's version, the flags and the platform, so a build happens once
-per digest on a host and a process only loads it.  The compiler writes
+compiler (its resolved path, size and modification time), the flags and
+the platform, so a build happens once per digest on a host and a process
+only loads it, without running the compiler.  The compiler writes
 into a private scratch directory beside the cache entry (its own
 temporary files included), which is renamed into place when the build
 succeeds and removed either way: concurrent or interrupted builds leave
@@ -30,7 +31,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 SOURCE = Path(__file__).with_name("gatekernel.c")
 
@@ -117,10 +118,12 @@ def load() -> ctypes.CDLL:
     compiler = shutil.which(_COMPILER)
     if compiler is None:
         raise BuildError(f"no C compiler {_COMPILER!r} on PATH")
-    source = SOURCE.read_bytes()
-    version = _run([compiler, "--version"])
     try:
-        path = cache_path(source, version)
+        source = SOURCE.read_bytes()
+        real = os.path.realpath(compiler)
+        stat = os.stat(real)
+        path = cache_path(source, f"{real} {stat.st_size} "
+                                  f"{stat.st_mtime_ns}".encode())
         if not path.exists():
             _compile(compiler, source, path)
         lib = ctypes.CDLL(str(path))
@@ -134,47 +137,41 @@ def load() -> ctypes.CDLL:
     return lib
 
 
-def cache_path(source: bytes, compiler_version: bytes) -> Path:
-    """The cached library of *source* built by a compiler that reports
-    *compiler_version*, with :data:`_FLAGS`, for this platform."""
+def cache_path(source: bytes, compiler: bytes) -> Path:
+    """The cached library of *source* built by the compiler identified by
+    *compiler*, with :data:`_FLAGS`, for this platform."""
     digest = hashlib.sha256(b"\0".join([
-        source, compiler_version, " ".join(_FLAGS).encode(),
+        source, compiler, " ".join(_FLAGS).encode(),
         sys.platform.encode(), platform.machine().encode(),
     ])).hexdigest()
     return _cache_dir() / f"gatekernel-{digest[:24]}.so"
 
 
 def _compile(compiler: str, source: bytes, path: Path) -> None:
+    """Compile *source* into *path*, within :data:`_TIMEOUT` seconds.
+
+    The compiler runs in a session of its own, so a timeout kills every
+    process it started, and writes only into a scratch directory (its
+    temporary files through ``TMPDIR``), which is removed either way.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    name = Path(compiler).name
     with tempfile.TemporaryDirectory(prefix=".build-",
                                      dir=path.parent) as scratch:
         built = os.path.join(scratch, path.name)
-        _run([compiler, *_FLAGS, "-x", "c", "-", "-o", built], source,
-             env=dict(os.environ, TMPDIR=scratch))
-        os.replace(built, path)
-
-
-def _run(command: Sequence[str], stdin: bytes = b"", env=None) -> bytes:
-    """Run a compiler call within :data:`_TIMEOUT`; its stdout.
-
-    The call runs in a session of its own, so a timeout kills every
-    process it started.
-    """
-    try:
         process = subprocess.Popen(
-            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, env=env, start_new_session=True)
-    except OSError as error:
-        raise BuildError(f"cannot run {command[0]}: {error}") from None
-    try:
-        out, err = process.communicate(stdin, timeout=_TIMEOUT)
-    except subprocess.TimeoutExpired:
-        os.killpg(process.pid, signal.SIGKILL)
-        process.communicate()
-        raise BuildError(f"{Path(command[0]).name} took over "
-                         f"{_TIMEOUT:g} s") from None
-    if process.returncode:
-        detail = err.decode(errors="replace").strip()
-        raise BuildError(f"{Path(command[0]).name} exited with status "
-                         f"{process.returncode}: {detail[:400]}")
-    return out
+            [compiler, *_FLAGS, "-x", "c", "-", "-o", built],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=dict(os.environ, TMPDIR=scratch),
+            start_new_session=True)
+        try:
+            _out, err = process.communicate(source, timeout=_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            raise BuildError(f"{name} took over {_TIMEOUT:g} s") from None
+        if process.returncode:
+            detail = err.decode(errors="replace").strip()
+            raise BuildError(f"{name} exited with status "
+                             f"{process.returncode}: {detail[:400]}")
+        os.replace(built, path)

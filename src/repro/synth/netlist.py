@@ -119,16 +119,18 @@ class LevelSchedule:
             if members is None:
                 members = runs[code] = []
             members.append(index)
-        self.level_end = array("i")
-        self.runs = array("i")
-        self.cells = array("i")
+        level_end, run_list, cells = [], [], []
+        add_out, add_ins = cells.append, cells.extend
         for runs in buckets:
             for code, members in runs.items():
-                self.runs.extend((code, len(members)))
+                run_list += (code, len(members))
                 for index in members:
-                    self.cells.append(outs[index])
-                    self.cells.extend(ins[index])
-            self.level_end.append(len(self.runs) // 2)
+                    add_out(outs[index])
+                    add_ins(ins[index])
+            level_end.append(len(run_list) // 2)
+        self.level_end = array("i", level_end)
+        self.runs = array("i", run_list)
+        self.cells = array("i", cells)
         self.level_of = level_of
         #: Combinational gates in the schedule (one evaluation each per
         #: settle).
