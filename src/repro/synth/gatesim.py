@@ -546,14 +546,7 @@ class _NativeGateSimulator(GateSimulator):
     """
 
     def _init_kernel(self, count: int) -> _Words:
-        lib = native.library()
-        self._settle = lib.gk_settle
-        self._clock_edge = lib.gk_clock
-        self._restored = lib.gk_restored
-        self._write = lib.gk_drive
-        self._write_lanes = lib.gk_drive_lanes
-        self._read = lib.gk_read
-        self._read_lanes = lib.gk_read_lanes
+        self._lib = native.library()
         values = _Words("Q", bytes(8 * count))
         # An exported buffer cannot be resized, so the kernel's pointer
         # to it stays valid.
@@ -612,7 +605,7 @@ class _NativeGateSimulator(GateSimulator):
         first, count, _width = self._pin(name)
         raw = _integer(raw)
         for k in range(count):
-            self._write(self._ptr, first + k, (raw >> 64 * k) & _WORD)
+            self._lib.gk_drive(self._ptr, first + k, (raw >> 64 * k) & _WORD)
 
     def set_input_lanes(self, name: str, raws: Sequence[int]) -> None:
         first, count, _width = self._pin(name)
@@ -620,7 +613,7 @@ class _NativeGateSimulator(GateSimulator):
         for k in range(count):
             words = array("Q", [(_integer(raw) >> 64 * k) & _WORD
                                 for raw in raws])
-            self._write_lanes(self._ptr, first + k, _address(words))
+            self._lib.gk_drive_lanes(self._ptr, first + k, _address(words))
 
     def _pin(self, name: str) -> Tuple[int, int, int]:
         entry = self._pins.get(name)
@@ -654,7 +647,7 @@ class _NativeGateSimulator(GateSimulator):
             chunk = self._pin_chunks + first
             raw = 0
             for k in range(count):
-                raw |= self._read(self._ptr, chunk + k, lane) << 64 * k
+                raw |= self._lib.gk_read(self._ptr, chunk + k, lane) << 64 * k
         if signed and width and raw >> (width - 1):
             raw -= 1 << width
         return raw
@@ -668,7 +661,7 @@ class _NativeGateSimulator(GateSimulator):
         raws = [0] * self.lanes
         words = _zeros("Q", self.lanes)
         for k in range(count):
-            self._read_lanes(self._ptr, chunk + k, _address(words))
+            self._lib.gk_read_lanes(self._ptr, chunk + k, _address(words))
             for lane, word in enumerate(words):
                 raws[lane] |= word << 64 * k
         if signed and width:
@@ -694,10 +687,10 @@ class _NativeGateSimulator(GateSimulator):
         self.gate_evals += self._schedule.size
         if self._overrides is None:
             self._arm()
-        self._settle(self._ptr)
+        self._lib.gk_settle(self._ptr)
 
     def _clock(self) -> None:
-        self._clock_edge(self._ptr)
+        self._lib.gk_clock(self._ptr)
 
     def save_state(self) -> Dict[str, object]:
         values = self.values.tolist()
@@ -713,4 +706,4 @@ class _NativeGateSimulator(GateSimulator):
     def restore_state(self, state: Dict[str, object]) -> None:
         self.values[:] = array("Q", self._checkpoint_values(state))
         self.cycle = state["cycle"]
-        self._restored(self._ptr)
+        self._lib.gk_restored(self._ptr)

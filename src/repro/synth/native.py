@@ -85,7 +85,7 @@ _SIGNATURES = {
 }
 
 
-class BuildError(Exception):
+class _BuildError(Exception):
     """The kernel could not be built or loaded here."""
 
 
@@ -104,8 +104,8 @@ def library() -> Optional[ctypes.CDLL]:
     global _library, failure
     if _library is None and failure is None:
         try:
-            _library = load()
-        except BuildError as error:
+            _library = _load()
+        except _BuildError as error:
             failure = str(error)
             warnings.warn(f"native gate kernel unavailable, gate simulation "
                           f"runs the Python kernel: {failure}",
@@ -113,11 +113,11 @@ def library() -> Optional[ctypes.CDLL]:
     return _library
 
 
-def load() -> ctypes.CDLL:
+def _load() -> ctypes.CDLL:
     """Build the kernel unless it is cached, then load it."""
     compiler = shutil.which(_COMPILER)
     if compiler is None:
-        raise BuildError(f"no C compiler {_COMPILER!r} on PATH")
+        raise _BuildError(f"no C compiler {_COMPILER!r} on PATH")
     try:
         source = SOURCE.read_bytes()
         real = os.path.realpath(compiler)
@@ -128,7 +128,7 @@ def load() -> ctypes.CDLL:
             _compile(compiler, source, path)
         lib = ctypes.CDLL(str(path))
     except (OSError, RuntimeError) as error:
-        raise BuildError(f"cannot build or load the kernel: {error}") \
+        raise _BuildError(f"cannot build or load the kernel: {error}") \
             from None
     for name, (argtypes, restype) in _SIGNATURES.items():
         function = getattr(lib, name)
@@ -169,9 +169,9 @@ def _compile(compiler: str, source: bytes, path: Path) -> None:
         except subprocess.TimeoutExpired:
             os.killpg(process.pid, signal.SIGKILL)
             process.communicate()
-            raise BuildError(f"{name} took over {_TIMEOUT:g} s") from None
+            raise _BuildError(f"{name} took over {_TIMEOUT:g} s") from None
         if process.returncode:
             detail = err.decode(errors="replace").strip()
-            raise BuildError(f"{name} exited with status "
+            raise _BuildError(f"{name} exited with status "
                              f"{process.returncode}: {detail[:400]}")
         os.replace(built, path)
