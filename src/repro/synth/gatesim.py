@@ -10,8 +10,8 @@ Two kernels
 -----------
 A simulator of at most 64 lanes runs the native kernel
 (``gatekernel.c``, DESIGN.md §21): one C sweep over the schedule's flat
-arrays, which also writes the pins, keeps the output buses read, applies
-the saboteurs and clocks the DFFs.  :mod:`repro.synth.native` builds it
+arrays, which also writes the pins, packs the output buses for reading,
+applies the saboteurs and clocks the DFFs.  :mod:`repro.synth.native` builds it
 once per source digest with the host's C compiler.  Where there is no
 compiler, where the build fails, and above 64 lanes, the simulator runs
 the Python kernel, :class:`GateSimulator`'s own methods, which is also
