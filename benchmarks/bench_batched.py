@@ -1,16 +1,13 @@
 """Batched value planes: 64 stimulus streams per pass vs 64 scalar runs.
 
-Measures, for the same 64-stimulus workload, the wall-clock cost of
-
-* the compiled engine on HCOR: 64 independent scalar simulators vs one
-  numpy-vectorized batched simulator with 64 lanes;
-* the gate-level engine on the HCOR netlist and on a synthesized DECT
-  datapath (the LMS equalizer tap): 64 scalar simulators vs one
-  word-parallel simulator packing the 64 streams into machine-word ints.
+Measures, for the same 64-stimulus workload, the wall-clock cost of the
+gate-level engine on the HCOR netlist and on a synthesized DECT datapath
+(the LMS equalizer tap): 64 scalar simulators vs one word-parallel
+simulator packing the 64 streams into machine-word ints.
 
 Writes ``BENCH_batched.json`` next to this file and prints a summary.
-Exits 1 when no engine clears an 8x speedup — the refactor's reason to
-exist.  Run from the repository root::
+Exits 1 when no netlist clears an 8x speedup — the word-parallel
+engine's reason to exist.  Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_batched.py
 """
@@ -19,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import sys
 import time
 from typing import Dict
@@ -30,45 +26,7 @@ OUT_PATH = os.path.join(os.path.dirname(__file__), "..",
                         "BENCH_batched.json")
 
 LANES = 64
-COMPILED_CYCLES = int(os.environ.get("BENCH_BATCHED_CYCLES", "400"))
 GATE_CYCLES = int(os.environ.get("BENCH_BATCHED_GATE_CYCLES", "40"))
-
-
-def _programs(names, cycles, seed, lo=-3.5, hi=3.5):
-    rng = random.Random(seed)
-    return [
-        [{name: rng.uniform(lo, hi) for name in names}
-         for _ in range(cycles)]
-        for _ in range(LANES)
-    ]
-
-
-def _bench_compiled_hcor() -> Dict[str, float]:
-    from repro.designs.hcor import build_hcor
-    from repro.sim import BatchedCompiledSimulator, CompiledSimulator
-    from repro.sim.stimuli import StimulusBatch
-
-    programs = _programs(("soft",), COMPILED_CYCLES, seed=7)
-    batch = StimulusBatch(programs)
-
-    sims = [CompiledSimulator(build_hcor().system) for _ in range(LANES)]
-    start = time.perf_counter()
-    for lane, sim in enumerate(sims):
-        for pins in programs[lane]:
-            sim.step(pins)
-    scalar_s = time.perf_counter() - start
-
-    batched_sim = BatchedCompiledSimulator(build_hcor().system, lanes=LANES)
-    start = time.perf_counter()
-    batched_sim.run_batch(batch)
-    batched_s = time.perf_counter() - start
-
-    return {
-        "workload": f"hcor, {LANES} streams x {COMPILED_CYCLES} cycles",
-        "scalar_s": scalar_s,
-        "batched_s": batched_s,
-        "speedup": scalar_s / batched_s,
-    }
 
 
 def _bench_gate(name: str, netlist) -> Dict[str, float]:
@@ -116,7 +74,6 @@ def run() -> Dict[str, object]:
     return {
         "bench": "batched",
         "lanes": LANES,
-        "compiled": {"hcor": _bench_compiled_hcor()},
         "gate": {
             "hcor": _bench_gate("hcor", hcor_netlist),
             "dect_lms": _bench_gate("dect_lms", lms_netlist),
@@ -129,17 +86,15 @@ def main() -> int:
     with open(OUT_PATH, "w") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)
 
-    rows = [("compiled", key, cell)
-            for key, cell in results["compiled"].items()]
-    rows += [("gate", key, cell) for key, cell in results["gate"].items()]
+    cells = results["gate"]
     print(f"batched value planes — {results['lanes']} stimulus streams "
           "per pass")
-    for engine, key, cell in rows:
-        print(f"  {engine:8} {key:9} scalar {cell['scalar_s']:7.3f}s  "
+    for key, cell in cells.items():
+        print(f"  gate     {key:9} scalar {cell['scalar_s']:7.3f}s  "
               f"batched {cell['batched_s']:7.3f}s  "
               f"speedup {cell['speedup']:6.2f}x")
 
-    best = max(cell["speedup"] for _, _, cell in rows)
+    best = max(cell["speedup"] for cell in cells.values())
     if best < 8.0:
         print(f"FAIL: best speedup {best:.2f}x < 8x — batching is not "
               "paying for itself")

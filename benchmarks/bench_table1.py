@@ -27,7 +27,6 @@ import pytest
 from common import (
     dect_loc,
     format_table1,
-    hcor_compiled_batched_rate,
     hcor_compiled_rate,
     hcor_event_rate,
     hcor_interpreted_rate,
@@ -104,16 +103,6 @@ def test_bench_hcor_netlist(benchmark):
                        iterations=4)
 
 
-def test_bench_hcor_compiled_batched(benchmark):
-    """One step = 64 stimulus streams advancing one cycle each."""
-    from repro.designs.hcor import build_hcor
-    from repro.sim import BatchedCompiledSimulator
-
-    simulator = BatchedCompiledSimulator(build_hcor().system, lanes=64)
-    pins = {"soft": 0.25}
-    benchmark(lambda: simulator.step(pins))
-
-
 def test_bench_hcor_netlist_batched(benchmark):
     """One step = 64 stimulus streams through the word-parallel engine."""
     from repro.designs.hcor import build_hcor
@@ -134,12 +123,6 @@ class TestBatchedColumn:
         scalar = hcor_netlist_rate(native=True)
         batched = hcor_netlist_batched_rate()
         assert batched > 8 * scalar
-
-    def test_batched_compiled_throughput_not_worse(self):
-        """Vectorization must at least break even on lane-cycles/sec."""
-        scalar = hcor_compiled_rate()
-        batched = hcor_compiled_batched_rate()
-        assert batched > 0.9 * scalar
 
 
 def test_bench_dect_interpreted(benchmark):

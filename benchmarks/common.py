@@ -135,16 +135,6 @@ def hcor_netlist_rate(native: bool = False) -> float:
                        min_seconds=0.3, max_cycles=2000)
 
 
-def hcor_compiled_batched_rate(lanes: int = 64) -> float:
-    """Lane-cycles/sec of the batched compiled engine (64 streams)."""
-    from repro.designs.hcor import build_hcor
-    from repro.sim import BatchedCompiledSimulator
-
-    simulator = BatchedCompiledSimulator(build_hcor().system, lanes=lanes)
-    pins = {"soft": 0.25}
-    return lanes * _timed_rate(lambda: simulator.step(pins))
-
-
 def hcor_netlist_batched_rate(lanes: int = 64) -> float:
     """Lane-cycles/sec of the word-parallel gate engine (64 streams)."""
     from repro.designs.hcor import build_hcor

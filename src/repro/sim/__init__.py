@@ -10,24 +10,18 @@ Four engines reproduce the paper's simulation story:
   compiled for fast extensive verification (section 5, Fig. 7).
 * :class:`EventSimulator` — an event-driven, delta-cycle engine with HDL
   simulator semantics, serving as the "VHDL (RT)" baseline of Table 1.
-* :class:`BatchedCompiledSimulator` — the compiled back-end rendered as
-  numpy-vectorized code: N independent stimulus lanes per pass, driven
-  by a :class:`StimulusBatch`.
 """
 
-from .batched import BatchedCompiledSimulator
 from .compiled import CompiledSimulator, SystemLayout
 from .cycle import CycleScheduler
 from .dataflow import DataflowScheduler, is_consistent, repetitions_vector
 from .event import EventSimulator
-from .stimuli import PortLog, Recorder, StimulusBatch
+from .stimuli import PortLog, Recorder
 from .tracing import Tracer
 
 __all__ = [
-    "BatchedCompiledSimulator",
     "CompiledSimulator",
     "SystemLayout",
-    "StimulusBatch",
     "CycleScheduler",
     "EventSimulator",
     "DataflowScheduler",

@@ -31,16 +31,13 @@ specialized Python ``step()`` function:
 The generated source is compiled with :func:`compile` and executed — the
 Python equivalent of regenerating C++ and running it through the compiler.
 
-Scalar semantics vs lane-width execution
-----------------------------------------
+Semantics vs rendering
+----------------------
 Everything about *what* a cycle computes — channel aliasing, register
 collection, FSM transition tables, the global assignment schedule and its
-guards — is scalar semantics and lives in :class:`SystemLayout`.  *How
-many independent stimulus streams* evaluate that schedule at once is an
-emitter decision: this module's :class:`_PyEmitter` renders one-lane
-Python integers, while :mod:`repro.sim.batched` renders the same layout
-as numpy-vectorized code over N lanes.  The layout never knows about
-lanes.
+guards — lives in :class:`SystemLayout`.  *How* that schedule is spelled
+is an emitter decision: :class:`_PyEmitter` renders it as Python
+integers.  The layout never knows about the spelling.
 
 Semantics note: under the cycle scheduler a channel whose producer is
 inactive carries *no token*; the compiled simulator models the same net as
@@ -156,7 +153,7 @@ class _PyEmitter:
         self._temps = itertools.count()
 
     def render(self, block: IRBlock, lines: Optional[List[str]] = None,
-               indent: str = "", allow_temps: bool = True) -> Dict[int, str]:
+               indent: str = "") -> Dict[int, str]:
         """Return id -> Python expression, appending temp lines to *lines*."""
         ops = block.ops
         uses: Counter = Counter()
@@ -179,7 +176,7 @@ class _PyEmitter:
                 return got
             op = ops[vid]
             code = self._render_op(block, op, ref)
-            if (allow_temps and lines is not None and uses[vid] > 1
+            if (lines is not None and uses[vid] > 1
                     and op.opcode not in LEAF_OPS and op.opcode != "retag"
                     and not raising[vid]):
                 name = f"_t{next(self._temps)}"
@@ -282,22 +279,19 @@ class _PyEmitter:
 
 #: Structured guard of a scheduled assignment: ``None`` (always executes)
 #: or ``(process, transition_indices)`` — the assignment runs when the
-#: process's selected transition is one of the indices.  Emitters render
-#: this per value plane (a Python comparison for one lane, a boolean mask
-#: over all lanes for the batched back-end).
+#: process's selected transition is one of the indices.  The emitter
+#: renders it as a Python comparison (:meth:`CompiledSimulator._guard_code`).
 Guard = Optional[Tuple[TimedProcess, Tuple[int, ...]]]
 
 
 class SystemLayout:
-    """The scalar semantics of a system, shared by every compiled emitter.
+    """The semantics of a system, apart from how a step renders them.
 
     One :class:`SystemLayout` answers every *what-does-a-cycle-compute*
     question — channel aliasing, boundary formats, register/FSM inventories,
     the globally scheduled assignment order and its structured
-    :data:`Guard` s — without committing to *how many* stimulus streams
-    evaluate it.  The scalar :class:`CompiledSimulator` and the
-    numpy-vectorized :class:`~repro.sim.batched.BatchedCompiledSimulator`
-    both consume one layout and differ only in rendering.
+    :data:`Guard` s — without committing to a rendering.
+    :class:`CompiledSimulator` renders it as Python source.
     """
 
     def __init__(self, system: System, watch: Sequence[Channel] = ()):
@@ -751,7 +745,7 @@ class CompiledSimulator:
             lowerer = layout.new_lowerer()
             lowerer.lower_expr(expr)
             block = self._optimized(lowerer.block)
-            refs = emitter.render(block, lines=None, allow_temps=False)
+            refs = emitter.render(block)
             root = block.roots[0]
             emitter.ref(root)
             return refs[root], block.ops[root].frac

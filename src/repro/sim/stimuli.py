@@ -7,80 +7,10 @@ correspondence with the C++ simulation"* (paper sections 1 and 6).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List
 
-from ..core.errors import SimulationError
 from ..core.process import TimedProcess
 from ..core.system import Channel
-
-
-class StimulusBatch:
-    """N independent stimulus programs, one per lane.
-
-    A lane is one scalar stimulus stream: a list of per-cycle
-    ``{pin_name: value}`` mappings.  The batch holds ``lanes`` such
-    programs of equal length and presents them column-wise —
-    :meth:`pins_at` returns, for one cycle, every pin's per-lane value
-    list — which is the shape both batched engines consume
-    (:meth:`repro.synth.gatesim.GateSimulator.run_batch` and
-    :meth:`repro.sim.batched.BatchedCompiledSimulator.run_batch`).
-
-    The batch is pure stimulus bookkeeping: it never interprets values,
-    so raw gate-level integers and Fx/float behavioural values both pass
-    through untouched.
-    """
-
-    def __init__(self, programs: Sequence[Sequence[Mapping[str, object]]]):
-        if not programs:
-            raise SimulationError("a StimulusBatch needs at least one lane")
-        cycles = len(programs[0])
-        for index, program in enumerate(programs):
-            if len(program) != cycles:
-                raise SimulationError(
-                    f"lane {index} has {len(program)} cycles, "
-                    f"lane 0 has {cycles} — lanes must align"
-                )
-        self.programs: List[List[Dict[str, object]]] = [
-            [dict(pins) for pins in program] for program in programs
-        ]
-        self.lanes = len(self.programs)
-        self.cycles = cycles
-
-    @classmethod
-    def broadcast(cls, program: Sequence[Mapping[str, object]],
-                  lanes: int) -> "StimulusBatch":
-        """The same scalar program on every lane."""
-        return cls([program] * lanes)
-
-    @classmethod
-    def from_programs(cls, *programs) -> "StimulusBatch":
-        """One lane per argument."""
-        return cls(list(programs))
-
-    def lane(self, index: int) -> List[Dict[str, object]]:
-        """Lane *index* as a scalar stimulus program."""
-        return self.programs[index]
-
-    def pins_at(self, cycle: int) -> Dict[str, List[object]]:
-        """Every pin driven on *cycle*: name -> one value per lane.
-
-        A pin missing from some lane's mapping is driven with 0 on that
-        lane (matching the engines' undriven-pin default).
-        """
-        names = []
-        seen = set()
-        for program in self.programs:
-            for name in program[cycle]:
-                if name not in seen:
-                    seen.add(name)
-                    names.append(name)
-        return {
-            name: [program[cycle].get(name, 0) for program in self.programs]
-            for name in names
-        }
-
-    def __len__(self) -> int:
-        return self.cycles
 
 
 class Recorder:

@@ -440,19 +440,6 @@ class GateSimulator:
         for _ in range(cycles):
             self.step(inputs_fn(self.cycle) if inputs_fn else None)
 
-    def run_batch(self, batch) -> None:
-        """Run a :class:`repro.sim.stimuli.StimulusBatch` to completion.
-
-        The batch's lane count must match the simulator's.
-        """
-        if batch.lanes != self.lanes:
-            raise SimulationError(
-                f"stimulus batch has {batch.lanes} lanes, "
-                f"simulator has {self.lanes}"
-            )
-        for cycle in range(batch.cycles):
-            self.step(batch.pins_at(cycle))
-
     def settled_outputs(self, lane: int = 0) -> Dict[str, int]:
         """All primary outputs of one lane after the last settle."""
         return {name: self.output(name, lane=lane)

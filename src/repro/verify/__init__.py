@@ -45,7 +45,6 @@ from .guard import (
 )
 from .overflow import OverflowWitness, find_overflow_witness
 from .lockstep import (
-    BatchedCompiledAdapter,
     CompiledAdapter,
     CycleAdapter,
     Divergence,
@@ -53,15 +52,12 @@ from .lockstep import (
     EventAdapter,
     GateAdapter,
     Lockstep,
-    ReplicatedAdapter,
 )
 
 __all__ = [
-    "BatchedCompiledAdapter",
     "CampaignReport",
     "CollapseResult",
     "CompiledAdapter",
-    "ReplicatedAdapter",
     "CycleAdapter",
     "Divergence",
     "EngineAdapter",

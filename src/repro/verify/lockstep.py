@@ -14,23 +14,15 @@ domain (``Fx`` tokens become raw integers, matching the netlist world).
 Factories (not instances) are supplied, because localization replays
 fresh engine pairs and because two engines must never share one mutable
 ``System``.
-
-Batched engines observe per-lane *tuples* instead of scalars; when two
-lane-tupled observations disagree, the :class:`Divergence` additionally
-names the offending lanes, localizing a mismatch to (cycle, signal,
-lane).  :class:`ReplicatedAdapter` presents N scalar engines as one
-lane-tupled observation — the reference plane a batched engine is
-differenced against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import SimulationError
 from ..fixpt import Fx, FxFormat, quantize_raw
-from ..sim.batched import BatchedCompiledSimulator
 from ..sim.compiled import CompiledSimulator
 from ..sim.cycle import CycleScheduler
 from ..sim.event import EventSimulator
@@ -42,22 +34,11 @@ Stimulus = Sequence[Mapping[str, object]]
 
 
 def _canonical(token):
-    """Normalize a token into the comparable domain (Fx -> raw int).
-
-    Per-lane observations arrive as sequences and canonicalize to
-    tuples of canonical scalars; numpy integers become Python ints so
-    cross-engine comparison is type-blind.
-    """
+    """Normalize a token into the comparable domain (Fx -> raw int)."""
     if isinstance(token, Fx):
         return token.raw
     if isinstance(token, bool):
         return int(token)
-    if isinstance(token, (list, tuple)):
-        return tuple(_canonical(t) for t in token)
-    if hasattr(token, "item") and hasattr(token, "dtype"):
-        got = token.item() if getattr(token, "ndim", 0) == 0 \
-            else [t.item() for t in token]
-        return _canonical(got)
     return token
 
 
@@ -125,64 +106,6 @@ class CompiledAdapter(EngineAdapter):
         }
 
 
-class BatchedCompiledAdapter(EngineAdapter):
-    """The numpy-vectorized batched compiled simulator (per-lane tuples)."""
-
-    def __init__(self, system, lanes: int, name: str = "batched",
-                 optimize: bool = True, passes=None, validate: str = "off"):
-        self._outs = [
-            chan for chan in system.channels if chan.producer is not None
-        ]
-        self.sim = BatchedCompiledSimulator(system, lanes=lanes,
-                                            watch=self._outs,
-                                            optimize=optimize,
-                                            passes=passes,
-                                            validate=validate)
-        self.name = name
-
-    def step(self, pins: Mapping[str, object]) -> None:
-        self.sim.step(dict(pins or {}))
-
-    def observe(self) -> Observation:
-        return {
-            chan.name: _canonical(list(self.sim.outputs[chan.name]))
-            for chan in self._outs
-        }
-
-
-class ReplicatedAdapter(EngineAdapter):
-    """N scalar engines presented as one lane-tupled observation.
-
-    The reference plane for differencing a batched engine: lane L's
-    pins drive engine L, and every observed signal becomes an N-tuple.
-    Pin values that are lists/tuples split per lane; scalars broadcast.
-    """
-
-    def __init__(self, factories: Sequence[Callable[[], EngineAdapter]],
-                 name: str = "replicated"):
-        self.engines = [factory() for factory in factories]
-        if not self.engines:
-            raise SimulationError("ReplicatedAdapter needs >= 1 lane")
-        self.name = name
-
-    def step(self, pins: Mapping[str, object]) -> None:
-        for lane, engine in enumerate(self.engines):
-            engine.step({
-                name: (value[lane] if isinstance(value, (list, tuple))
-                       else value)
-                for name, value in (pins or {}).items()
-            })
-
-    def observe(self) -> Observation:
-        per_lane = [engine.observe() for engine in self.engines]
-        keys = set(per_lane[0])
-        for obs in per_lane[1:]:
-            keys &= set(obs)
-        return {
-            key: tuple(obs[key] for obs in per_lane) for key in keys
-        }
-
-
 class EventAdapter(EngineAdapter):
     """The event-driven (delta-cycle, HDL-semantics) simulator."""
 
@@ -214,9 +137,8 @@ class GateAdapter(EngineAdapter):
     def __init__(self, netlist: Netlist,
                  in_formats: Optional[Mapping[str, FxFormat]] = None,
                  signed: object = True,
-                 name: str = "netlist", lanes: int = 1):
-        self.sim = GateSimulator(netlist, lanes=lanes)
-        self.lanes = lanes
+                 name: str = "netlist"):
+        self.sim = GateSimulator(netlist)
         self.in_formats = dict(in_formats or {})
         self.signed = signed
         self.name = name
@@ -244,12 +166,6 @@ class GateAdapter(EngineAdapter):
         return bool(self.signed)
 
     def _capture(self, sim) -> None:
-        if self.lanes > 1:
-            self._last = {
-                name: tuple(sim.output_lanes(name, self._is_signed(name)))
-                for name in sim.netlist.outputs
-            }
-            return
         self._last = {
             name: sim.output(name, self._is_signed(name))
             for name in sim.netlist.outputs
@@ -264,13 +180,10 @@ class GateAdapter(EngineAdapter):
         return quantize_raw(value, fmt)
 
     def step(self, pins: Mapping[str, object]) -> None:
-        raws: Dict[str, object] = {}
-        for name, value in (pins or {}).items():
-            if isinstance(value, (list, tuple)):
-                raws[name] = [self._to_raw(name, v) for v in value]
-            else:
-                raws[name] = self._to_raw(name, value)
-        self.sim.step(raws)
+        self.sim.step({
+            name: self._to_raw(name, value)
+            for name, value in (pins or {}).items()
+        })
 
     def observe(self) -> Observation:
         return dict(self._last)
@@ -278,12 +191,7 @@ class GateAdapter(EngineAdapter):
 
 @dataclass
 class Divergence:
-    """The first point at which two lockstep engines disagree.
-
-    When the divergent observations are per-lane tuples, :attr:`lanes`
-    maps each divergent signal to the lane indices that differ —
-    localizing the mismatch to (cycle, signal, lane).
-    """
+    """The first point at which two lockstep engines disagree."""
 
     cycle: int
     signals: List[str]
@@ -291,27 +199,15 @@ class Divergence:
     values_b: Dict[str, object]
     engine_a: str = "A"
     engine_b: str = "B"
-    lanes: Optional[Dict[str, List[int]]] = None
 
     def __str__(self) -> str:
         pairs = ", ".join(
             f"{name}: {self.engine_a}={self.values_a.get(name)!r} "
             f"{self.engine_b}={self.values_b.get(name)!r}"
-            + (f" lanes={self.lanes[name]}"
-               if self.lanes and name in self.lanes else "")
             for name in self.signals
         )
         return (f"engines {self.engine_a!r} and {self.engine_b!r} first "
                 f"diverge at cycle {self.cycle} on {self.signals} ({pairs})")
-
-
-def _divergent_lanes(va, vb) -> Optional[List[int]]:
-    """Lane indices where two per-lane tuples differ (None for scalars)."""
-    if not (isinstance(va, tuple) and isinstance(vb, tuple)):
-        return None
-    if len(va) != len(vb):
-        return list(range(max(len(va), len(vb))))
-    return [lane for lane, (a, b) in enumerate(zip(va, vb)) if a != b]
 
 
 class Lockstep:
@@ -421,11 +317,6 @@ class Lockstep:
             pair = self._observe_at(lo)
         oa, ob = pair
         signals = self._diff(oa, ob)
-        lanes: Dict[str, List[int]] = {}
-        for name in signals:
-            got = _divergent_lanes(oa.get(name), ob.get(name))
-            if got is not None:
-                lanes[name] = got
         return Divergence(
             cycle=lo,
             signals=signals,
@@ -433,5 +324,4 @@ class Lockstep:
             values_b={name: ob.get(name) for name in signals},
             engine_a=name_a,
             engine_b=name_b,
-            lanes=lanes or None,
         )

@@ -2,9 +2,9 @@
 
 Golden per-pass tests on hand-built blocks (histogram before/after plus
 bit-exact equivalence), fixpoint/idempotence of the whole pipeline, and
-the acceptance differential: 12 seeded random systems run through all
-four engines — interpreted, compiled, batched, gate-level — with the
-aggressive pipeline on and translation validation active.
+the acceptance differential: 12 seeded random systems run through the
+interpreted, compiled and gate-level engines with the aggressive
+pipeline on and translation validation active.
 """
 
 import random
@@ -25,14 +25,7 @@ from repro.ir import (
     restructure_mux,
     strength_reduce,
 )
-from repro.verify import (
-    BatchedCompiledAdapter,
-    CompiledAdapter,
-    CycleAdapter,
-    GateAdapter,
-    Lockstep,
-    ReplicatedAdapter,
-)
+from repro.verify import CompiledAdapter, CycleAdapter, GateAdapter, Lockstep
 
 from tests.ir.test_random_differential import _stimulus, build_random_system
 
@@ -178,8 +171,8 @@ DIFFERENTIAL_CYCLES = 60
 
 @pytest.mark.parametrize("seed", range(12))
 def test_four_engines_agree_with_aggressive_pipeline(seed):
-    """Interpreted, compiled, batched and gate-level lockstep, aggressive
-    pipeline on and translation validation sampling every pass."""
+    """Interpreted, compiled and gate-level lockstep, aggressive pipeline
+    on and translation validation sampling every pass."""
     from repro.synth import synthesize_process
 
     stim = _stimulus(seed, build_random_system(seed)[1])[:DIFFERENTIAL_CYCLES]
@@ -192,11 +185,6 @@ def test_four_engines_agree_with_aggressive_pipeline(seed):
                                name="compiled_aggressive",
                                passes="aggressive", validate="sampled")
 
-    def batched_aggressive():
-        return BatchedCompiledAdapter(build_random_system(seed)[0], lanes=1,
-                                      name="batched_aggressive",
-                                      passes="aggressive")
-
     def gate_aggressive():
         system, _fmt = build_random_system(seed)
         process = system.timed_processes()[0]
@@ -206,8 +194,5 @@ def test_four_engines_agree_with_aggressive_pipeline(seed):
 
     reference = Lockstep(interpreted, compiled_aggressive, stim).run()
     assert reference is None, f"seed {seed}: compiled diverged: {reference}"
-    batched = Lockstep(lambda: ReplicatedAdapter([compiled_aggressive]),
-                       batched_aggressive, stim).run()
-    assert batched is None, f"seed {seed}: batched diverged: {batched}"
     gate = Lockstep(interpreted, gate_aggressive, stim).run()
     assert gate is None, f"seed {seed}: gate level diverged: {gate}"

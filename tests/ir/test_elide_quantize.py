@@ -35,7 +35,6 @@ import pytest
 from repro.core import (
     SFG,
     Clock,
-    CodegenError,
     Register,
     Sig,
     System,
@@ -59,7 +58,7 @@ from repro.ir import (
 )
 from repro.ir.ops import execute
 from repro.lint.bits import elide_quantize_block
-from repro.sim import BatchedCompiledSimulator, CompiledSimulator
+from repro.sim import CompiledSimulator
 
 MODES = list(itertools.product(Rounding, Overflow))
 S4 = FxFormat(4, 4)                      # raw [-8, 7] at frac 0
@@ -341,9 +340,6 @@ class TestEngines:
         system, _out = _pin_system(FxFormat(8, 8), lambda a: a + a)
         assert CompiledSimulator(system).pass_manager.passes == ENGINE_PASSES
         system, _out = _pin_system(FxFormat(8, 8), lambda a: a + a)
-        batched = BatchedCompiledSimulator(system, lanes=2)
-        assert batched.pass_manager.passes == ENGINE_PASSES
-        system, _out = _pin_system(FxFormat(8, 8), lambda a: a + a)
         for generator in (VhdlGenerator(system), VerilogGenerator(system)):
             assert generator.pass_manager.passes == DEFAULT_PASSES
         synthesizer = ExprSynthesizer(None, None, None)
@@ -369,17 +365,6 @@ class TestEngines:
         sim.step({"a": 2})
         with pytest.raises(FxOverflowError):
             sim.step({"a": 3})
-
-    def test_batched_engine_vectorizes_a_proved_error_format(self):
-        err8 = FxFormat(8, 8, overflow=Overflow.ERROR)
-        system, out = _pin_system(err8, lambda a: a + a)
-        sim = BatchedCompiledSimulator(system, lanes=3, watch=[out])
-        sim.step({"a": [1, 5, 7]})
-        sim.step({"a": 0})
-        assert [int(v) for v in sim.output(out)] == [2, 10, 14]
-        with pytest.raises(CodegenError, match="Overflow.ERROR"):
-            BatchedCompiledSimulator(_pin_system(err8, lambda a: a + a)[0],
-                                     lanes=3, passes="default")
 
     def test_hcor_pipeline_proves_exhaustively(self):
         from repro.designs.hcor import build_hcor

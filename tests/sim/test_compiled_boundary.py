@@ -9,8 +9,7 @@ conversion can raise, is quantized where a marked SFG reads the port
 instead, as the cycle scheduler copies the token only then.  Untimed
 consumers and watched pins see the value as driven.  Every case runs
 both engines, each on its own instance of the design, and compares
-them.  The batched engine, which converts each pin into one format,
-rejects a pin read in two.
+them.
 """
 
 import itertools
@@ -21,7 +20,6 @@ from repro.core import (
     FSM,
     SFG,
     Clock,
-    CodegenError,
     FxOverflowError,
     Register,
     Sig,
@@ -32,11 +30,7 @@ from repro.core import (
     always,
 )
 from repro.fixpt import FxFormat, Overflow
-from repro.sim import (
-    BatchedCompiledSimulator,
-    CompiledSimulator,
-    CycleScheduler,
-)
+from repro.sim import CompiledSimulator, CycleScheduler
 
 S6_4 = FxFormat(6, 4)      # binary point 2
 S8_4 = FxFormat(8, 4)      # binary point 4
@@ -313,21 +307,3 @@ class TestEngineBookkeeping:
 
         with pytest.raises(TypeError, match="cannot quantize str"):
             _compiled_run(build, [{}])
-
-
-class TestBatchedLayout:
-    """The batched engine converts each pin into one format."""
-
-    def test_single_format_pin_runs(self):
-        system, outs, _ = _fanout(None, [(S8_6, S8_6, lambda x: x)] * 2)
-        sim = BatchedCompiledSimulator(system, lanes=2, watch=outs)
-        sim.step({"u": [1.3125, -0.5]})
-        assert [float(v) for v in sim.output(outs[1])] == [1.25, -0.5]
-
-    @pytest.mark.parametrize("second", [S8_4, None],
-                             ids=["two-formats", "unformatted"])
-    def test_multi_format_pin_is_rejected(self, second):
-        system, _outs, _ = _fanout(
-            None, [(S8_6, S8_6, lambda x: x), (second, S8_6, lambda x: x)])
-        with pytest.raises(CodegenError, match="one format"):
-            BatchedCompiledSimulator(system, lanes=2)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import DeadlockError, SimulationError, System, actor
-from repro.sim import BatchedCompiledSimulator, CompiledSimulator, CycleScheduler
+from repro.sim import CompiledSimulator, CycleScheduler
 from repro.sim.dataflow import DataflowScheduler
 from repro.synth import GateSimulator
 from repro.verify import Watchdog, checkpoint, restore, supports_checkpoint
@@ -136,8 +136,6 @@ class TestSupportsCheckpoint:
         assert supports_checkpoint(CycleScheduler(system))
         system, _out, _count = build_counter_system()
         assert supports_checkpoint(CompiledSimulator(system))
-        system, _out, _count = build_counter_system()
-        assert supports_checkpoint(BatchedCompiledSimulator(system, lanes=3))
 
         from tests.verify.conftest import build_and_netlist
 
@@ -295,35 +293,6 @@ class TestFreshEngineRestore:
         assert second.cycle == 6
         second.run(10)
         assert second.snapshot() == reference
-
-    def test_batched_simulator_restores_into_fresh_engine(self):
-        # Three lanes driven apart, so the checkpoint must carry real
-        # per-lane divergence, not one broadcast value.
-        stimulus = [{"req": [0, 1, 0]}, {"req": [1, 0, 0]},
-                    {"req": [0, 0, 1]}]
-        tail = [{"req": [0, 0, 0]}, {"req": [1, 1, 0]}]
-
-        first = BatchedCompiledSimulator(build_hold_system()[0], lanes=3)
-        for pins in stimulus:
-            first.step(pins)
-        snap = checkpoint(first)
-        for pins in tail:
-            first.step(pins)
-        reference = first.snapshot()
-
-        second = BatchedCompiledSimulator(build_hold_system()[0], lanes=3)
-        restore(second, snap)
-        assert second.cycle == len(stimulus)
-        for pins in tail:
-            second.step(pins)
-        assert str(second.snapshot()) == str(reference)
-
-    def test_batched_restore_rejects_lane_mismatch(self):
-        first = BatchedCompiledSimulator(build_hold_system()[0], lanes=3)
-        snap = checkpoint(first)
-        second = BatchedCompiledSimulator(build_hold_system()[0], lanes=2)
-        with pytest.raises(SimulationError, match="lanes"):
-            restore(second, snap)
 
     def test_gate_simulator_lanes_restore_into_fresh_engine(self):
         from repro.verify import random_stimulus
