@@ -11,7 +11,7 @@ and collects, from a single run:
 * a VCD waveform via the regular tracer,
 
 then saves everything to a capture directory and renders the same
-report ``python -m repro.obs <dir>`` would print.
+report ``python -m repro.obs report <dir>`` would print.
 
 Part two runs a *sharded* fault campaign with a capture directory: the
 runner traces compile/simulate/merge spans, worker shards continue the
@@ -79,7 +79,7 @@ def main():
     capture.save(directory)
     print(f"capture saved to {directory} "
           "(metrics.json, events.jsonl, trace.vcd)")
-    print(f"render it any time with:  python -m repro.obs {directory}\n")
+    print(f"render it any time with:  python -m repro.obs report {directory}\n")
 
     print(render_text(load_capture(directory), top=8))
 

@@ -14,8 +14,8 @@ engines — pass it as the ``obs`` argument of
 * a structured JSONL event trace (FSM transitions, firings, deadlocks,
   watchdog expiries, fault-campaign events) with source locations.
 
-``Capture.save(dir)`` serializes everything; ``python -m repro.obs dir``
-renders the report.
+``Capture.save(dir)`` serializes everything; ``python -m repro.obs report
+dir`` renders the report.
 
 Layering contract (enforced by ``tools/check_layering.py``): this
 package imports only ``core``, ``ir`` and ``fixpt``.  Engines import

@@ -8,8 +8,7 @@ Usage::
 
 ``CAPTURE`` is a directory written by :meth:`repro.obs.Capture.save`
 (or by the sharded runner's ``--capture``), or a bare JSONL event
-stream.  For backward compatibility a bare path without a subcommand
-renders the report: ``python -m repro.obs chaos_run/events.jsonl``.
+stream.
 
 ``tail`` follows a *running* campaign's journal — per-shard state,
 fault throughput, ETA — and exits when the run ends.  ``diff``
@@ -84,12 +83,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Backward compatibility: a bare capture path means "report".
-    if argv and argv[0] not in ("report", "tail", "diff") \
-            and argv[0] not in ("-h", "--help"):
-        argv = ["report"] + argv
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Observability reports, live campaign tails and "

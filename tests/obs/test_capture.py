@@ -148,18 +148,19 @@ class TestSaveAndReport:
 
     def test_cli_text_and_json(self, tmp_path, capsys):
         directory = self.run_capture(tmp_path)
-        assert cli_main([str(directory)]) == 0
+        assert cli_main(["report", str(directory)]) == 0
         out = capsys.readouterr().out
         assert "FSM coverage" in out
 
-        assert cli_main([str(directory), "--json", "--top", "3"]) == 0
+        assert cli_main(["report", str(directory), "--json",
+                         "--top", "3"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["signals"] == len(
             json.loads((directory / "metrics.json").read_text())["activity"])
         assert len(summary["top_toggles"]) <= 3
 
     def test_cli_rejects_non_capture_dir(self, tmp_path, capsys):
-        assert cli_main([str(tmp_path)]) == 1
+        assert cli_main(["report", str(tmp_path)]) == 1
         assert "metrics.json" in capsys.readouterr().err
 
     def test_event_stream_write_through(self):

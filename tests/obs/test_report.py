@@ -151,11 +151,15 @@ class TestCli:
         assert cli_main(["diff", a, b]) == 1  # default threshold 0%
 
     def test_report_subcommand_and_bare_path_agree(self, tmp_path, capsys):
+        """Only ``report`` renders a capture; a bare path is a usage
+        error."""
         a = self.write_capture(tmp_path / "a", 7)
         assert cli_main(["report", a]) == 0
-        via_subcommand = capsys.readouterr().out
-        assert cli_main([a]) == 0  # backcompat spelling
-        assert capsys.readouterr().out == via_subcommand
+        assert "observability report" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([a])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_tail_once_on_a_finished_journal(self, tmp_path, capsys):
         capture = tmp_path / "capture"
