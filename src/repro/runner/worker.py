@@ -28,6 +28,7 @@ all-or-nothing — see :func:`repro.runner.jobs.require_complete`).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from typing import Callable, Optional
@@ -167,7 +168,10 @@ def worker_main(conn, worker_id: str, job_json: dict,
             pass
         return
     conn.send(("ready", worker_id))
-    parent_pid = os.getppid()
+    # The pid of the runner that started this worker, not ``getppid()``
+    # now: a parent that died during the initialization above has
+    # already handed this process to another.
+    parent_pid = multiprocessing.parent_process().pid
     while True:
         try:
             # Sibling workers hold forked copies of each other's pipe

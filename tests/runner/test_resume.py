@@ -1,9 +1,12 @@
 """Journaled runs and crash recovery: resume re-executes only the rest."""
 
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -138,3 +141,45 @@ class TestParentCrash:
         assert outcome.report == and2_serial
         assert outcome.report.report() == and2_serial.report()
         assert load_journal(journal).run_complete
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="forks a worker")
+    def test_worker_orphaned_during_init_exits(self, and2_job):
+        """A worker whose parent dies while it initializes exits soon
+        after.  It holds its own pipe's parent end and the parent's
+        stdout open, so only the parent's pid tells it the parent is
+        gone, and whoever captures that stdout waits for it."""
+        script = textwrap.dedent("""\
+            import json, multiprocessing, os, sys, time
+            from repro.runner.worker import worker_main
+
+            def slow_worker(conn, job):
+                time.sleep(1.0)  # the parent exits meanwhile
+                worker_main(conn, "w0", job, None, None)
+
+            ctx = multiprocessing.get_context("fork")
+            _parent_end, child_end = ctx.Pipe()
+            worker = ctx.Process(target=slow_worker,
+                                 args=(child_end, json.loads(sys.argv[1])))
+            worker.start()
+            print(worker.pid, flush=True)
+            os._exit(3)
+            """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (os.path.abspath(src) + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, json.dumps(and2_job.to_json())],
+            env=env, stdout=subprocess.PIPE, text=True)
+        worker_pid = int(proc.stdout.readline())
+        try:
+            # Returns once the worker, too, has closed the stdout pipe.
+            proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.kill(worker_pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the orphaned worker outlived its parent by 30 s")
+        assert proc.returncode == 3
