@@ -6,12 +6,14 @@
  * is lane L), and int32 arrays of runs and cells.  It dispatches on the
  * gate kind once per run, not once per gate.  The same record carries
  * the rest of a clock cycle, so that each part is one call: pin writes,
- * output reads, the armed saboteurs and the DFF edge.
+ * output reads, the armed saboteurs and the DFF edge; gk_replay runs a
+ * range of cycles of a pin program in one call.
  *
  * repro.synth.native compiles this file once per source digest and loads
  * it with ctypes.  The Python kernel in gatesim.py is the reference it
  * must match bit for bit.
  */
+#include <stddef.h>
 #include <stdint.h>
 
 typedef uint64_t word;
@@ -34,9 +36,10 @@ typedef struct {
     /* Buses in chunks of at most 64 nets, LSB first: chunk c is nets
      * bus_nets[bus_start[c]] up to bus_nets[bus_start[c + 1]].  The first
      * pin_chunks chunks are the input pins, the next out_chunks the
-     * outputs. */
-    int32_t pin_chunks, out_chunks;
-    const int32_t *bus_start, *bus_nets;
+     * outputs.  Output bus b is output chunks out_end[b - 1] (0 for the
+     * first bus) up to out_end[b]. */
+    int32_t pin_chunks, out_chunks, out_buses;
+    const int32_t *bus_start, *bus_nets, *out_end;
     word *pin_raw;           /* pin writes staged for the next settle */
     uint8_t *pin_staged;
     word *out_raw;           /* lane 0 of every output chunk, kept current */
@@ -117,7 +120,7 @@ void gk_drive_lanes(Sim *s, int32_t chunk, const word *raws)
  * pins are written, level-0 saboteurs override pins and DFF outputs
  * (their driven values held aside), and the levels are swept in order,
  * each level's saboteurs applied after it. */
-void gk_settle(Sim *s)
+static void settle(Sim *s)
 {
     word *v = s->values;
     word mask = s->mask;
@@ -196,11 +199,16 @@ void gk_settle(Sim *s)
         }
         k = apply_overrides(s, k, level + 1);
     }
+}
+
+void gk_settle(Sim *s)
+{
+    settle(s);
     pack_outputs(s);
 }
 
 /* The clock edge: every D is sampled before any Q is updated. */
-void gk_clock(Sim *s)
+static void clock_edge(Sim *s)
 {
     for (int32_t i = 0; i < s->dffs; i++)
         s->sampled[i] = s->values[s->d_nets[i]];
@@ -208,7 +216,73 @@ void gk_clock(Sim *s)
         s->values[s->q_nets[i]] = s->sampled[i];
         s->is_held[s->q_nets[i]] = 0;
     }
+}
+
+void gk_clock(Sim *s)
+{
+    clock_edge(s);
     pack_outputs(s);
+}
+
+/* Diff every output bus's lanes against `golden`, lane 0's output chunks
+ * of a fault-free run, bus by bus: each lane of `undetected` whose bus
+ * differs is claimed, first[2L] = cycle and first[2L + 1] = bus, and
+ * leaves the set.  Returns the lanes still undetected. */
+static word claim(const Sim *s, const word *golden, word undetected,
+                  int32_t cycle, int32_t *first)
+{
+    int32_t c = 0;
+    for (int32_t bus = 0; bus < s->out_buses && undetected; bus++) {
+        word diff = 0;
+        for (; c < s->out_end[bus]; c++) {
+            const int32_t *at = s->bus_start + s->pin_chunks + c;
+            const int32_t *net = s->bus_nets + at[0];
+            int32_t width = at[1] - at[0];
+            for (int32_t i = 0; i < width; i++)
+                diff |= s->values[net[i]] ^ ((word)0 - ((golden[c] >> i) & 1));
+        }
+        word newly = diff & undetected;
+        undetected &= ~newly;
+        for (int32_t lane = 0; newly; lane++, newly >>= 1)
+            if (newly & 1) {
+                first[2 * lane] = cycle;
+                first[2 * lane + 1] = bus;
+            }
+    }
+    return undetected;
+}
+
+/* Cycles [start, stop) of a broadcast pin program, in one call: cycle t
+ * writes raws[t * pin_chunks + c] into each pin chunk c it drives
+ * (driven[t * pin_chunks + c] set) and settles.  Then, with `undetected`
+ * NULL, lane 0's output chunks are recorded in golden[t * out_chunks ..];
+ * otherwise they are claimed against those golden words (claim above).
+ * Then the clock edge.  The replay stops after the cycle that leaves no
+ * lane undetected, and returns the cycles it ran. */
+int32_t gk_replay(Sim *s, const word *raws, const uint8_t *driven,
+                  int32_t start, int32_t stop, word *golden,
+                  word *undetected, int32_t *first)
+{
+    int32_t cycle = start;
+    for (; cycle < stop && (!undetected || *undetected); cycle++) {
+        const word *raw = raws + (size_t)cycle * s->pin_chunks;
+        const uint8_t *set = driven + (size_t)cycle * s->pin_chunks;
+        for (int32_t c = 0; c < s->pin_chunks; c++)
+            if (set[c]) {
+                s->pin_raw[c] = raw[c];
+                s->pin_staged[c] = 1;
+            }
+        settle(s);
+        word *row = golden + (size_t)cycle * s->out_chunks;
+        if (undetected)
+            *undetected = claim(s, row, *undetected, cycle, first);
+        else
+            for (int32_t c = 0; c < s->out_chunks; c++)
+                row[c] = read_chunk(s, s->pin_chunks + c, 0);
+        clock_edge(s);
+    }
+    pack_outputs(s);
+    return cycle - start;
 }
 
 /* After the values were overwritten by a checkpoint: nothing is held. */

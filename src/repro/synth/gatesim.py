@@ -18,6 +18,15 @@ the Python kernel, :class:`GateSimulator`'s own methods, which is also
 the reference the C kernel is tested against.  Both compute the same
 values bit for bit; ``lanes`` is the one switch.
 
+Replays
+-------
+:meth:`GateSimulator.replay` runs a range of cycles of a
+:class:`PinProgram` (a broadcast pin program packed once) and either
+records lane 0's output words (a golden run) or claims each lane's first
+divergence from recorded words (:class:`Detections`).  On the native
+kernel the whole range is one C call; the Python kernel steps it cycle
+by cycle.  A fault campaign is made of such replays.
+
 Word-parallel lanes
 -------------------
 The netlist defines *what* every net computes; ``lanes`` decides *how
@@ -99,6 +108,91 @@ def _lane_mask(lanes: Optional[Iterable[int]], all_mask: int) -> int:
     return mask & all_mask
 
 
+def _chunk_buses(buses: Mapping[str, Sequence[Net]], starts: List[int],
+                 nets: List[Net]) -> Dict[str, Tuple[int, int, int]]:
+    """Cut *buses* into chunks of at most 64 nets, LSB first.
+
+    Each chunk's nets are appended to *nets* and its end to *starts*.
+    Returns name -> (first chunk, chunks, width).
+    """
+    table = {}
+    for name, bus in buses.items():
+        first = len(starts) - 1
+        for at in range(0, len(bus), 64):
+            nets.extend(bus[at:at + 64])
+            starts.append(len(nets))
+        table[name] = (first, len(starts) - 1 - first, len(bus))
+    return table
+
+
+class PinProgram:
+    """A broadcast pin program, packed once for :meth:`GateSimulator.replay`.
+
+    ``cycles[t]`` maps input names to the raw value cycle t drives on
+    every lane; a pin that a cycle leaves out keeps its value.  ``raws``
+    holds the same program as one ``uint64`` word per cycle and pin chunk
+    (the simulators cut buses into chunks of at most 64 nets), and
+    ``driven`` flags the words a cycle writes.  Every simulator of
+    *netlist* can replay it.
+    """
+
+    def __init__(self, netlist: Netlist,
+                 cycles: Sequence[Mapping[str, int]]):
+        self.netlist = netlist
+        self.cycles = [dict(pins) for pins in cycles]
+        starts = [0]
+        pins = _chunk_buses(netlist.inputs, starts, [])
+        #: Pin chunks per cycle.
+        self.chunks = chunks = len(starts) - 1
+        self.raws = raws = _zeros("Q", len(self.cycles) * chunks)
+        self.driven = driven = _zeros("B", len(self.cycles) * chunks)
+        for row, drives in enumerate(self.cycles):
+            row *= chunks
+            for name, raw in drives.items():
+                entry = pins.get(name)
+                if entry is None:
+                    raise SimulationError(
+                        f"netlist {netlist.name!r} has no input {name!r}")
+                first, count, _width = entry
+                raw = _integer(raw)
+                for k in range(row + first, row + first + count):
+                    raws[k] = raw & _WORD
+                    driven[k] = 1
+                    raw >>= 64
+
+    def __len__(self) -> int:
+        return len(self.cycles)
+
+
+class Detections:
+    """Lanes of replays checked against a golden run.
+
+    *golden* is what :meth:`GateSimulator.replay` recorded for the same
+    program on a simulator of the same netlist.  Lanes ``0 .. lanes - 1``
+    start in :attr:`undetected`, a lane mask; a checking replay claims
+    each lane's first divergence, :meth:`first`.
+    """
+
+    __slots__ = ("golden", "lanes", "undetected", "claims")
+
+    def __init__(self, golden: array, lanes: int):
+        self.golden = golden
+        self.lanes = lanes
+        self.undetected = (1 << lanes) - 1
+        #: ``claims[2L]`` and ``claims[2L + 1]``: lane L's first divergent
+        #: cycle and output (-1 while undetected).
+        self.claims = array("i", [-1]) * (2 * lanes)
+
+    def first(self, lane: int) -> Optional[Tuple[int, int]]:
+        """Lane *lane*'s first divergence: ``(cycle, output)``, *output*
+        the index in the netlist's outputs of the first bus that differed
+        on that cycle; None while undetected."""
+        cycle = self.claims[2 * lane]
+        if cycle < 0:
+            return None
+        return cycle, self.claims[2 * lane + 1]
+
+
 class GateSimulator:
     """Cycle-based two-valued simulation of a :class:`Netlist`.
 
@@ -119,11 +213,7 @@ class GateSimulator:
         self.netlist = netlist
         self.lanes = lanes
         self.lane_mask = (1 << lanes) - 1
-        self._schedule = netlist.schedule()
-        dffs = netlist.indices(GateKind.DFF)
-        ins, outs = netlist.gate_inputs, netlist.gate_outputs
-        self._d_nets = [ins[index][0] for index in dffs]
-        self._q_nets = [outs[index] for index in dffs]
+        self._schedule = schedule = netlist.schedule()
         self.cycle = 0
         self.monitors = []
         #: Word-level gate evaluations performed so far (one per gate per
@@ -148,21 +238,38 @@ class GateSimulator:
         #: The saboteurs grouped by the level of their net; None when
         #: they changed since the last settle.
         self._overrides: Optional[Dict[int, List[_Override]]] = None
+        # The buses in chunks of at most 64 nets, pins first: chunk c is
+        # nets ``nets[starts[c]:starts[c + 1]]``.
+        starts: List[int] = [0]
+        nets: List[Net] = []
+        #: Input name -> (first chunk, chunks, width).
+        self._pins = _chunk_buses(netlist.inputs, starts, nets)
+        self._pin_chunks = pin_chunks = len(starts) - 1
+        #: Output name -> (first chunk, chunks, width), chunks counted
+        #: from the first output chunk (a recorded replay's column).
+        self._outs = {name: (first - pin_chunks, count, width)
+                      for name, (first, count, width)
+                      in _chunk_buses(netlist.outputs, starts, nets).items()}
+        self._out_chunks = len(starts) - 1 - pin_chunks
         #: Lane-packed net values: bit L of ``values[net]`` is lane L.
-        self.values = self._init_kernel(netlist._net_count)
-        inits = netlist.gate_inits
-        for index, q in zip(dffs, self._q_nets):
-            self.values[q] = -(inits[index] & 1) & self.lane_mask
+        self.values = self._init_kernel(netlist._net_count, starts, nets)
+        for q in schedule.q_ones:
+            self.values[q] = self.lane_mask
         # Settle the combinational logic against the initial state.
         self._propagate()
 
-    def _init_kernel(self, count: int) -> List[int]:
-        """The kernel's state; returns *count* zeroed net values."""
+    def _init_kernel(self, count: int, starts: List[int],
+                     nets: List[Net]) -> List[int]:
+        """The kernel's state; returns *count* zeroed net values.
+
+        *starts* and *nets* are the bus chunks, as the native kernel
+        reads them.
+        """
         #: Driven values of level-0 nets whose stored value currently
         #: holds an override; restored before the next settle unless the
         #: pin is driven or the DFF clocked first.
         self._held: Dict[Net, int] = {}
-        self._q_set = frozenset(self._q_nets)
+        self._q_set = frozenset(self._schedule.q_nets)
         return [0] * count
 
     # -- pin access ------------------------------------------------------------
@@ -259,11 +366,27 @@ class GateSimulator:
         saboteur to a lane subset (default: every lane), so different
         lanes can carry different faults.
         """
-        self._check_net(net)
         lm = _lane_mask(lanes, self.lane_mask)
-        bits = -(value & 1) & lm
-        set_mask, old_bits = self._forces.get(net, (0, 0))
-        self._forces[net] = (set_mask | lm, (old_bits & ~lm) | bits)
+        self.force_many({net: (lm, -(value & 1) & lm)})
+
+    def force_many(self, forces: Mapping[Net, Tuple[int, int]]) -> None:
+        """Stuck-at saboteurs on many nets at once, lanes as bit masks.
+
+        ``forces[net] = (lanes, bits)`` holds the lanes in mask *lanes*
+        of *net* at the matching bits of *bits*, as :meth:`force` does
+        with one value; each net keeps one override, whatever its lanes.
+        """
+        if forces and not (min(forces) >= 0
+                           and max(forces) < len(self._schedule.level_of)):
+            for net in forces:
+                self._check_net(net)
+        table = self._forces
+        all_mask = self.lane_mask
+        for net, (lanes, bits) in forces.items():
+            lanes &= all_mask
+            set_mask, old_bits = table.get(net, (0, 0))
+            table[net] = (set_mask | lanes, (old_bits & ~lanes)
+                          | (bits & lanes))
         self._overrides = None
 
     def flip(self, net: Net, lanes: Optional[Iterable[int]] = None) -> None:
@@ -330,11 +453,13 @@ class GateSimulator:
         level_of = self._schedule.level_of
         forces, flips = self._forces, self._flips
         plan: Dict[int, List[_Override]] = {}
-        for net in forces.keys() | flips.keys():
-            set_mask, bits = forces.get(net, (0, 0))
+        for net, (set_mask, bits) in forces.items():
             flip = flips.get(net, 0) & ~set_mask
             plan.setdefault(level_of[net], []).append(
                 (net, ~set_mask, bits, flip))
+        for net, flip in flips.items():
+            if net not in forces:
+                plan.setdefault(level_of[net], []).append((net, -1, 0, flip))
         return plan
 
     def _propagate(self) -> None:
@@ -401,8 +526,9 @@ class GateSimulator:
     def _clock(self) -> None:
         """The clock edge: sample every D before updating any Q."""
         values = self.values
-        sampled = [values[net] for net in self._d_nets]
-        for net, value in zip(self._q_nets, sampled):
+        schedule = self._schedule
+        sampled = [values[net] for net in schedule.d_nets]
+        for net, value in zip(schedule.q_nets, sampled):
             values[net] = value
         if self._held:
             self._unhold(self._q_set.intersection(self._held))
@@ -449,6 +575,123 @@ class GateSimulator:
         """All primary outputs of every lane after the last settle."""
         return {name: self.output_lanes(name)
                 for name in self.netlist.outputs}
+
+    # -- replays -----------------------------------------------------------------------
+
+    def replay(self, program: PinProgram, start: int, stop: int,
+               golden: Optional[Detections] = None) -> Optional[array]:
+        """Run cycles ``[start, stop)`` of *program*, as :meth:`step` would.
+
+        Without *golden* the replay records lane 0's output words after
+        each settle, and returns them: one row per cycle of the program
+        (the cycles outside the range read 0), each a ``uint64`` per
+        output chunk of at most 64 nets, outputs in netlist order, LSB
+        first.  With *golden* (:class:`Detections`) it diffs every
+        output bus's lanes against those golden words after each settle,
+        bus by bus in netlist order, and claims each undetected lane
+        whose bus differs; it stops after the cycle that leaves no lane
+        undetected, and runs nothing when none is left.  Cycles, gate
+        evaluations and net values advance as under :meth:`step`.
+        """
+        self._check_replay(program, start, stop, golden)
+        values = self.values
+        starts, nets = [0], []
+        _chunk_buses(self.netlist.outputs, starts, nets)
+        chunks = [nets[a:b] for a, b in zip(starts, starts[1:])]
+        columns = len(chunks)
+        state = {"cycle": start}
+        record = None
+        if golden is None:
+            record = _zeros("Q", len(program) * columns)
+
+            def monitor(sim) -> None:
+                row = state["cycle"] * columns
+                for c, bus in enumerate(chunks):
+                    record[row + c] = sim.read_bus(bus, signed=False)
+        else:
+            words, claims = golden.golden, golden.claims
+            count = golden.lanes
+            active_mask = (1 << count) - 1
+            buses = [(first, first + n)
+                     for first, n, _width in self._outs.values()]
+
+            def monitor(_sim) -> None:
+                cycle = state["cycle"]
+                undetected = golden.undetected
+                row = cycle * columns
+                for output, (first, end) in enumerate(buses):
+                    diff = 0
+                    for c in range(first, end):
+                        value = words[row + c]
+                        for i, net in enumerate(chunks[c]):
+                            golden_bits = -((value >> i) & 1) & active_mask
+                            diff |= values[net] ^ golden_bits
+                    newly = diff & undetected
+                    if newly:
+                        for lane in range(count):
+                            if (newly >> lane) & 1:
+                                claims[2 * lane] = cycle
+                                claims[2 * lane + 1] = output
+                        undetected &= ~newly
+                        if not undetected:
+                            break
+                golden.undetected = undetected
+
+        monitors = self.monitors
+        self.monitors = [*monitors, monitor]
+        try:
+            for cycle in range(start, stop):
+                if golden is not None and not golden.undetected:
+                    break
+                state["cycle"] = cycle
+                self.step(program.cycles[cycle])
+        finally:
+            self.monitors = monitors
+        return record
+
+    def _check_replay(self, program: PinProgram, start: int, stop: int,
+                      golden: Optional[Detections]) -> None:
+        """Reject what would make the native kernel read out of bounds."""
+        if program.netlist is not self.netlist \
+                or program.chunks != self._pin_chunks:
+            raise SimulationError(
+                f"the pin program was not packed for netlist "
+                f"{self.netlist.name!r}")
+        if not 0 <= start <= stop <= len(program):
+            raise SimulationError(
+                f"cycles [{start}, {stop}) outside a program of "
+                f"{len(program)} cycles")
+        if golden is not None:
+            words = golden.golden
+            if not isinstance(words, array) or words.typecode != "Q" \
+                    or len(words) != len(program) * self._out_chunks:
+                raise SimulationError(
+                    "the golden run does not match the program and the "
+                    f"outputs of netlist {self.netlist.name!r}")
+            if golden.lanes > self.lanes or golden.undetected >> golden.lanes \
+                    or len(golden.claims) != 2 * golden.lanes:
+                raise SimulationError(
+                    f"{golden.lanes} lanes checked on a simulator of "
+                    f"{self.lanes}")
+
+    def recorded_outputs(self, record: array,
+                         cycles: int) -> List[Dict[str, int]]:
+        """The first *cycles* cycles of a recorded :meth:`replay` as
+        :meth:`settled_outputs` reads them: one ``{output: raw}`` each."""
+        columns = self._out_chunks
+        outputs = []
+        for cycle in range(cycles):
+            row = cycle * columns
+            values = {}
+            for name, (first, count, width) in self._outs.items():
+                raw = 0
+                for k in range(count):
+                    raw |= record[row + first + k] << 64 * k
+                if width and raw >> (width - 1):
+                    raw -= 1 << width
+                values[name] = raw
+            outputs.append(values)
+        return outputs
 
     # -- checkpoint / restore ---------------------------------------------------------
 
@@ -525,48 +768,31 @@ class _NativeGateSimulator(GateSimulator):
     """A :class:`GateSimulator` whose values live in the native kernel.
 
     Every value-level step is one C call: a pin write, the settle (with
-    the pins :meth:`step` staged), the clock edge, a restore.  The C
-    kernel keeps lane 0 of every output bus packed, so :meth:`output`
-    reads one word.  Buses wider than 64 nets are split into chunks of
-    64.  Saboteur bookkeeping stays in Python; a changed plan becomes
-    the kernel's override arrays before the next settle.
+    the pins :meth:`step` staged), the clock edge, a restore, a
+    :meth:`replay` of a range of cycles.  The C kernel keeps lane 0 of
+    every output bus packed, so :meth:`output` reads one word.  Buses
+    wider than 64 nets are split into chunks of 64.  Saboteur
+    bookkeeping stays in Python; a changed plan becomes the kernel's
+    override arrays before the next settle.
     """
 
-    def _init_kernel(self, count: int) -> _Words:
+    def _init_kernel(self, count: int, starts: List[int],
+                     nets: List[Net]) -> _Words:
         self._lib = native.library()
         values = _Words("Q", bytes(8 * count))
         # An exported buffer cannot be resized, so the kernel's pointer
         # to it stays valid.
         self._export = memoryview(values)
-        netlist = self.netlist
-        starts, nets = [0], []
-
-        def chunk(buses):
-            table = {}
-            for name, bus in buses.items():
-                first = len(starts) - 1
-                for at in range(0, len(bus), 64):
-                    nets.extend(bus[at:at + 64])
-                    starts.append(len(nets))
-                table[name] = (first, len(starts) - 1 - first, len(bus))
-            return table
-
-        #: Input name -> (first chunk, chunks, width).
-        self._pins = chunk(netlist.inputs)
-        self._pin_chunks = pin_chunks = len(starts) - 1
-        #: Output name -> (first chunk, chunks, width), chunks counted
-        #: from the first output chunk (``out_raw``'s index).
-        self._outs = {name: (first - pin_chunks, count, width)
-                      for name, (first, count, width)
-                      in chunk(netlist.outputs).items()}
-        out_chunks = len(starts) - 1 - pin_chunks
+        pin_chunks, out_chunks = self._pin_chunks, self._out_chunks
+        out_end = [first + count for first, count, _width
+                   in self._outs.values()]
         schedule = self._schedule
         # Every buffer the record points to, kept alive with it.
         self._buffers = buffers = {
-            "bus_start": array("i", starts), "bus_nets": array("i", nets),
-            "d_nets": array("i", self._d_nets),
-            "q_nets": array("i", self._q_nets),
-            "sampled": _zeros("Q", len(self._d_nets)),
+            "bus_start": array("i", starts),
+            "bus_nets": array("i", nets),
+            "out_end": array("i", out_end),
+            "sampled": _zeros("Q", len(schedule.d_nets)),
             "pin_raw": _zeros("Q", pin_chunks),
             "pin_staged": _zeros("B", pin_chunks),
             "out_raw": _zeros("Q", out_chunks),
@@ -574,6 +800,10 @@ class _NativeGateSimulator(GateSimulator):
             "held_values": _zeros("Q", count),
             "is_held": _zeros("B", count),
         }
+        #: Scratch words: a bus chunk on every lane, a replay's lanes
+        #: still undetected.
+        self._lane_words = _zeros("Q", self.lanes)
+        self._undetected = _zeros("Q", 1)
         self._pin_raw = buffers["pin_raw"]
         self._pin_staged = buffers["pin_staged"]
         self._out_raw = buffers["out_raw"]
@@ -582,8 +812,9 @@ class _NativeGateSimulator(GateSimulator):
             levels=len(schedule.level_end),
             level_end=_address(schedule.level_end),
             runs=_address(schedule.runs), cells=_address(schedule.cells),
-            dffs=len(self._d_nets), pin_chunks=pin_chunks,
-            out_chunks=out_chunks,
+            dffs=len(schedule.d_nets), d_nets=_address(schedule.d_nets),
+            q_nets=_address(schedule.q_nets), pin_chunks=pin_chunks,
+            out_chunks=out_chunks, out_buses=len(out_end),
             **{name: _address(buffer) for name, buffer in buffers.items()})
         self._ptr = ctypes.addressof(sim)
         return values
@@ -645,12 +876,16 @@ class _NativeGateSimulator(GateSimulator):
             self._output_bus(name)  # raises
         first, count, width = entry
         chunk = self._pin_chunks + first
-        raws = [0] * self.lanes
-        words = _zeros("Q", self.lanes)
-        for k in range(count):
-            self._lib.gk_read_lanes(self._ptr, chunk + k, _address(words))
-            for lane, word in enumerate(words):
-                raws[lane] |= word << 64 * k
+        words = self._lane_words
+        if count == 1:
+            self._lib.gk_read_lanes(self._ptr, chunk, _address(words))
+            raws = words.tolist()
+        else:
+            raws = [0] * self.lanes
+            for k in range(count):
+                self._lib.gk_read_lanes(self._ptr, chunk + k, _address(words))
+                for lane, word in enumerate(words):
+                    raws[lane] |= word << 64 * k
         if signed and width:
             sign = 1 << (width - 1)
             raws = [raw - (sign << 1) if raw & sign else raw for raw in raws]
@@ -659,11 +894,12 @@ class _NativeGateSimulator(GateSimulator):
     def _arm(self) -> None:
         """The armed saboteurs as the kernel's override arrays."""
         plan = self._overrides = self._plan_overrides()
-        where, words = array("i"), array("Q")
+        where, words = [], []
         for level in sorted(plan):
             for net, keep, bits, flip in plan[level]:
-                where.extend((level, net))
-                words.extend((keep & _WORD, bits, flip))
+                where += (level, net)
+                words += (keep & _WORD, bits, flip)
+        where, words = array("i", where), array("Q", words)
         self._ov_buffers = (where, words)  # alive while the kernel reads them
         sim = self._sim
         sim.overrides = len(where) // 2
@@ -678,6 +914,31 @@ class _NativeGateSimulator(GateSimulator):
 
     def _clock(self) -> None:
         self._lib.gk_clock(self._ptr)
+
+    def replay(self, program: PinProgram, start: int, stop: int,
+               golden: Optional[Detections] = None) -> Optional[array]:
+        if self.monitors:
+            # Monitors see every settle: step through the cycles.
+            return GateSimulator.replay(self, program, start, stop, golden)
+        self._check_replay(program, start, stop, golden)
+        if self._overrides is None:
+            self._arm()
+        if golden is None:
+            record = words = _zeros("Q", len(program) * self._out_chunks)
+            undetected = claims = None
+        else:
+            record, words = None, golden.golden
+            self._undetected[0] = golden.undetected
+            undetected = _address(self._undetected)
+            claims = _address(golden.claims)
+        ran = self._lib.gk_replay(
+            self._ptr, _address(program.raws), _address(program.driven),
+            start, stop, _address(words), undetected, claims)
+        if golden is not None:
+            golden.undetected = self._undetected[0]
+        self.cycle += ran
+        self.gate_evals += ran * self._schedule.size
+        return record
 
     def save_state(self) -> Dict[str, object]:
         values = self.values.tolist()

@@ -64,8 +64,8 @@ class Sim(ctypes.Structure):
         ("values", _P), ("mask", _WORD),
         ("levels", _I32), ("level_end", _P), ("runs", _P), ("cells", _P),
         ("dffs", _I32), ("d_nets", _P), ("q_nets", _P), ("sampled", _P),
-        ("pin_chunks", _I32), ("out_chunks", _I32),
-        ("bus_start", _P), ("bus_nets", _P),
+        ("pin_chunks", _I32), ("out_chunks", _I32), ("out_buses", _I32),
+        ("bus_start", _P), ("bus_nets", _P), ("out_end", _P),
         ("pin_raw", _P), ("pin_staged", _P), ("out_raw", _P),
         ("overrides", _I32), ("ov", _P), ("ov_words", _P),
         ("n_held", _I32), ("held_nets", _P), ("held_values", _P),
@@ -82,6 +82,7 @@ _SIGNATURES = {
     "gk_restored": ([_P], None),
     "gk_read": ([_P, _I32, _I32], _WORD),
     "gk_read_lanes": ([_P, _I32, _P], None),
+    "gk_replay": ([_P, _P, _P, _I32, _I32, _P, _P, _P], _I32),
 }
 
 

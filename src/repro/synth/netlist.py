@@ -89,11 +89,13 @@ class LevelSchedule:
     cell count, ``cells`` the runs' cells one after another, each its
     output net and then its input nets, and level L's runs end at run
     ``level_end[L - 1]``.  :attr:`levels` is the same schedule as tuples,
-    for the Python kernel.
+    for the Python kernel.  The registers are stored with it: at the
+    clock edge net ``q_nets[i]`` takes ``d_nets[i]``, and ``q_ones``
+    lists the register outputs that start at 1.
     """
 
     __slots__ = ("level_end", "runs", "cells", "level_of", "size",
-                 "_levels")
+                 "d_nets", "q_nets", "q_ones", "_levels")
 
     def __init__(self, netlist: "Netlist", order: Sequence[int]):
         kinds = netlist.gate_kinds
@@ -135,6 +137,11 @@ class LevelSchedule:
         #: Combinational gates in the schedule (one evaluation each per
         #: settle).
         self.size = len(order)
+        dffs = netlist.indices(GateKind.DFF)
+        inits = netlist.gate_inits
+        self.d_nets = array("i", [ins[index][0] for index in dffs])
+        self.q_nets = array("i", [outs[index] for index in dffs])
+        self.q_ones = [outs[index] for index in dffs if inits[index] & 1]
         self._levels: Optional[List[Tuple[Run, ...]]] = None
 
     @property
