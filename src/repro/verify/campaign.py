@@ -17,13 +17,17 @@ With ``lanes=N`` the campaign maps the fault universe onto the gate
 simulator's bit-lanes: each chunk of up to N faults runs in *one*
 word-parallel replay — lane L carries fault L's saboteur — so the
 whole chunk costs one golden-replay's worth of gate evaluations
-instead of N.  Detection diffs each output bus's lane-packed words
-against the golden bit pattern, claiming each lane's first divergent
-(cycle, output) in the same order the scalar path checks them, so the
-resulting :class:`CampaignReport` is equal field for field to the
-scalar campaign's.  :attr:`FaultCampaign.gate_evals` (scalar-or-lane
-word evaluations, from :attr:`GateSimulator.gate_evals`) is the
-denominator of the speedup claim.
+instead of N.  The golden run and each chunk are
+:meth:`GateSimulator.replay` calls over one packed
+:class:`~repro.synth.gatesim.PinProgram`, one native call each (a
+chunk holding transient faults is split at their cycles).  Detection
+diffs each output bus's lane-packed words against the golden bit
+pattern, claiming each lane's first divergent (cycle, output) in the
+same order the scalar path checks them, so the resulting
+:class:`CampaignReport` is equal field for field to the scalar
+campaign's.  :attr:`FaultCampaign.gate_evals` (scalar-or-lane word
+evaluations, from :attr:`GateSimulator.gate_evals`) is the denominator
+of the speedup claim.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.errors import SimulationError
-from ..synth.gatesim import GateSimulator
+from ..synth.gatesim import Detections, GateSimulator, PinProgram
 from ..synth.netlist import Netlist
 from .faults import (
     StuckAtFault,
@@ -249,13 +253,9 @@ class FaultCampaign:
 
     # -- execution ---------------------------------------------------------------
 
-    def _golden_run(self, sim: GateSimulator) -> List[Dict[str, int]]:
-        outputs: List[Dict[str, int]] = []
-        sim.monitors = [lambda s: outputs.append(s.settled_outputs())]
-        for pins in self.stimuli:
-            sim.step(pins)
-        sim.monitors = []
-        return outputs
+    def _golden_run(self, sim: GateSimulator, program: PinProgram):
+        """Lane 0's output words on every cycle of *program*."""
+        return sim.replay(program, 0, len(program))
 
     def _simulate_fault(self, sim: GateSimulator, fault: Fault,
                         golden: List[Dict[str, int]], initial) -> FaultResult:
@@ -283,82 +283,55 @@ class FaultCampaign:
             sim.monitors = []
             sim.release()
 
-    def _event(self, kind: str, **fields) -> None:
-        """Emit one event on the capture's stream, if any (duck-typed)."""
-        if self.obs is None:
-            return
-        events = getattr(self.obs, "events", None)
-        if events is not None:
-            events.emit(kind, **fields)
-
     def _simulate_chunk(self, sim: GateSimulator,
-                        chunk: Sequence[tuple],
-                        golden: List[Dict[str, int]],
-                        initial) -> List[FaultResult]:
+                        chunk: Sequence[tuple], program: PinProgram,
+                        golden, initial) -> List[FaultResult]:
         """Simulate up to ``sim.lanes`` faults in one word-parallel replay.
 
-        Lane L carries fault L.  Detection claims, per lane, the first
-        (cycle, output) whose lane-packed bus word differs from the
-        golden bit pattern — outputs checked in the same order as the
-        scalar path, so the recorded fields match it exactly.
+        Lane L carries fault L.  The stuck-at faults are armed in one
+        pass, one override per net; a transient fault splits the replay
+        at its cycle (flip, run that cycle, release).  The replay claims,
+        per lane, the first (cycle, output) whose lane-packed bus word
+        differs from the golden bit pattern — outputs checked in the same
+        order as the scalar path, so the recorded fields match it exactly.
         """
         sim.release()
         sim.restore_state(initial)
-        count = len(chunk)
-        active_mask = (1 << count) - 1
+        forces: Dict[int, Tuple[int, int]] = {}
         transients: Dict[int, List[tuple]] = {}
         for lane, (fault, _size) in enumerate(chunk):
             if isinstance(fault, StuckAtFault):
-                sim.force(fault.net, fault.value, lanes=[lane])
-            else:
+                lanes, bits = forces.get(fault.net, (0, 0))
+                forces[fault.net] = (lanes | 1 << lane,
+                                     bits | (fault.value & 1) << lane)
+            elif 0 <= fault.cycle < len(program):
                 transients.setdefault(fault.cycle, []).append(
                     (lane, fault.net))
-        detections: List[Optional[tuple]] = [None] * count
-        values = sim.values
-        buses = self.netlist.outputs
-        state = {"cycle": 0, "undetected": active_mask}
-
-        def check(_sim) -> None:
-            cycle = state["cycle"]
-            undetected = state["undetected"]
-            for name, value in golden[cycle].items():
-                bus = buses[name]
-                diff = 0
-                for i, net in enumerate(bus):
-                    golden_bits = -((value >> i) & 1) & active_mask
-                    diff |= values[net] ^ golden_bits
-                newly = diff & undetected
-                if newly:
-                    for lane in range(count):
-                        if (newly >> lane) & 1:
-                            detections[lane] = (cycle, name)
-                    undetected &= ~newly
-                    if not undetected:
-                        break
-            state["undetected"] = undetected
-
-        sim.monitors = [check]
+        sim.force_many(forces)
+        detections = Detections(golden, len(chunk))
         try:
-            for cycle, pins in enumerate(self.stimuli):
-                armed = transients.get(cycle, ())
+            start = 0
+            for cycle in sorted(transients):
+                sim.replay(program, start, cycle, detections)
+                armed = transients[cycle]
                 for lane, net in armed:
                     sim.flip(net, lanes=[lane])
-                state["cycle"] = cycle
-                sim.step(pins)
+                sim.replay(program, cycle, cycle + 1, detections)
                 for lane, net in armed:
                     sim.release(net, lanes=[lane])
-                if not state["undetected"]:
-                    break
+                start = cycle + 1
+            sim.replay(program, start, len(program), detections)
         finally:
-            sim.monitors = []
             sim.release()
+        names = list(self.netlist.outputs)
         results = []
-        for lane, (fault, _size) in enumerate(chunk):
-            hit = detections[lane]
+        for lane, (fault, size) in enumerate(chunk):
+            hit = detections.first(lane)
             if hit is None:
-                results.append(FaultResult(fault, False))
+                results.append(FaultResult(fault, False, class_size=size))
             else:
-                results.append(FaultResult(fault, True, hit[0], hit[1]))
+                results.append(FaultResult(fault, True, hit[0],
+                                           names[hit[1]], size))
         return results
 
     def run_shard(self, start: int, stop: int) -> CampaignReport:
@@ -385,8 +358,8 @@ class FaultCampaign:
     def run(self) -> CampaignReport:
         """Execute the campaign; always returns a report (never wedges)."""
         golden_sim = GateSimulator(self.netlist)
-        initial = golden_sim.save_state()
-        golden = self._golden_run(golden_sim)
+        program = PinProgram(self.netlist, self.stimuli)
+        golden = self._golden_run(golden_sim, program)
 
         report = CampaignReport(
             netlist_name=self.netlist.name,
@@ -394,24 +367,31 @@ class FaultCampaign:
             total_faults=self.total_faults,
             collapsed_faults=self.work_size,
         )
-        self._event("campaign_start", netlist=self.netlist.name,
-                    cycles=len(self.stimuli), faults=self.total_faults,
-                    representatives=len(self._work))
+        # The capture's event stream, if any (duck-typed).
+        events = getattr(self.obs, "events", None)
+        if events is not None:
+            events.emit("campaign_start", netlist=self.netlist.name,
+                        cycles=len(self.stimuli), faults=self.total_faults,
+                        representatives=len(self._work))
         if self.lanes > 1:
-            fault_sim = self._run_batched(report, golden)
+            fault_sim = self._run_batched(report, program, golden, events)
         else:
-            fault_sim = self._run_scalar(report, golden, initial)
+            outputs = golden_sim.recorded_outputs(golden, len(program))
+            fault_sim = self._run_scalar(report, outputs, events)
         self.gate_evals = golden_sim.gate_evals + fault_sim.gate_evals
-        self._event("campaign_end", netlist=self.netlist.name,
-                    coverage=report.coverage(), complete=report.complete,
-                    skipped=report.skipped,
-                    detected=len(report.detected()))
+        if events is not None:
+            events.emit("campaign_end", netlist=self.netlist.name,
+                        coverage=report.coverage(), complete=report.complete,
+                        skipped=report.skipped,
+                        detected=len(report.detected()))
         return report
 
     def _run_scalar(self, report: CampaignReport,
-                    golden: List[Dict[str, int]], initial) -> GateSimulator:
-        # One simulator for every fault: restore beats re-levelizing.
+                    golden: List[Dict[str, int]], events) -> GateSimulator:
+        # One simulator for every fault: restore beats re-levelizing.  Its
+        # fresh state is the state the golden run started from.
         fault_sim = GateSimulator(self.netlist)
+        initial = fault_sim.save_state()
         watchdog = self.watchdog
         if watchdog is not None:
             watchdog.start()
@@ -423,10 +403,8 @@ class FaultCampaign:
             result = self._simulate_fault(fault_sim, fault, golden, initial)
             result.class_size = class_size
             report.results.append(result)
-            self._event("fault", fault=str(fault), detected=result.detected,
-                        detect_cycle=result.detect_cycle,
-                        detect_output=result.detect_output,
-                        class_size=class_size)
+            if events is not None:
+                _emit_fault(events, result)
             if watchdog is not None:
                 # One tick per fault: max_cycles doubles as a fault budget.
                 watchdog.tick()
@@ -434,13 +412,13 @@ class FaultCampaign:
                 self.progress(index + 1, len(self._work))
         return fault_sim
 
-    def _run_batched(self, report: CampaignReport,
-                     golden: List[Dict[str, int]]) -> GateSimulator:
+    def _run_batched(self, report: CampaignReport, program: PinProgram,
+                     golden, events) -> GateSimulator:
         # One lane-wide simulator for the whole campaign; its fresh
         # post-levelize state doubles as the per-chunk restore point
         # (every lane starts from the same DFF init the golden run did),
-        # and the scalar golden outputs are the reference bit patterns
-        # every lane's packed words are diffed against.
+        # and lane 0's golden output words are the reference bit
+        # patterns every lane's packed words are diffed against.
         fault_sim = GateSimulator(self.netlist, lanes=self.lanes)
         initial = fault_sim.save_state()
         watchdog = self.watchdog
@@ -454,18 +432,23 @@ class FaultCampaign:
                 report.skipped = len(work) - index
                 break
             chunk = work[index:index + self.lanes]
-            results = self._simulate_chunk(fault_sim, chunk, golden, initial)
-            for (fault, class_size), result in zip(chunk, results):
-                result.class_size = class_size
-                report.results.append(result)
-                self._event("fault", fault=str(fault),
-                            detected=result.detected,
-                            detect_cycle=result.detect_cycle,
-                            detect_output=result.detect_output,
-                            class_size=class_size)
-                if watchdog is not None:
+            results = self._simulate_chunk(fault_sim, chunk, program,
+                                           golden, initial)
+            report.results.extend(results)
+            if events is not None:
+                for result in results:
+                    _emit_fault(events, result)
+            if watchdog is not None:
+                for _result in results:
                     watchdog.tick()
             index += len(chunk)
             if self.progress is not None:
                 self.progress(index, len(work))
         return fault_sim
+
+
+def _emit_fault(events, result: FaultResult) -> None:
+    events.emit("fault", fault=str(result.fault), detected=result.detected,
+                detect_cycle=result.detect_cycle,
+                detect_output=result.detect_output,
+                class_size=result.class_size)

@@ -137,3 +137,18 @@ class TestCampaignEvents:
         assert kinds["fault"] == len(report.results)
         end = cap.events.of_kind("campaign_end")[0]
         assert end["coverage"] == pytest.approx(report.coverage())
+
+    def test_lane_packed_campaign_streams_the_same_events(self):
+        from repro.verify import FaultCampaign, random_stimulus
+
+        from tests.verify.conftest import build_and_netlist
+
+        netlist = build_and_netlist()
+        stimuli = random_stimulus(netlist, 8, seed=1)
+        streams = []
+        for lanes in (1, 3):  # three lanes: two chunks
+            cap = Capture()
+            FaultCampaign(netlist, stimuli, obs=cap, lanes=lanes).run()
+            streams.append(cap.events.events)
+        assert streams[0] == streams[1]
+        assert [e["kind"] for e in streams[1]].count("fault") == 4
