@@ -381,22 +381,22 @@ class Capture:
         netlist = sim.netlist
         bus_obs = [
             (self.activity.record(f"{netlist.name}/{name}", width=len(bus)),
-             bus)
+             name)
             for name, bus in netlist.outputs.items()
         ]
         if not bus_obs:
             return None
         if getattr(sim, "lanes", 1) > 1:
             def monitor(gatesim) -> None:
-                for stats, bus in bus_obs:
+                for stats, name in bus_obs:
                     stats.observe_raw_lanes(
-                        gatesim.read_bus_lanes(bus, signed=False))
+                        gatesim.output_lanes(name, signed=False))
 
             return monitor
 
         def monitor(gatesim) -> None:
-            for stats, bus in bus_obs:
-                stats.observe_raw(gatesim.read_bus(bus, signed=False))
+            for stats, name in bus_obs:
+                stats.observe_raw(gatesim.output(name, signed=False))
 
         return monitor
 
