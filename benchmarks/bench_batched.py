@@ -3,11 +3,14 @@
 Measures, for the same 64-stimulus workload, the wall-clock cost of the
 gate-level engine on the HCOR netlist and on a synthesized DECT datapath
 (the LMS equalizer tap): 64 scalar simulators vs one word-parallel
-simulator packing the 64 streams into machine-word ints.
+simulator packing the 64 streams into machine-word ints.  Each side is
+timed :data:`REPEATS` times on fresh simulators, alternating sides, and
+a netlist's speedup is the median of the per-repeat ratios.
 
-Writes ``BENCH_batched.json`` next to this file and prints a summary.
-Exits 1 when no netlist clears an 8x speedup — the word-parallel
-engine's reason to exist.  Run from the repository root::
+Writes ``BENCH_batched.json`` next to this file (each repeat's times,
+the speedups' median and quartiles, and the repeat count) and prints a
+summary.  Exits 1 when no netlist's median speedup clears 8x — the
+word-parallel engine's reason to exist.  Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_batched.py
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 from typing import Dict
@@ -27,37 +31,51 @@ OUT_PATH = os.path.join(os.path.dirname(__file__), "..",
 
 LANES = 64
 GATE_CYCLES = int(os.environ.get("BENCH_BATCHED_GATE_CYCLES", "40"))
+#: Timed runs per side and netlist: one ``perf_counter`` pair around a
+#: few milliseconds is too noisy to gate on alone.
+REPEATS = 7
 
 
-def _bench_gate(name: str, netlist) -> Dict[str, float]:
+def _bench_gate(name: str, netlist) -> Dict[str, object]:
     from repro.synth.gatesim import GateSimulator
     from repro.verify import random_stimulus
 
     programs = [random_stimulus(netlist, GATE_CYCLES, seed=100 + lane)
                 for lane in range(LANES)]
 
-    sims = [GateSimulator(netlist) for _ in range(LANES)]
-    start = time.perf_counter()
-    for lane, sim in enumerate(sims):
-        for pins in programs[lane]:
-            sim.step(pins)
-    scalar_s = time.perf_counter() - start
+    def scalar() -> float:
+        sims = [GateSimulator(netlist) for _ in range(LANES)]
+        start = time.perf_counter()
+        for lane, sim in enumerate(sims):
+            for pins in programs[lane]:
+                sim.step(pins)
+        return time.perf_counter() - start
 
-    wide = GateSimulator(netlist, lanes=LANES)
-    start = time.perf_counter()
-    for cycle in range(GATE_CYCLES):
-        wide.step({
-            pin: [programs[lane][cycle][pin] for lane in range(LANES)]
-            for pin in netlist.inputs
-        })
-    batched_s = time.perf_counter() - start
+    def batched() -> float:
+        wide = GateSimulator(netlist, lanes=LANES)
+        start = time.perf_counter()
+        for cycle in range(GATE_CYCLES):
+            wide.step({
+                pin: [programs[lane][cycle][pin] for lane in range(LANES)]
+                for pin in netlist.inputs
+            })
+        return time.perf_counter() - start
 
+    scalar_s, batched_s = [], []
+    for _ in range(REPEATS):
+        scalar_s.append(scalar())
+        batched_s.append(batched())
+    speedups = [s / b for s, b in zip(scalar_s, batched_s)]
+    low, median, high = statistics.quantiles(speedups, n=4,
+                                             method="inclusive")
     return {
         "workload": f"{name} netlist, {LANES} streams x {GATE_CYCLES} "
                     "cycles",
+        "repeats": REPEATS,
         "scalar_s": scalar_s,
         "batched_s": batched_s,
-        "speedup": scalar_s / batched_s,
+        "speedup": median,
+        "speedup_quartiles": [low, high],
     }
 
 
@@ -90,14 +108,18 @@ def main() -> int:
     print(f"batched value planes — {results['lanes']} stimulus streams "
           "per pass")
     for key, cell in cells.items():
-        print(f"  gate     {key:9} scalar {cell['scalar_s']:7.3f}s  "
-              f"batched {cell['batched_s']:7.3f}s  "
-              f"speedup {cell['speedup']:6.2f}x")
+        low, high = cell["speedup_quartiles"]
+        print(f"  gate     {key:9} scalar "
+              f"{statistics.median(cell['scalar_s']):7.3f}s  "
+              f"batched {statistics.median(cell['batched_s']):7.3f}s  "
+              f"speedup {cell['speedup']:6.2f}x "
+              f"(quartiles {low:.2f}-{high:.2f}x, "
+              f"{cell['repeats']} repeats)")
 
     best = max(cell["speedup"] for cell in cells.values())
     if best < 8.0:
-        print(f"FAIL: best speedup {best:.2f}x < 8x — batching is not "
-              "paying for itself")
+        print(f"FAIL: best median speedup {best:.2f}x < 8x — batching is "
+              "not paying for itself")
         return 1
     print(f"wrote {os.path.normpath(OUT_PATH)}")
     return 0
