@@ -47,6 +47,7 @@ from .expr import (
     ne,
 )
 from .fsm import FSM, Condition, State, Transition, always, cnd
+from .memory import Ram
 from .process import Port, Process, TimedProcess, UntimedProcess, actor
 from .sfg import SFG, Assignment
 from .signal import Register, Sig, sig_like
@@ -75,6 +76,7 @@ __all__ = [
     "Mux",
     "Port",
     "Process",
+    "Ram",
     "Register",
     "ReproError",
     "SFG",

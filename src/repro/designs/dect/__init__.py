@@ -11,7 +11,7 @@ from .datapaths import DATAPATH_TABLES, build_all
 from .irom import CONDITIONS, PC_OPS, WORD_BITS, InstructionRom, Program
 from .pcctrl import build_pcctrl
 from .program import DEFAULT_WARMUP_SYMBOLS, burst_program
-from .ram import Ram, build_rams
+from .ram import build_rams
 from .transceiver import DectChip, DectTransceiver, build_transceiver
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "InstructionRom",
     "PC_OPS",
     "Program",
-    "Ram",
     "WORD_BITS",
     "build_all",
     "build_pcctrl",

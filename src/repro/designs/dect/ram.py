@@ -3,6 +3,7 @@
 Paper, section 4: *"the RAM cells are described at high level while the
 datapaths are described at clock cycle true level"* — exactly the mixed
 timed/untimed situation the cycle scheduler's three phases exist for.
+Each cell is a :class:`~repro.core.Ram`, the model's memory primitive.
 
 Seven RAM cells (as in the paper's 75 Kgate complexity figure):
 ``samp_i``, ``samp_q`` (burst sample capture), ``coef_re``, ``coef_im``
@@ -12,60 +13,9 @@ and ``scratch`` (general storage for the ALU/CTL).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from ...core import UntimedProcess
-from ...fixpt import Fx
-
-
-class Ram(UntimedProcess):
-    """A single-write dual-read synchronous-write RAM cell.
-
-    Reads are combinational (the data token is produced within the same
-    cycle, as in the paper's datapath/RAM loop of Fig. 6); the write
-    commits before the read of the *next* cycle.
-    """
-
-    def __init__(self, name: str, depth: int, second_read_port: bool = False,
-                 write_gate: bool = False):
-        super().__init__(name)
-        self.depth = depth
-        self.data: List = [0] * depth
-        self.second_read_port = second_read_port
-        self.write_gate = write_gate
-        self.add_input("addr")
-        self.add_output("q")
-        if second_read_port:
-            self.add_input("addr_b")
-            self.add_output("q_b")
-        self.add_input("we")
-        if write_gate:
-            self.add_input("wgate")
-        self.add_input("waddr")
-        self.add_input("wdata")
-        self.writes = 0
-
-    def _index(self, addr) -> int:
-        return int(addr) % self.depth
-
-    def behavior(self, addr, we, waddr, wdata, addr_b=None, wgate=1):
-        q = self.data[self._index(addr)]
-        result = {"q": q}
-        if self.second_read_port:
-            result["q_b"] = self.data[self._index(addr_b)]
-        if int(we) and int(wgate):
-            self.data[self._index(waddr)] = wdata
-            self.writes += 1
-        return result
-
-    def dump(self) -> List:
-        """The current memory contents (testbench access)."""
-        return list(self.data)
-
-    def load(self, values) -> None:
-        """Preload memory contents (testbench access)."""
-        for index, value in enumerate(values):
-            self.data[index % self.depth] = value
+from ...core import Ram
 
 
 def build_rams() -> Dict[str, Ram]:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ...core import Channel, System
+from ...core import Channel, Ram, System
 from ...fixpt import Fx, quantize
 from ...sim import CycleScheduler
 from . import formats as F
@@ -23,7 +23,7 @@ from .datapaths import build_all
 from .irom import CONDITIONS, InstructionRom, Program
 from .pcctrl import build_pcctrl
 from .program import burst_program
-from .ram import Ram, build_rams
+from .ram import build_rams
 
 
 @dataclass

@@ -19,7 +19,8 @@ specialized Python ``step()`` function:
   which can raise, is quantized where a marked assignment reads it);
   untimed behaviours are called directly, with ``Fx`` inputs built
   without a second range check (:attr:`SystemLayout.boundary`,
-  DESIGN.md §18);
+  DESIGN.md §18), except a :class:`~repro.core.Ram`'s, whose reads and
+  write are emitted inline over the step's raw values (DESIGN.md §22);
 * the FSM transition selection of every component is emitted first (the
   conditions depend only on registers, so this is the scheduler's phase 0);
 * all assignments of all components are emitted in one global topological
@@ -53,6 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..fixpt import Fx, FxFormat, Overflow, Rounding
 from ..core.errors import CodegenError, SimulationError
+from ..core.memory import Ram, memories, restore_memories, save_memories
 from ..core.process import TimedProcess, UntimedProcess
 from ..core.sfg import Assignment
 from ..core.signal import Register, Sig
@@ -613,6 +615,7 @@ class CompiledSimulator:
         self.cycle = 0
         self.outputs: Dict[str, object] = {}
         self._env: Dict[str, object] = {}
+        self._memories = memories(self.layout.untimed)
         #: Optional :class:`repro.obs.Capture`.  Instrumentation is
         #: *emitted into the generated source* only when the capture
         #: asks for it — a bare simulator contains no obs code at all.
@@ -663,11 +666,18 @@ class CompiledSimulator:
         return self._dump()
 
     def save_state(self) -> Dict[str, object]:
-        """Deterministic checkpoint: raw register values, FSM states, cycle."""
-        return {"cycle": self.cycle, "state": self._dump_raw()}
+        """Deterministic checkpoint: raw register values, FSM states,
+        every memory's contents and the cycle."""
+        return {"cycle": self.cycle, "state": self._dump_raw(),
+                "memories": save_memories(self._memories)}
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Restore a checkpoint taken with :meth:`save_state`."""
+        """Restore a checkpoint taken with :meth:`save_state`.
+
+        The memories are written back in place, since the step holds
+        their lists.
+        """
+        restore_memories(self._memories, state["memories"])
         self._load(state["state"])
         self.cycle = state["cycle"]
 
@@ -842,29 +852,98 @@ class CompiledSimulator:
             if prof_index is not None:
                 b(f"{indent}_obs_block({prof_index}, _obs_perf() - _obs_t)")
 
+        def token_code(port) -> str:
+            """The token an untimed input port is handed.
+
+            A formatted timed producer's token is an ``Fx`` built without
+            a range check: every formatted variable already holds a raw
+            value inside its format (DESIGN.md §15's leaf-range
+            invariant).
+            """
+            chan = port.channel
+            if chan is None:
+                return "0"
+            if chan in layout.boundary:
+                return layout.boundary_var(chan)
+            code, fmt = layout.sig_ref_full(chan.producer.sig)
+            if fmt is not None:
+                code = f"_fx({code}, {_fmt_ref(fmt)})"
+            return code
+
+        def int_code(port) -> str:
+            """``int()`` of an untimed input port's token, over raw values.
+
+            It follows ``Fx.__int__``: the raw value of an integer
+            format, shifted for negative fraction bits, truncated toward
+            zero for positive ones.
+            """
+            chan = port.channel
+            if chan is None:
+                return "0"
+            if chan in layout.boundary:
+                return f"int({layout.boundary_var(chan)})"
+            code, fmt = layout.sig_ref_full(chan.producer.sig)
+            if fmt is None:
+                return f"int({code})"
+            frac = fmt.frac_bits
+            if frac == 0:
+                return code
+            if frac < 0:
+                return f"({code} << {-frac})"
+            return (f"({code} >> {frac} if {code} >= 0 "
+                    f"else -(-{code} >> {frac}))")
+
+        def access_memory(ram: Ram) -> None:
+            """Fire one RAM inline, as ``Ram.behavior`` does (DESIGN.md §22).
+
+            The reads come first, then a write stores the token the
+            behaviour would have been handed; the step holds the RAM's
+            ``data`` list and indexes it in place.
+            """
+            mem = memory_name(ram, ram.name)
+            proc = process_name(ram, ram.name)
+            self._env_untimed[mem] = ram.data
+            self._env_untimed[proc] = ram
+            ports = ram.ports
+            depth = ram.depth
+            reads = [("addr", "q")]
+            if ram.second_read_port:
+                reads.append(("addr_b", "q_b"))
+            outs = []
+            for addr, out in reads:
+                chan = ports[out].channel
+                access = f"{mem}[{int_code(ports[addr])} % {depth}]"
+                if chan is None:
+                    b(f"        {access}")
+                else:
+                    b(f"        {layout.boundary_var(chan)} = {access}")
+                    outs.append(chan)
+            enable = int_code(ports["we"])
+            if ram.write_gate:
+                enable = f"{enable} and {int_code(ports['wgate'])}"
+            b(f"        if {enable}:")
+            b(f"            {mem}[{int_code(ports['waddr'])} % {depth}] = "
+              f"{token_code(ports['wdata'])}")
+            b(f"            {proc}.writes += 1")
+            b(f"        {proc}.firings += 1")
+            for chan in outs:
+                convert_entering(chan)
+
         def call_untimed(process: UntimedProcess) -> None:
             """Fire one behaviour and convert its outputs where they enter.
 
-            Inputs are ``Fx`` values built without a range check: every
-            formatted variable already holds a raw value inside its format
-            (DESIGN.md §15's leaf-range invariant).
+            A RAM whose class keeps ``Ram.behavior`` is emitted inline.
             """
+            if isinstance(process, Ram) \
+                    and type(process).behavior is Ram.behavior:
+                access_memory(process)
+                return
             fn = behavior_name(process, process.name)
             proc = process_name(process, process.name)
             self._env_untimed[fn] = process.behavior
             self._env_untimed[proc] = process
-            args = []
-            for port in process.in_ports():
-                chan = port.channel
-                if chan is None:
-                    args.append(f"{port.name}=0")
-                elif chan in layout.boundary:
-                    args.append(f"{port.name}={layout.boundary_var(chan)}")
-                else:
-                    code, fmt = layout.sig_ref_full(chan.producer.sig)
-                    if fmt is not None:
-                        code = f"_fx({code}, {_fmt_ref(fmt)})"
-                    args.append(f"{port.name}={code}")
+            args = [f"{port.name}={token_code(port)}"
+                    for port in process.in_ports()]
             result = f"res_{_sanitize(process.name)}"
             b(f"        {result} = {fn}({', '.join(args)})")
             outs = [port for port in process.out_ports()
@@ -886,6 +965,7 @@ class CompiledSimulator:
         # Main body: assignments and untimed calls in global order.
         behavior_name = _Namer("beh")
         process_name = _Namer("proc")
+        memory_name = _Namer("mem")
         self._env_untimed: Dict[str, object] = {}
         group: List[tuple] = []
         for node in layout.order:

@@ -28,6 +28,7 @@ from time import perf_counter as _perf
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.errors import DeadlockError, ModelError, SimulationError
+from ..core.memory import memories, restore_memories, save_memories
 from ..core.process import Port, TimedProcess, UntimedProcess
 from ..core.sfg import SFG, Assignment
 from ..core.signal import Sig
@@ -130,6 +131,7 @@ class CycleScheduler:
         self.cycle = 0
         self.timed = system.timed_processes()
         self.untimed = system.untimed_processes()
+        self._memories = memories(self.untimed)
         if not self.timed:
             raise ModelError(
                 "the cycle scheduler needs at least one timed description; "
@@ -384,10 +386,11 @@ class CycleScheduler:
     def save_state(self) -> Dict[str, object]:
         """Deterministic checkpoint of all simulator state.
 
-        Captures register current/next values, FSM states, clock and
-        cycle counters.  The snapshot is an opaque dict for
-        :meth:`restore_state`; values are immutable, so the checkpoint
-        stays valid while simulation continues.
+        Captures register current/next values, FSM states, every
+        memory's contents, clock and cycle counters.  The snapshot is an
+        opaque dict for :meth:`restore_state`; values are immutable and
+        the memories are copied, so the checkpoint stays valid while
+        simulation continues.
         """
         return {
             "cycle": self.cycle,
@@ -400,10 +403,12 @@ class CycleScheduler:
                 process.fsm.current.name if process.fsm is not None else None
                 for process in self.timed
             ],
+            "memories": save_memories(self._memories),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Restore a checkpoint taken with :meth:`save_state`."""
+        restore_memories(self._memories, state["memories"])
         self.cycle = state["cycle"]
         for clock, count in zip(self.clocks, state["clocks"]):
             clock.cycle = count

@@ -230,14 +230,16 @@ class GateSimulator:
         #: faults) and nets whose settled value is inverted during
         #: propagation (transient bit flips), each on a lane subset.
         #: ``_forces[net]`` is ``(set_mask, bits)`` — lanes in *set_mask*
-        #: read the corresponding bit of *bits*; ``_flips[net]`` is an
-        #: xor mask.  Managed with :meth:`force`, :meth:`flip` and
-        #: :meth:`release`.
+        #: read the corresponding bit of *bits*, and a bit outside the
+        #: simulator's lanes or outside *set_mask* means nothing (the
+        #: plan masks them); ``_flips[net]`` is an xor mask.  Managed
+        #: with :meth:`force`, :meth:`flip` and :meth:`release`.
         self._forces: Dict[Net, Tuple[int, int]] = {}
         self._flips: Dict[Net, int] = {}
-        #: The saboteurs grouped by the level of their net; None when
-        #: they changed since the last settle.
-        self._overrides: Optional[Dict[int, List[_Override]]] = None
+        #: The saboteurs as the kernel applies them (here grouped by the
+        #: level of their net); None when they changed since the last
+        #: settle.
+        self._overrides = None
         # The buses in chunks of at most 64 nets, pins first: chunk c is
         # nets ``nets[starts[c]:starts[c + 1]]``.
         starts: List[int] = [0]
@@ -375,18 +377,22 @@ class GateSimulator:
         ``forces[net] = (lanes, bits)`` holds the lanes in mask *lanes*
         of *net* at the matching bits of *bits*, as :meth:`force` does
         with one value; each net keeps one override, whatever its lanes.
+        With no force armed, the table takes *forces* as they are, in
+        one dict copy (lanes are masked when the plan is made), so a
+        fault campaign's chunk costs no Python pass here.
         """
         if forces and not (min(forces) >= 0
                            and max(forces) < len(self._schedule.level_of)):
             for net in forces:
                 self._check_net(net)
         table = self._forces
-        all_mask = self.lane_mask
-        for net, (lanes, bits) in forces.items():
-            lanes &= all_mask
-            set_mask, old_bits = table.get(net, (0, 0))
-            table[net] = (set_mask | lanes, (old_bits & ~lanes)
-                          | (bits & lanes))
+        if not table:
+            table.update(forces)
+        else:
+            for net, (lanes, bits) in forces.items():
+                set_mask, old_bits = table.get(net, (0, 0))
+                table[net] = (set_mask | lanes, (old_bits & ~lanes)
+                              | (bits & lanes))
         self._overrides = None
 
     def flip(self, net: Net, lanes: Optional[Iterable[int]] = None) -> None:
@@ -430,7 +436,7 @@ class GateSimulator:
             got = self._forces.get(target)
             if got is not None:
                 set_mask, bits = got
-                set_mask &= ~lm
+                set_mask &= ~lm & self.lane_mask
                 if set_mask:
                     self._forces[target] = (set_mask, bits & set_mask)
                 else:
@@ -452,11 +458,13 @@ class GateSimulator:
         """
         level_of = self._schedule.level_of
         forces, flips = self._forces, self._flips
+        all_mask = self.lane_mask
         plan: Dict[int, List[_Override]] = {}
         for net, (set_mask, bits) in forces.items():
+            set_mask &= all_mask
             flip = flips.get(net, 0) & ~set_mask
             plan.setdefault(level_of[net], []).append(
-                (net, ~set_mask, bits, flip))
+                (net, ~set_mask, bits & set_mask, flip))
         for net, flip in flips.items():
             if net not in forces:
                 plan.setdefault(level_of[net], []).append((net, -1, 0, flip))
@@ -892,15 +900,26 @@ class _NativeGateSimulator(GateSimulator):
         return raws
 
     def _arm(self) -> None:
-        """The armed saboteurs as the kernel's override arrays."""
-        plan = self._overrides = self._plan_overrides()
+        """The armed saboteurs as the kernel's override arrays.
+
+        One pass over the nets in level order writes ``(level, net)``
+        and ``(keep, bits, flip)`` per net, as :meth:`_plan_overrides`
+        plans them: a force beats a flip on the same (net, lane).
+        """
+        level_of = self._schedule.level_of
+        forces, flips = self._forces, self._flips
+        nets = forces.keys() | flips.keys() if flips else forces
+        all_mask = self.lane_mask
         where, words = [], []
-        for level in sorted(plan):
-            for net, keep, bits, flip in plan[level]:
-                where += (level, net)
-                words += (keep & _WORD, bits, flip)
+        for net in sorted(nets, key=level_of.__getitem__):
+            set_mask, bits = forces.get(net, (0, 0))
+            set_mask &= all_mask
+            where += (level_of[net], net)
+            words += (_WORD ^ set_mask, bits & set_mask,
+                      flips.get(net, 0) & ~set_mask)
         where, words = array("i", where), array("Q", words)
-        self._ov_buffers = (where, words)  # alive while the kernel reads them
+        # Alive while the kernel reads them.
+        self._overrides = (where, words)
         sim = self._sim
         sim.overrides = len(where) // 2
         sim.ov = _address(where)
@@ -941,7 +960,8 @@ class _NativeGateSimulator(GateSimulator):
         return record
 
     def save_state(self) -> Dict[str, object]:
-        values = self.values.tolist()
+        # One buffer copy; a _Words still equals the list of net words.
+        values = _Words("Q", self.values)
         held = self._buffers
         nets, driven, is_held = \
             held["held_nets"], held["held_values"], held["is_held"]
@@ -952,6 +972,9 @@ class _NativeGateSimulator(GateSimulator):
         return {"cycle": self.cycle, "values": values, "lanes": self.lanes}
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        self.values[:] = array("Q", self._checkpoint_values(state))
+        values = self._checkpoint_values(state)
+        if not (isinstance(values, array) and values.typecode == "Q"):
+            values = array("Q", values)  # a Python kernel's checkpoint
+        self.values[:] = values  # one buffer copy
         self.cycle = state["cycle"]
         self._lib.gk_restored(self._ptr)

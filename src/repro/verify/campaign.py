@@ -289,11 +289,14 @@ class FaultCampaign:
         """Simulate up to ``sim.lanes`` faults in one word-parallel replay.
 
         Lane L carries fault L.  The stuck-at faults are armed in one
-        pass, one override per net; a transient fault splits the replay
-        at its cycle (flip, run that cycle, release).  The replay claims,
-        per lane, the first (cycle, output) whose lane-packed bus word
-        differs from the golden bit pattern — outputs checked in the same
-        order as the scalar path, so the recorded fields match it exactly.
+        pass over the chunk, one override per net, which the released
+        simulator takes as its force table; the native kernel's override
+        arrays are then written in one pass in level order.  A transient
+        fault splits the replay at its cycle (flip, run that cycle,
+        release).  The replay claims, per lane, the first (cycle, output)
+        whose lane-packed bus word differs from the golden bit pattern —
+        outputs checked in the same order as the scalar path, so the
+        recorded fields match it exactly.
         """
         sim.release()
         sim.restore_state(initial)
