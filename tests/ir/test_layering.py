@@ -1,8 +1,15 @@
-"""The back-end layering contract, enforced as a test and in CI."""
+"""The import-layering contracts, enforced as a test and in CI.
+
+Seeded trees go through the script's own entry point,
+``main((root,))``, so each case checks what CI checks: the exit status
+and the violations printed.
+"""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
@@ -16,29 +23,54 @@ def _load_checker():
     return module
 
 
+def _tree(root, files):
+    """Write *files* (``"sub/module.py"`` -> source) under
+    ``root/src/repro``, each subpackage with an ``__init__.py``."""
+    pkg = root / "src" / "repro"
+    for name, source in files.items():
+        path = pkg / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        (path.parent / "__init__.py").touch()
+        path.write_text(source)
+
+
+def _check(root, capsys):
+    """Run the checker on *root*: its exit status and the violations it
+    printed, one per line."""
+    status = _load_checker().main((str(root),))
+    out = capsys.readouterr().out
+    return status, [line.strip() for line in out.splitlines()
+                    if line.startswith("  ")]
+
+
+def _flags(root, capsys, location, *named):
+    """Assert that the checker fails on *root* and that every violation
+    it prints is at *location* (``"repro/sub/module.py:line"``) and
+    names each of *named*."""
+    status, violations = _check(root, capsys)
+    assert status == 1 and violations
+    for message in violations:
+        assert message.startswith(location + ":"), violations
+        assert all(name in message for name in named), violations
+
+
 def test_no_private_cross_layer_imports():
     checker = _load_checker()
     violations = checker.check_tree(REPO / "src")
     assert violations == [], "\n".join(violations)
 
 
-def test_checker_catches_a_violation(tmp_path):
+def test_checker_catches_a_violation(tmp_path, capsys):
     """The tool itself must flag a private cross-layer import."""
-    checker = _load_checker()
-    pkg = tmp_path / "repro"
-    for layer in ("hdl", "sim", "synth"):
-        (pkg / layer).mkdir(parents=True)
-        (pkg / layer / "__init__.py").write_text("")
-    (pkg / "hdl" / "gen.py").write_text(
-        "from ..sim.compiled import _PyEmitter\n")
-    violations = checker.check_tree(tmp_path)
-    assert len(violations) == 1
-    assert "_PyEmitter" in violations[0]
+    _tree(tmp_path, {"hdl/gen.py": "from ..sim.compiled import _PyEmitter\n",
+                     "sim/compiled.py": "", "synth/flow.py": ""})
+    _flags(tmp_path, capsys, "repro/hdl/gen.py:1", "'_PyEmitter'",
+           "repro.sim.compiled")
 
     # A public cross-layer import stays allowed.
-    (pkg / "hdl" / "gen.py").write_text(
-        "from ..sim.compiled import CompiledSimulator\n")
-    assert checker.check_tree(tmp_path) == []
+    _tree(tmp_path, {"hdl/gen.py":
+                     "from ..sim.compiled import CompiledSimulator\n"})
+    assert _check(tmp_path, capsys) == (0, [])
 
 
 def test_lint_layer_contract_holds():
@@ -47,31 +79,25 @@ def test_lint_layer_contract_holds():
     assert violations == [], "\n".join(violations)
 
 
-def test_lint_layer_checker_catches_violations(tmp_path):
+def test_lint_layer_checker_catches_violations(tmp_path, capsys):
     """repro.lint may import only core/ir/fixpt, and no back-end may
     import repro.lint."""
-    checker = _load_checker()
-    pkg = tmp_path / "repro"
-    for sub in ("lint", "core", "sim", "hdl", "synth"):
-        (pkg / sub).mkdir(parents=True)
-        (pkg / sub / "__init__.py").write_text("")
+    _tree(tmp_path, {f"{sub}/__init__.py": ""
+                     for sub in ("lint", "core", "sim", "hdl", "synth")})
 
     # The linter reaching into a back-end is a violation.
-    (pkg / "lint" / "rules.py").write_text(
-        "from ..sim.compiled import CompiledSimulator\n")
-    violations = checker.check_lint_layer(tmp_path)
-    assert len(violations) == 1 and "repro.lint imports" in violations[0]
+    _tree(tmp_path, {"lint/rules.py":
+                     "from ..sim.compiled import CompiledSimulator\n"})
+    _flags(tmp_path, capsys, "repro/lint/rules.py:1", "repro.sim.compiled")
 
     # A back-end importing the linter is a violation.
-    (pkg / "lint" / "rules.py").write_text("from ..core.sfg import SFG\n")
-    (pkg / "sim" / "engine.py").write_text("import repro.lint\n")
-    violations = checker.check_lint_layer(tmp_path)
-    assert len(violations) == 1
-    assert "must not depend on repro.lint" in violations[0]
+    _tree(tmp_path, {"lint/rules.py": "from ..core.sfg import SFG\n",
+                     "sim/engine.py": "import repro.lint\n"})
+    _flags(tmp_path, capsys, "repro/sim/engine.py:1", "repro.lint")
 
     # The allowed dependencies are quiet.
-    (pkg / "sim" / "engine.py").write_text("from ..core.sfg import SFG\n")
-    assert checker.check_lint_layer(tmp_path) == []
+    _tree(tmp_path, {"sim/engine.py": "from ..core.sfg import SFG\n"})
+    assert _check(tmp_path, capsys) == (0, [])
 
 
 def test_obs_layer_contract_holds():
@@ -80,33 +106,26 @@ def test_obs_layer_contract_holds():
     assert violations == [], "\n".join(violations)
 
 
-def test_obs_layer_checker_catches_violations(tmp_path):
+def test_obs_layer_checker_catches_violations(tmp_path, capsys):
     """repro.obs may import only core/ir/fixpt, and no model layer
     (core/ir/fixpt) may import repro.obs; engines may."""
-    checker = _load_checker()
-    pkg = tmp_path / "repro"
-    for sub in ("obs", "core", "ir", "fixpt", "sim"):
-        (pkg / sub).mkdir(parents=True)
-        (pkg / sub / "__init__.py").write_text("")
+    _tree(tmp_path, {f"{sub}/__init__.py": ""
+                     for sub in ("obs", "core", "ir", "fixpt", "sim")})
 
     # The observability layer reaching into an engine is a violation.
-    (pkg / "obs" / "capture.py").write_text(
-        "from ..sim.cycle import CycleScheduler\n")
-    violations = checker.check_obs_layer(tmp_path)
-    assert len(violations) == 1 and "repro.obs imports" in violations[0]
+    _tree(tmp_path, {"obs/capture.py":
+                     "from ..sim.cycle import CycleScheduler\n"})
+    _flags(tmp_path, capsys, "repro/obs/capture.py:1", "repro.sim.cycle")
 
     # A model layer importing obs is a violation.
-    (pkg / "obs" / "capture.py").write_text("from ..core.sfg import SFG\n")
-    (pkg / "core" / "signal.py").write_text("import repro.obs\n")
-    violations = checker.check_obs_layer(tmp_path)
-    assert len(violations) == 1
-    assert "must not depend on repro.obs" in violations[0]
+    _tree(tmp_path, {"obs/capture.py": "from ..core.sfg import SFG\n",
+                     "core/signal.py": "import repro.obs\n"})
+    _flags(tmp_path, capsys, "repro/core/signal.py:1", "repro.obs")
 
     # An engine importing obs is the intended direction — quiet.
-    (pkg / "core" / "signal.py").write_text("")
-    (pkg / "sim" / "cycle.py").write_text(
-        "from ..obs.capture import Capture\n")
-    assert checker.check_obs_layer(tmp_path) == []
+    _tree(tmp_path, {"core/signal.py": "",
+                     "sim/cycle.py": "from ..obs.capture import Capture\n"})
+    assert _check(tmp_path, capsys) == (0, [])
 
 
 def test_lane_layer_contract_holds():
@@ -115,36 +134,86 @@ def test_lane_layer_contract_holds():
     assert violations == [], "\n".join(violations)
 
 
-def test_lane_layer_checker_catches_violations(tmp_path):
+def test_lane_layer_checker_catches_violations(tmp_path, capsys):
     """core/ir/fixpt/lint stay lane-agnostic: no engine imports, no
     lane/batch-named definitions; engines own that machinery."""
-    checker = _load_checker()
-    pkg = tmp_path / "repro"
-    for sub in ("core", "ir", "fixpt", "lint", "sim", "synth", "verify"):
-        (pkg / sub).mkdir(parents=True)
-        (pkg / sub / "__init__.py").write_text("")
+    _tree(tmp_path, {f"{sub}/__init__.py": "" for sub in (
+        "core", "ir", "fixpt", "lint", "sim", "synth", "verify")})
 
     # A scalar-semantics layer importing an engine is a violation.
-    (pkg / "ir" / "ops.py").write_text(
-        "from ..sim.batched import BatchedCompiledSimulator\n")
-    violations = checker.check_lane_layer(tmp_path)
-    assert violations and "must not depend on an engine" in violations[0]
-    (pkg / "ir" / "ops.py").write_text("")
+    _tree(tmp_path, {"ir/ops.py":
+                     "from ..sim.batched import BatchedCompiledSimulator\n"})
+    _flags(tmp_path, capsys, "repro/ir/ops.py:1", "repro.sim.batched")
+    _tree(tmp_path, {"ir/ops.py": ""})
 
     # Lane/batch-named machinery in a scalar layer is a violation —
     # whether a function, an argument or an assigned attribute.
-    (pkg / "core" / "signal.py").write_text(
-        "def evaluate(lane_count):\n    pass\n")
-    violations = checker.check_lane_layer(tmp_path)
-    assert len(violations) == 1 and "lane_count" in violations[0]
+    _tree(tmp_path, {"core/signal.py":
+                     "def evaluate(lane_count):\n    pass\n"})
+    _flags(tmp_path, capsys, "repro/core/signal.py:1", "'lane_count'")
 
-    (pkg / "core" / "signal.py").write_text(
-        "class Sig:\n    def __init__(self):\n        self.batch = 1\n")
-    violations = checker.check_lane_layer(tmp_path)
-    assert len(violations) == 1 and "'batch'" in violations[0]
+    _tree(tmp_path, {"core/signal.py":
+                     "class Sig:\n    def __init__(self):\n"
+                     "        self.batch = 1\n"})
+    _flags(tmp_path, capsys, "repro/core/signal.py:3", "'batch'")
 
     # The same names inside an engine package are the intended home.
-    (pkg / "core" / "signal.py").write_text("")
-    (pkg / "sim" / "batched.py").write_text(
-        "def step_lanes(lanes):\n    batch = lanes\n    return batch\n")
-    assert checker.check_lane_layer(tmp_path) == []
+    _tree(tmp_path, {"core/signal.py": "",
+                     "sim/batched.py": "def step_lanes(lanes):\n"
+                                       "    batch = lanes\n"
+                                       "    return batch\n"})
+    assert _check(tmp_path, capsys) == (0, [])
+
+
+#: One import per case: (contract, importing file, its source, the
+#: dotted module the violation names).
+SEEDED = [
+    (5, "verify/campaign.py", "from ..runner import Runner\n",
+     "repro.runner"),
+    (6, "ir/lower.py", "from ..lint.interval import analyze\n",
+     "repro.lint.interval"),
+    (6, "ir/equiv.py", "from ..lint.rules_sfg import DanglingInput\n",
+     "repro.lint.rules_sfg"),
+    (6, "sim/compiled.py", "from ..ir.equiv import check_blocks\n",
+     "repro.ir.equiv"),
+    (7, "lint/bits.py", "from .linter import Linter\n",
+     "repro.lint.linter"),
+    (7, "lint/bits.py", "from ..sim.compiled import CompiledSimulator\n",
+     "repro.sim.compiled"),
+    (7, "hdl/vhdl.py", "from ..lint.bits import narrow_block\n",
+     "repro.lint.bits"),
+    (8, "obs/spans.py", "from ..ir.ops import Op\n", "repro.ir.ops"),
+]
+
+
+@pytest.mark.parametrize(
+    "contract, importer, source, target", SEEDED,
+    ids=[f"{contract}-{importer}-{target}"
+         for contract, importer, source, target in SEEDED])
+def test_seeded_violation_is_flagged(tmp_path, capsys, contract, importer,
+                                     source, target):
+    _tree(tmp_path, {importer: source})
+    _flags(tmp_path, capsys, f"repro/{importer}:1", target)
+
+
+#: Edges the contracts sanction: each must stay quiet.
+ALLOWED = [
+    ("runner/jobs.py", "from ..verify import FaultCampaign\n"
+                       "from ..ir.equiv import check_blocks\n"),
+    ("ir/equiv.py", "from ..lint.interval import analyze\n"
+                    "from .ops import Op\n"),
+    ("ir/passes.py", "from ..lint.bits import narrow_block\n"
+                     "from .equiv import check_blocks\n"),
+    ("sim/compiled.py", "from ..ir.passes import PassManager\n"),
+    ("lint/bits.py", "from .interval import Interval\n"
+                     "from ..ir.ops import Op\n"),
+    ("obs/spans.py", "from ..core.errors import ReproError\n"
+                     "from .metrics import MetricsRegistry\n"),
+]
+
+
+@pytest.mark.parametrize("importer, source", ALLOWED,
+                         ids=[importer for importer, _ in ALLOWED])
+def test_sanctioned_edge_is_quiet(tmp_path, capsys, importer, source):
+    _tree(tmp_path, {importer: source})
+    assert _check(tmp_path, capsys) == (0, [])
