@@ -26,11 +26,11 @@ from repro.core import (
     Sig,
     System,
     TimedProcess,
-    check_system,
     cnd,
 )
 from repro.fixpt import FxFormat
 from repro.hdl import generate_vhdl, line_count
+from repro.lint import Linter
 from repro.sim import CompiledSimulator, CycleScheduler, EventSimulator, PortLog
 from repro.synth import component_report, synthesize_process, verify_component
 
@@ -89,10 +89,11 @@ def lint_targets():
 def main():
     system, x_pin, h_pin, acc = build_design()
 
-    print("== semantic checks ==")
-    for issue in check_system(system):
-        print(" ", issue)
-    print("  (clean)" if not check_system(system) else "")
+    print("== semantic checks (lint) ==")
+    diagnostics = Linter().lint_system(system)
+    for diagnostic in diagnostics:
+        print(" ", diagnostic)
+    print("  (clean)" if not diagnostics else "")
 
     print("\n== interpreted simulation (cycle scheduler) ==")
     scheduler = CycleScheduler(system)

@@ -4,8 +4,8 @@ the design of complex high-speed ASICs (Schaumont et al., DAC 1998).
 Subpackages
 -----------
 ``repro.core``
-    The design-capture DSL: signals, signal flow graphs, FSMs, processes,
-    systems, and semantic checks.
+    The design-capture DSL: signals, signal flow graphs, FSMs, processes
+    and systems.  Their semantic checks run in ``repro.lint``.
 ``repro.fixpt``
     The fixed-point (finite wordlength) modeling library.
 ``repro.sim``

@@ -8,7 +8,6 @@ processes assembled into a :class:`System` are simulated by the schedulers
 in :mod:`repro.sim` and translated to HDL by :mod:`repro.hdl`.
 """
 
-from .checks import Issue, assert_clean, check_fsm, check_sfg, check_system
 from .clock import Clock
 from .errors import (
     CheckError,
@@ -70,7 +69,6 @@ __all__ = [
     "Expr",
     "FSM",
     "FxOverflowError",
-    "Issue",
     "ModelError",
     "is_transient",
     "Mux",
@@ -94,13 +92,9 @@ __all__ = [
     "UntimedProcess",
     "actor",
     "always",
-    "assert_clean",
     "bit",
     "bits",
     "cast",
-    "check_fsm",
-    "check_sfg",
-    "check_system",
     "cnd",
     "concat",
     "eq",

@@ -1,7 +1,7 @@
 """Pluggable static analysis for repro designs.
 
-The lint framework subsumes the historical ``repro.core.checks`` module:
-rules are classes registered with :func:`repro.lint.rule.register`, the
+The paper's semantic checks (§3.1) run here, and only here: rules are
+classes registered with :func:`repro.lint.rule.register`, the
 :class:`Linter` drives them over SFGs, FSMs, processes, and whole
 systems, and every :class:`Diagnostic` carries a stable code, a
 severity, the offending design object, and the exact ``file:line`` where

@@ -1,10 +1,9 @@
 """FSM-scope rules: reachability, determinism, and condition legality.
 
-Beyond the historical checks, this module implements the determinism
-analysis the old ``check_fsm`` docstring promised but never performed:
-guard conditions are expressions over registered signals with known
-fixed-point formats, so for small state spaces the linter *enumerates*
-every register valuation and decides satisfiability exactly — reporting
+Beyond reachability, this module decides determinism: guard conditions
+are expressions over registered signals with known fixed-point formats,
+so for small state spaces the linter *enumerates* every register
+valuation and decides satisfiability exactly — reporting
 overlapping guards (priority order silently decides) and states whose
 guards can all be false at once (a run-time ``SimulationError``).
 """

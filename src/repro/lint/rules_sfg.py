@@ -1,8 +1,8 @@
 """SFG-scope rules: the paper's semantic checks, with source locations.
 
-These subsume the historical ``core/checks.py`` SFG checks (paper §3.1:
-dangling input and dead code detection) — each finding now points at the
-exact modeling line that caused it.
+The paper's §3.1 checks (dangling input and dead code detection) and
+their structural neighbours; each finding points at the exact modeling
+line that caused it.
 """
 
 from __future__ import annotations

@@ -113,34 +113,3 @@ class TestDriver:
         found = by_code(Linter().lint_system(system), "L103")
         assert len(found) == 1
 
-
-class TestLegacyShim:
-    def test_issue_codes_match_diagnostic_names(self):
-        from repro.core import check_sfg
-
-        sfg, _b = dangling_sfg()
-        issues = check_sfg(sfg)
-        assert {issue.code for issue in issues} == {"dangling-input"}
-        assert all(issue.severity in (ERROR, WARNING) for issue in issues)
-
-    def test_info_diagnostics_dropped(self):
-        from repro.core import check_sfg
-
-        x, y = Sig("x", F), Sig("y", F)
-        sfg = SFG("t")
-        with sfg:
-            y <<= x * 0  # L404 (info) in the lint API
-        sfg.inp(x).out(y)
-        assert "L404" in codes(Linter().lint_sfg(sfg))
-        assert {i.code for i in check_sfg(sfg)} == set()
-
-    def test_fsm_shim_exposes_determinism_checks(self):
-        from repro.core import BOOL, FSM, check_fsm, cnd
-
-        clk = Clock()
-        go = Register("go", clk, BOOL)
-        f = FSM("f")
-        s0 = f.initial("s0")
-        s0 << cnd(go) << s0  # incomplete: no transition when go == 0
-        issues = check_fsm(f)
-        assert "incomplete-transitions" in {issue.code for issue in issues}
