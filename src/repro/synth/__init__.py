@@ -27,7 +27,7 @@ from .flow import (
 from .gates import AREA, GateKind
 from .gatesim import GateSimulator
 from .logic import Cube, cover_evaluates, literal_count, minimize, sop_to_gates
-from .netlist import Gate, Netlist
+from .netlist import Netlist
 from .optimize import optimize_netlist
 from .report import (
     RAM_MACRO_GATES,
@@ -42,7 +42,6 @@ __all__ = [
     "ControllerResult",
     "Cube",
     "ExprSynthesizer",
-    "Gate",
     "GateKind",
     "GateSimulator",
     "NetlistCounterexample",

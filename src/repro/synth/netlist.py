@@ -11,9 +11,7 @@ nets ``gate_inputs[i]`` (a tuple of ints), output net ``gate_outputs[i]``
 and initial state ``gate_inits[i]``.  Ints, a bytearray and tuples of
 ints are nothing the garbage collector walks once it has seen them, so a
 synthesized design holds a few tracked containers per netlist instead of
-one object per gate.  :class:`Gate` objects are built on demand for the
-callers that read :attr:`Netlist.gates`, :meth:`~Netlist.driver`,
-:meth:`~Netlist.fanout` or :meth:`~Netlist.levelize`.
+one object per gate.
 """
 
 from __future__ import annotations
@@ -36,38 +34,13 @@ _AREA = tuple(AREA[kind] for kind in KINDS)
 
 
 class Gate:
-    """One cell instance, as a read-only record.
+    """One cell of a netlist pickled before gates were stored by column.
 
-    A netlist hands these out built from its columns; change a netlist
-    through :meth:`Netlist.add` only.  Assigning a field raises
-    :class:`AttributeError`.
+    Such a pickle holds one of these per gate; :meth:`Netlist.__setstate__`
+    reads them to rebuild the columns.  Nothing else makes one.
     """
 
     __slots__ = ("kind", "inputs", "output", "init")
-
-    def __init__(self, kind: GateKind, inputs: Tuple[Net, ...], output: Net,
-                 init: int = 0):
-        _set = object.__setattr__
-        _set(self, "kind", kind)
-        _set(self, "inputs", inputs)
-        _set(self, "output", output)
-        _set(self, "init", init)  # DFF initial state
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Gate.{name} is read-only: change the netlist "
-                             f"through Netlist.add")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Gate.{name} is read-only")
-
-    def __setstate__(self, state: Tuple[None, Dict[str, object]]) -> None:
-        # A pickled gate (an older netlist pickle holds one per gate)
-        # carries its fields as the slot state.
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
-
-    def __repr__(self) -> str:
-        return f"{self.kind.value}({', '.join(map(str, self.inputs))}) -> {self.output}"
 
 
 #: One run of a level: ``(kind, cells)``, where *cells* holds one flat
@@ -173,16 +146,14 @@ class Netlist:
     ``gate_kinds`` (a bytearray of kind codes), ``gate_inputs``,
     ``gate_outputs`` and ``gate_inits`` hold one entry per gate, in the
     order :meth:`add` received them; only :meth:`add` changes them.
-    :meth:`levelize` and :meth:`schedule` are memoized, and so are the
-    :class:`Gate` records of :attr:`gates`; :meth:`add` clears all three
-    and pickles leave them out, so a netlist pickles to the same bytes
-    whether or not it has been levelized, simulated or read gate by
-    gate.
+    :meth:`levelize_indices` and :meth:`schedule` are memoized;
+    :meth:`add` clears both and pickles leave them out, so a netlist
+    pickles to the same bytes whether or not it has been levelized or
+    simulated.
     """
 
     _order: Optional[List[int]] = None
     _schedule: Optional[LevelSchedule] = None
-    _gates: Optional[List[Gate]] = None
 
     def __init__(self, name: str):
         self.name = name
@@ -244,8 +215,6 @@ class Netlist:
         self.gate_inits.append(init)
         if self._order is not None:  # the schedule needs the order
             self._order = self._schedule = None
-        if self._gates is not None:
-            self._gates = None
         return output
 
     def const(self, value: int) -> Net:
@@ -291,54 +260,11 @@ class Netlist:
         copy._const0, copy._const1 = self._const0, self._const1
         return copy
 
-    # -- gates as records ---------------------------------------------------------
-
-    @property
-    def gates(self) -> List[Gate]:
-        """Every gate as a :class:`Gate`, in :meth:`add` order.
-
-        Built on first read and kept until the next :meth:`add`, so this
-        list, :meth:`driver`, :meth:`dffs` and :meth:`levelize` hand out
-        the same records in between.
-        """
-        if self._gates is None:
-            self._gates = [
-                Gate(KINDS[code], inputs, output, init)
-                for code, inputs, output, init in zip(
-                    self.gate_kinds, self.gate_inputs, self.gate_outputs,
-                    self.gate_inits)
-            ]
-        return self._gates
-
-    def driver(self, net: Net) -> Optional[Gate]:
-        """The gate driving *net* (None for primary inputs)."""
-        index = self._driver.get(net)
-        return None if index is None else self.gates[index]
+    # -- queries ----------------------------------------------------------------------
 
     def driver_index(self, net: Net) -> Optional[int]:
         """The index of the gate driving *net* (None for primary inputs)."""
         return self._driver.get(net)
-
-    def dffs(self) -> List[Gate]:
-        """All sequential cells."""
-        gates = self.gates
-        return [gates[index] for index in self.indices(GateKind.DFF)]
-
-    def combinational(self) -> List[Gate]:
-        """All combinational cells."""
-        gates = self.gates
-        return [gates[index] for index, code in enumerate(self.gate_kinds)
-                if code != _DFF]
-
-    def fanout(self) -> Dict[Net, List[Gate]]:
-        """Map every net to the gates reading it (its fanout set)."""
-        table: Dict[Net, List[Gate]] = {}
-        for gate in self.gates:
-            for net in gate.inputs:
-                table.setdefault(net, []).append(gate)
-        return table
-
-    # -- queries ----------------------------------------------------------------------
 
     def indices(self, kind: GateKind) -> List[int]:
         """Indices of the gates of *kind*, in gate order."""
@@ -379,19 +305,15 @@ class Netlist:
             return f"n{net}:{KINDS[self.gate_kinds[index]].value}"
         return f"n{net}"
 
-    def levelize(self) -> List[Gate]:
-        """Combinational gates in topological order (a fresh list).
+    def levelize_indices(self) -> List[int]:
+        """The combinational gates' indices in topological order
+        (memoized: do not mutate).
 
         DFF outputs and primary inputs are level-0 sources.  The order is
-        a depth-first post-order from each gate in :attr:`gates` order,
-        visiting a gate's drivers in input order; netlist rewrites depend
-        on it.  Raises :class:`SynthesisError` on a combinational cycle.
+        a depth-first post-order from each gate in gate order, visiting a
+        gate's drivers in input order; netlist rewrites depend on it.
+        Raises :class:`SynthesisError` on a combinational cycle.
         """
-        gates = self.gates
-        return [gates[index] for index in self.levelize_indices()]
-
-    def levelize_indices(self) -> List[int]:
-        """:meth:`levelize` as gate indices (memoized: do not mutate)."""
         if self._order is None:
             self._order = self._levelize()
         return self._order
@@ -476,7 +398,6 @@ class Netlist:
         state = self.__dict__.copy()
         state.pop("_order", None)
         state.pop("_schedule", None)
-        state.pop("_gates", None)
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:

@@ -74,7 +74,7 @@ def test_register_names_stay_with_their_component():
 
 
 def test_copies_share_no_object():
-    """No netlist, gate, gate column, bus or name table is shared — within
+    """No netlist, gate column, bus or name table is shared — within
     one call between a copy and its original, nor between two calls, so
     every call builds cold."""
     system = _counters(("alpha", 8), ("beta", 8))
@@ -83,11 +83,11 @@ def test_copies_share_no_object():
     netlists = [*once.values(), *twice.values()]
     seen = set()
     for netlist in netlists:
-        parts = [netlist, netlist.gates, netlist.gate_kinds,
-                 netlist.gate_inputs, netlist.gate_outputs,
-                 netlist.gate_inits, netlist.net_names, netlist.inputs,
-                 netlist.outputs, netlist._driver, *netlist.gates,
-                 *netlist.inputs.values(), *netlist.outputs.values()]
+        parts = [netlist, netlist.gate_kinds, netlist.gate_inputs,
+                 netlist.gate_outputs, netlist.gate_inits,
+                 netlist.net_names, netlist.inputs, netlist.outputs,
+                 netlist._driver, *netlist.inputs.values(),
+                 *netlist.outputs.values()]
         ids = {id(part) for part in parts}
         assert not ids & seen
         seen |= ids

@@ -11,9 +11,10 @@
   the logic sees while armed.
 * A simulator of at most 64 lanes runs the native kernel wherever a C
   compiler exists, so a broken build cannot pass on the fallback.
-* ``Netlist.levelize`` yields the order of the recursive depth-first
-  search it replaced (kept here as the reference); the level schedule is
-  memoized per netlist, cleared by ``add`` and left out of pickles.
+* ``Netlist.levelize_indices`` yields the order of the recursive
+  depth-first search it replaced (kept here as the reference); the level
+  schedule is memoized per netlist, cleared by ``add`` and left out of
+  pickles.
 """
 
 import base64
@@ -28,7 +29,7 @@ import pytest
 
 from repro.core import SimulationError, SynthesisError
 from repro.synth import GateKind, GateSimulator, Netlist, native
-from repro.synth.gates import ARITY, evaluate_gate_word
+from repro.synth.gates import ARITY, KINDS, evaluate_gate_word
 from repro.synth.gatesim import _NativeGateSimulator, _python_kernel
 
 COMB_KINDS = [
@@ -50,29 +51,34 @@ def both_kernels(test):
 
 
 def recursive_levelize(netlist):
-    """The recursive depth-first levelization ``Netlist.levelize`` keeps."""
+    """The recursive depth-first levelization ``Netlist.levelize_indices``
+    keeps, as gate indices."""
+    kinds, ins = netlist.gate_kinds, netlist.gate_inputs
+    dff = GateKind.DFF.code
     order = []
     state = {}
 
     def visit(gate):
-        mark = state.get(id(gate))
+        mark = state.get(gate)
         if mark == 2:
             return
         if mark == 1:
-            raise AssertionError(f"cycle through net {gate.output}")
-        state[id(gate)] = 1
-        for net in gate.inputs:
-            upstream = netlist.driver(net)
-            if upstream is not None and upstream.kind is not GateKind.DFF:
+            raise AssertionError(
+                f"cycle through net {netlist.gate_outputs[gate]}")
+        state[gate] = 1
+        for net in ins[gate]:
+            upstream = netlist.driver_index(net)
+            if upstream is not None and kinds[upstream] != dff:
                 visit(upstream)
-        state[id(gate)] = 2
+        state[gate] = 2
         order.append(gate)
 
     old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(netlist.gates) * 2 + 1000))
+    sys.setrecursionlimit(max(old_limit, len(kinds) * 2 + 1000))
     try:
-        for gate in netlist.combinational():
-            visit(gate)
+        for gate, code in enumerate(kinds):
+            if code != dff:
+                visit(gate)
     finally:
         sys.setrecursionlimit(old_limit)
     return order
@@ -83,9 +89,9 @@ def reference_depth(netlist):
     depth = {}
     for gate in recursive_levelize(netlist):
         level = 0
-        for net in gate.inputs:
+        for net in netlist.gate_inputs[gate]:
             level = max(level, depth.get(net, 0))
-        depth[gate.output] = level + 1
+        depth[netlist.gate_outputs[gate]] = level + 1
     return max(depth.values(), default=0)
 
 
@@ -100,12 +106,13 @@ class ReferenceSimulator:
         self.netlist = netlist
         self.mask = (1 << lanes) - 1
         self.order = recursive_levelize(netlist)
-        self.dffs = netlist.dffs()
+        self.dffs = netlist.indices(GateKind.DFF)
         self.values = [0] * netlist._net_count
         self.driven = {net: 0 for bus in netlist.inputs.values()
                        for net in bus}
         for dff in self.dffs:
-            self.driven[dff.output] = -(dff.init & 1) & self.mask
+            self.driven[netlist.gate_outputs[dff]] = \
+                -(netlist.gate_inits[dff] & 1) & self.mask
         self.forces = {}
         self.flips = {}
 
@@ -139,18 +146,22 @@ class ReferenceSimulator:
         return ((value & ~set_mask) | bits) ^ flip
 
     def settle(self):
-        values = self.values
+        netlist, values = self.netlist, self.values
+        kinds, ins, outs = (netlist.gate_kinds, netlist.gate_inputs,
+                            netlist.gate_outputs)
         for net, value in self.driven.items():
             values[net] = self._seen(net, value)
         for gate in self.order:
             value = evaluate_gate_word(
-                gate.kind, [values[n] for n in gate.inputs], self.mask)
-            values[gate.output] = self._seen(gate.output, value)
+                KINDS[kinds[gate]], [values[n] for n in ins[gate]],
+                self.mask)
+            values[outs[gate]] = self._seen(outs[gate], value)
 
     def clock(self):
-        sampled = [self.values[dff.inputs[0]] for dff in self.dffs]
+        ins, outs = self.netlist.gate_inputs, self.netlist.gate_outputs
+        sampled = [self.values[ins[dff][0]] for dff in self.dffs]
         for dff, value in zip(self.dffs, sampled):
-            self.driven[dff.output] = value
+            self.driven[outs[dff]] = value
 
 
 def random_netlist(seed, n_gates=70):
@@ -199,8 +210,10 @@ def test_kernel_matches_gate_by_gate_reference(seed, lanes):
     sim = GateSimulator(netlist, lanes=lanes)
     ref = ReferenceSimulator(netlist, lanes)
     pins = [net for bus in netlist.inputs.values() for net in bus]
-    state = [dff.output for dff in netlist.dffs()]
-    comb = [gate.output for gate in recursive_levelize(netlist)]
+    state = [netlist.gate_outputs[dff]
+             for dff in netlist.indices(GateKind.DFF)]
+    comb = [netlist.gate_outputs[gate]
+            for gate in recursive_levelize(netlist)]
     mask = (1 << lanes) - 1
     settled = []
     sim.monitors.append(lambda s: settled.append(list(s.values)))
@@ -415,7 +428,8 @@ def test_add_clears_the_memoized_schedule():
     sim.step({"a": 0})
     assert sim.output("z", signed=False) == 0
     assert nl.logic_depth() == 2
-    assert [g.output for g in nl.levelize()] == [y, z]
+    assert [nl.gate_outputs[gate] for gate in nl.levelize_indices()] == \
+        [y, z]
 
 
 def test_simulators_share_one_schedule():
@@ -437,7 +451,7 @@ def test_schedule_reports_cycles_added_after_it_was_memoized():
 def test_levelize_matches_recursive_reference_on_designs(design_netlists):
     assert len(design_netlists) > 20
     for netlist in design_netlists:
-        assert netlist.levelize() == recursive_levelize(netlist), \
+        assert netlist.levelize_indices() == recursive_levelize(netlist), \
             netlist.name
 
 
@@ -457,7 +471,7 @@ def test_levelize_deep_inverter_chain():
         nl.add(GateKind.INV, [nets[i - 1]], output=nets[i])
     nl.set_output("y", [nets[-1]])
     limit = sys.getrecursionlimit()
-    order = nl.levelize()
+    order = nl.levelize_indices()
     assert sys.getrecursionlimit() == limit
     assert order == recursive_levelize(nl)
     assert nl.logic_depth() == length

@@ -10,6 +10,8 @@ alter synthesis results records new digests and says why.
 
 import hashlib
 
+from repro.synth.gates import KINDS
+
 #: ``sha256(_dump(netlist))`` per component, in synthesis order.
 HCOR_DIGESTS = {
     "hcor": "d653b12ba94aedd3001ca8ca6d6d007ccd9498ffde4372ff0935fc4a0a8202c1",
@@ -44,9 +46,11 @@ DECT_DIGESTS = {
 
 def _dump(netlist):
     lines = [f"netlist {netlist.name}"]
-    for gate in netlist.gates:
-        lines.append(f"{gate.kind.value} {' '.join(map(str, gate.inputs))} "
-                     f"-> {gate.output} init {gate.init}")
+    for code, inputs, output, init in zip(
+            netlist.gate_kinds, netlist.gate_inputs, netlist.gate_outputs,
+            netlist.gate_inits):
+        lines.append(f"{KINDS[code].value} {' '.join(map(str, inputs))} "
+                     f"-> {output} init {init}")
     for net, name in netlist.net_names.items():
         lines.append(f"name {net} {name}")
     for direction, ports in (("in", netlist.inputs),

@@ -109,4 +109,4 @@ class TestOptimizeValidate:
         synthesis = synthesize_process(
             datapaths.build_sum(Clock("nl_eq_sum")),
             passes="aggressive", validate="sampled")
-        assert synthesis.netlist.dffs()
+        assert synthesis.netlist.indices(GateKind.DFF)

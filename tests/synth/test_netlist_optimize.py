@@ -31,9 +31,9 @@ class TestNetlist:
         a = nl.add_input("a", 1)
         x = nl.add(GateKind.INV, [a[0]])
         y = nl.add(GateKind.INV, [x])
-        order = nl.levelize()
-        position = {id(g): i for i, g in enumerate(order)}
-        assert position[id(nl.driver(x))] < position[id(nl.driver(y))]
+        order = nl.levelize_indices()
+        assert order.index(nl.driver_index(x)) < \
+            order.index(nl.driver_index(y))
 
     def test_levelize_detects_cycle(self):
         nl = Netlist("t")
@@ -41,14 +41,14 @@ class TestNetlist:
         nl.add(GateKind.INV, [n1], output=n2)
         nl.add(GateKind.INV, [n2], output=n1)
         with pytest.raises(SynthesisError, match="cycle"):
-            nl.levelize()
+            nl.levelize_indices()
 
     def test_dff_breaks_cycle(self):
         nl = Netlist("t")
         q = nl.new_net()
         d = nl.add(GateKind.INV, [q])
         nl.add(GateKind.DFF, [d], output=q)
-        nl.levelize()  # must not raise
+        nl.levelize_indices()  # must not raise
 
     def test_area_and_counts(self):
         nl = Netlist("t")
@@ -144,7 +144,7 @@ class TestOptimizer:
         nl.add(GateKind.DFF, [d], output=q, init=0)
         nl.set_output("q", [q])
         optimized = optimize_netlist(nl)
-        assert len(optimized.dffs()) == 1
+        assert len(optimized.indices(GateKind.DFF)) == 1
 
     def test_sequential_constant_removed(self):
         nl = Netlist("t")
@@ -154,7 +154,7 @@ class TestOptimizer:
         y = nl.add(GateKind.OR2, [q, a[0]])  # == a
         nl.set_output("y", [y])
         optimized = optimize_netlist(nl)
-        assert len(optimized.dffs()) == 0
+        assert len(optimized.indices(GateKind.DFF)) == 0
 
     def test_equivalence_random(self):
         """Optimized netlist computes the same function."""
@@ -216,7 +216,7 @@ class TestSequentialConstants:
 
         nl, _q1, _q2, _consts = self._stuck_pair()
         optimized = optimize_netlist(nl, validate="exhaustive")
-        assert not optimized.dffs()
+        assert not optimized.indices(GateKind.DFF)
         assert check_netlists(nl, optimized, mode="exhaustive").equivalent
 
     def test_toggling_dff_not_constant(self):
@@ -229,7 +229,7 @@ class TestSequentialConstants:
         nl.set_output("y", [q])
         assert q not in sequential_constants(nl)
         optimized = optimize_netlist(nl, validate="exhaustive")
-        assert len(optimized.dffs()) == 1
+        assert len(optimized.indices(GateKind.DFF)) == 1
 
     def test_input_driven_dff_not_constant(self):
         from repro.synth.optimize import sequential_constants
@@ -258,7 +258,7 @@ class TestSequentialConstants:
         consts = sequential_constants(nl)
         assert consts.get(stuck) == "0" and live not in consts
         optimized = optimize_netlist(nl, validate="exhaustive")
-        assert len(optimized.dffs()) == 1
+        assert len(optimized.indices(GateKind.DFF)) == 1
 
     def test_init_one_constant(self):
         from repro.synth.optimize import sequential_constants

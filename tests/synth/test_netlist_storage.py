@@ -4,17 +4,13 @@
 lists of input tuples, output nets and initial values.  Ints and tuples
 of ints are nothing the garbage collector walks once a collection has
 looked at them, so a synthesized design leaves it a few tracked objects
-per netlist, where one ``Gate`` object per cell would leave it one per
-gate (DESIGN.md §20).  The ``Gate`` records a netlist hands out are
-read-only, so no write can bypass the columns.
+per netlist, where one object per cell would leave it one per gate
+(DESIGN.md §20).
 """
 
 import gc
-import pickle
 
-import pytest
-
-from repro.synth import GateKind, Netlist, synthesize_system
+from repro.synth import synthesize_system
 
 
 def _tracked_reachable(roots):
@@ -46,28 +42,3 @@ def test_dect_netlists_hold_under_one_tracked_object_per_100_gates():
     gc.collect()
     assert _tracked_reachable(netlists) < gates / 100
 
-
-def test_gate_records_are_read_only():
-    nl = Netlist("records")
-    a = nl.add_input("a", 2)
-    y = nl.add(GateKind.AND2, a)
-    gate = nl.driver(y)
-    with pytest.raises(AttributeError):
-        gate.inputs = (a[0], a[0])
-    with pytest.raises(AttributeError):
-        del gate.kind
-    assert nl.gate_inputs == [tuple(a)]
-    clone = pickle.loads(pickle.dumps(gate))
-    assert (clone.kind, clone.inputs, clone.output, clone.init) == \
-        (GateKind.AND2, tuple(a), y, 0)
-
-
-def test_gate_records_follow_add():
-    nl = Netlist("records")
-    a = nl.add_input("a", 2)
-    y = nl.add(GateKind.AND2, a)
-    first = nl.gates
-    assert nl.driver(y) is first[0] and nl.levelize() == first
-    z = nl.add(GateKind.INV, [y])
-    assert [g.output for g in nl.gates] == [y, z]
-    assert nl.driver(z).inputs == (y,)

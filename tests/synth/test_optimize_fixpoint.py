@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.synth import GateKind, Netlist, optimize_netlist
 from repro.synth.equiv import check_netlists
-from repro.synth.gates import ARITY
+from repro.synth.gates import ARITY, KINDS
 from repro.synth.optimize import _one_pass, sequential_constants
 
 # -- the oracle: one full ternary sweep per demotion round ---------------------
@@ -76,20 +76,23 @@ def _oracle_eval(kind, inputs):
 
 def oracle_sequential_constants(netlist):
     """Re-sweep the whole netlist until no register is demoted."""
-    order = netlist.levelize()
-    dffs = netlist.dffs()
-    assumed = {dff.output: ("1" if dff.init else "0") for dff in dffs}
+    kinds, ins, outs = (netlist.gate_kinds, netlist.gate_inputs,
+                        netlist.gate_outputs)
+    order = netlist.levelize_indices()
+    dffs = netlist.indices(GateKind.DFF)
+    assumed = {outs[dff]: ("1" if netlist.gate_inits[dff] else "0")
+               for dff in dffs}
     while True:
         value = dict(assumed)
         for gate in order:
-            ins = [value.get(net, _X) for net in gate.inputs]
-            value[gate.output] = _oracle_eval(gate.kind, ins)
+            seen = [value.get(net, _X) for net in ins[gate]]
+            value[outs[gate]] = _oracle_eval(KINDS[kinds[gate]], seen)
         demoted = False
         for dff in dffs:
-            if dff.output not in assumed:
+            if outs[dff] not in assumed:
                 continue
-            if value.get(dff.inputs[0], _X) != assumed[dff.output]:
-                del assumed[dff.output]
+            if value.get(ins[dff][0], _X) != assumed[outs[dff]]:
+                del assumed[outs[dff]]
                 demoted = True
         if not demoted:
             return {net: v for net, v in value.items() if v != _X}
@@ -266,7 +269,8 @@ def test_local_dff_rule_asks_for_another_pass():
     assert r not in sequential_constants(nl)
     first, again = _one_pass(nl, sequential_constants(nl))
     assert again
-    assert not first.dffs() and first.counts()[GateKind.OR2] == 1
+    assert not first.indices(GateKind.DFF)
+    assert first.counts()[GateKind.OR2] == 1
 
 
 def test_local_dff_constant_fully_reduced(monkeypatch):

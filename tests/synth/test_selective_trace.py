@@ -145,7 +145,9 @@ def test_traced_settles_match_references(seed):
     run = Lockstep(netlist)
     sim = run.sim
     pin = rng.choice(netlist.inputs["in0"])
-    register = rng.choice([dff.output for dff in netlist.dffs()])
+    q_nets = [netlist.gate_outputs[dff]
+              for dff in netlist.indices(GateKind.DFF)]
+    register = rng.choice(q_nets)
     internal = netlist.outputs["out"][0]
     # (cycle, saboteur, net, cycles armed): six in the first quiet
     # stretch, one of them across a burst, and two after the busy one.
@@ -164,7 +166,7 @@ def test_traced_settles_match_references(seed):
         where = f"cycle {cycle}"
         # A checkpoint right after a clock edge that changed a register:
         # the logic reading it still holds the old value.
-        registers = [sim.values[dff.output] for dff in netlist.dffs()]
+        registers = [sim.values[net] for net in q_nets]
         if checkpoint is None and burst and registers != last_registers:
             checkpoint = run.save()
         last_registers = registers
@@ -293,7 +295,7 @@ def test_scalar_campaign_reports_match_lane_packed(campaign_netlists, name):
     rng = random.Random(29)
     faults = rng.sample(sorted(collapse_faults(netlist).classes, key=str),
                         24)
-    nets = sorted({net for gate in netlist.gates for net in gate.inputs})
+    nets = sorted({net for inputs in netlist.gate_inputs for net in inputs})
     faults += [TransientFault(rng.choice(nets), rng.randrange(len(stimuli)))
                for _ in range(24)]
     scalar = FaultCampaign(netlist, stimuli, faults=faults).run()

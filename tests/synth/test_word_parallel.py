@@ -97,7 +97,8 @@ def test_lane_faults_match_scalar_faults(seed):
     netlist = build_random_netlist(seed)
     program = _random_program(seed + 77, netlist, cycles)
     rng = random.Random(seed + 5)
-    nets = sorted({g.output for g in netlist.levelize()})
+    nets = sorted({netlist.gate_outputs[gate]
+                   for gate in netlist.levelize_indices()})
     lanes = 4
     # lane 0: clean; lane 1: stuck-at-0; lane 2: stuck-at-1; lane 3: flip
     forced0, forced1, flipped = (rng.choice(nets) for _ in range(3))
@@ -182,7 +183,7 @@ def test_word_evaluator_degenerates_to_scalar():
 @both_kernels
 def test_gate_eval_counter_counts_word_ops():
     netlist = build_random_netlist(3)
-    gates = len(netlist.levelize())
+    gates = len(netlist.levelize_indices())
     narrow = GateSimulator(netlist)
     wide = GateSimulator(netlist, lanes=64)
     narrow.run(10, lambda c: {})
