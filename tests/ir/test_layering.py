@@ -54,10 +54,20 @@ def _flags(root, capsys, location, *named):
         assert all(name in message for name in named), violations
 
 
-def test_no_private_cross_layer_imports():
-    checker = _load_checker()
-    violations = checker.check_tree(REPO / "src")
-    assert violations == [], "\n".join(violations)
+def _rows(sub):
+    """The table's rows for subpackage *sub* and for its modules."""
+    return [row for key, row in _load_checker().ALLOWED.items()
+            if key.split(".")[0] == sub]
+
+
+def _names(row, sub):
+    """Whether *row* lets its importer reach subpackage *sub*."""
+    return "*" in row or any(entry.split(".")[0] == sub for entry in row)
+
+
+def test_no_private_cross_layer_imports(capsys):
+    """The tree obeys the table and the two rules beside it."""
+    assert _check(REPO, capsys) == (0, [])
 
 
 def test_checker_catches_a_violation(tmp_path, capsys):
@@ -74,9 +84,12 @@ def test_checker_catches_a_violation(tmp_path, capsys):
 
 
 def test_lint_layer_contract_holds():
-    checker = _load_checker()
-    violations = checker.check_lint_layer(REPO / "src")
-    assert violations == [], "\n".join(violations)
+    """The table keeps the linter an analysis layer over core/ir/fixpt
+    that no back-end imports."""
+    for row in _rows("lint"):
+        assert row - {"lint.interval"} <= {"core", "ir", "fixpt"}, row
+    for sub in ("sim", "hdl", "synth"):
+        assert not any(_names(row, "lint") for row in _rows(sub)), sub
 
 
 def test_lint_layer_checker_catches_violations(tmp_path, capsys):
@@ -101,9 +114,12 @@ def test_lint_layer_checker_catches_violations(tmp_path, capsys):
 
 
 def test_obs_layer_contract_holds():
-    checker = _load_checker()
-    violations = checker.check_obs_layer(REPO / "src")
-    assert violations == [], "\n".join(violations)
+    """The table keeps obs over the model layers, which never import
+    it."""
+    for row in _rows("obs"):
+        assert row <= {"obs", "core", "ir", "fixpt"}, row
+    for sub in ("core", "ir", "fixpt"):
+        assert not any(_names(row, "obs") for row in _rows(sub)), sub
 
 
 def test_obs_layer_checker_catches_violations(tmp_path, capsys):
@@ -129,9 +145,18 @@ def test_obs_layer_checker_catches_violations(tmp_path, capsys):
 
 
 def test_lane_layer_contract_holds():
-    checker = _load_checker()
-    violations = checker.check_lane_layer(REPO / "src")
-    assert violations == [], "\n".join(violations)
+    """No row of a scalar-semantics layer names an engine package."""
+    for sub in ("core", "ir", "fixpt", "lint"):
+        for engine in ("sim", "synth", "verify"):
+            assert not any(_names(row, engine) for row in _rows(sub)), \
+                (sub, engine)
+
+
+def test_runner_is_the_top_layer():
+    """Only the runner's own row reaches repro.runner."""
+    rows = _load_checker().ALLOWED
+    assert [key for key, row in rows.items() if _names(row, "runner")] == \
+        ["runner"]
 
 
 def test_lane_layer_checker_catches_violations(tmp_path, capsys):
@@ -217,3 +242,27 @@ ALLOWED = [
 def test_sanctioned_edge_is_quiet(tmp_path, capsys, importer, source):
     _tree(tmp_path, {importer: source})
     assert _check(tmp_path, capsys) == (0, [])
+
+
+def test_core_importing_lint_is_flagged(tmp_path, capsys):
+    """The model never imports its analyzer: an edge only the table
+    states."""
+    _tree(tmp_path, {"core/checks.py": "from ..lint import Linter\n"})
+    _flags(tmp_path, capsys, "repro/core/checks.py:1", "repro.lint")
+
+
+def test_private_names_flagged_between_any_subpackages(tmp_path, capsys):
+    _tree(tmp_path, {"verify/campaign.py":
+                     "from ..synth.gatesim import _python_kernel\n"})
+    _flags(tmp_path, capsys, "repro/verify/campaign.py:1",
+           "'_python_kernel'", "repro.synth.gatesim")
+
+    # Within one subpackage a private import is its own business.
+    _tree(tmp_path, {"verify/campaign.py":
+                     "from .guard import _budget\n"})
+    assert _check(tmp_path, capsys) == (0, [])
+
+
+def test_subpackage_without_a_row_is_flagged(tmp_path, capsys):
+    _tree(tmp_path, {"newpkg/module.py": "from ..core import Sig\n"})
+    _flags(tmp_path, capsys, "repro/newpkg", "'newpkg'")

@@ -1,71 +1,78 @@
 #!/usr/bin/env python
-"""Import-layering check for the back-end subpackages and the linter.
+"""Import layering of ``repro``: one table of allowed imports.
 
-Two layering contracts are enforced by walking every module with
-:mod:`ast` (exit 1 on violation):
+:data:`ALLOWED` has one row per importer, naming the subpackages and
+modules it may import.  An importer is a subpackage of ``repro``, or one
+module where the table has a row for it; a module's row wins over its
+subpackage's.  A subpackage's modules may import each other, while a
+module's row lists everything that module may import, its own
+subpackage included.  A module named in :data:`TARGETS` may be imported
+from outside its subpackage only by a row that names it.  ``"*"`` allows
+anything.  An import the table does not list is a violation, and so is
+a subpackage without a row.
 
-1. The lowered IR (:mod:`repro.ir`) is the one shared layer between the
-   back-ends; ``repro.hdl``, ``repro.sim`` and ``repro.synth`` must not
-   reach into each other's private names (no underscore-prefixed or
-   star imports from a *different* back-end subpackage).  Public
-   cross-imports (a documented API) are allowed; private ones are the
-   layering violations that used to couple the Verilog generator to
-   VHDL internals.
+Why each row reads as it does:
 
-2. ``repro.lint`` is an *analysis* layer: it may depend only on the
-   model (``repro.core``), the shared IR (``repro.ir``) and the number
-   system (``repro.fixpt``) — never on a back-end — and nothing in
-   ``repro.sim``/``repro.hdl``/``repro.synth`` may import ``repro.lint``
-   (the back-ends must stay buildable without the analyzer).
+``core``, ``fixpt``
+    The model and its number system.  They import nothing above them:
+    not ``lint`` (the analyzer reads the model, never the reverse), not
+    ``obs`` (instrumentation must not become load-bearing), and no
+    engine.
+``ir``
+    The one layer the back-ends share, built on the model alone.
+``ir.equiv``
+    Translation validation sits between the IR and the analysis layer:
+    of ``lint`` it may reach only the interval domain.  No back-end
+    imports it; engines state equivalence obligations through
+    ``PassManager(validate=...)``, so they stay buildable without the
+    checker's internals.
+``ir.passes``
+    The one other ``ir`` -> ``lint`` edge: the ``narrow_bitwidth`` and
+    ``elide_quantize`` passes use the bit-level domain (``lint.bits``).
+``lint``
+    The analysis layer: the model, the IR and the number system only.
+    No back-end imports it, so each stays buildable without the
+    analyzer.
+``lint.bits``
+    A leaf analysis: besides the model, the IR and the number system it
+    imports only its sibling interval domain, never a rule module or
+    the linter driver.  Engines see narrowing and quantize elision only
+    as validated passes in a pipeline.
+``obs``
+    Observability builds on the model.  Engines import it (they accept a
+    capture and feed it); the model layers never do.
+``obs.spans``, ``obs.aggregate``, ``obs.tail``
+    The distributed-observability core the runner builds on: only
+    ``core`` and sibling ``obs`` modules, so watching a campaign never
+    loads the orchestration layer (the tail reads the runner's journal
+    as plain JSONL).
+``hdl``, ``sim``, ``synth``
+    The back-ends, over the model, the IR and the number system; the
+    generators and synthesis reuse ``sim``'s stimuli, and ``sim`` feeds
+    ``obs``.
+``verify``
+    Campaigns and lockstep runs drive the engines.
+``designs``, ``dsp``
+    The reference designs are captured models with their simulation
+    stimuli; ``dsp`` is plain algorithm-level Python.
+``runner``
+    The orchestration layer, the top of the stack: it may import
+    anything, and no other row names it, so campaigns, engines and
+    observability stay usable (and testable) without the multiprocess
+    machinery.
 
-3. ``repro.obs`` is the *observability* layer: like the linter it may
-   depend only on ``core``/``ir``/``fixpt``.  Engines import obs (they
-   accept a capture and feed it), never the reverse — and the model
-   layers obs builds on (``core``/``ir``/``fixpt``) must not import
-   obs, or instrumentation would become load-bearing.
+Two rules are not import edges, and are checked beside the table:
 
-4. Lane/batch machinery lives only in the engines (``repro.sim``,
-   ``repro.synth``, ``repro.verify``).  The scalar-semantics layers —
-   ``repro.core``, ``repro.ir``, ``repro.fixpt`` and ``repro.lint`` —
-   stay lane-agnostic: they must not import an engine package, and no
-   definition, argument or assigned name in them may mention lanes or
-   batches ("what a signal computes" never knows "how many stimuli
-   evaluate it at once").
+* No subpackage imports another's private (``_``-prefixed) or star
+  names.  A public cross-import is a documented API; a private one
+  couples two layers' internals, as it once coupled the Verilog
+  generator to the VHDL generator's.
+* ``core``, ``ir``, ``fixpt`` and ``lint`` define no lane or batch
+  names: what a signal computes never knows how many stimuli evaluate
+  it at once.  That machinery lives in ``sim``, ``synth`` and
+  ``verify``.
 
-5. ``repro.runner`` is the *orchestration* layer — the top of the
-   stack.  It may import anything, but nothing else in ``repro`` may
-   import it: campaigns, engines and the observability layer must stay
-   fully usable (and testable) without the multiprocess machinery.
-
-6. Translation validation (``repro.ir.equiv``) sits between the IR and
-   the analysis layer: within ``repro.ir`` only ``equiv.py`` may import
-   ``repro.lint``, and only the interval domain
-   (``repro.lint.interval``) — plus the one edge contract 7 sanctions.
-   Engines (``sim``/``hdl``/``synth``) never import ``repro.ir.equiv``
-   directly — they state equivalence obligations through the
-   ``PassManager``'s ``validate=`` knob, so the back-ends stay buildable
-   without the checker's internals.
-
-7. The bit-level domain (``repro.lint.bits``) is a leaf analysis: it
-   may import only ``repro.core``, ``repro.ir``, ``repro.fixpt`` and
-   its sibling interval domain (``repro.lint.interval``) — never the
-   rule modules, the linter driver, or a back-end.  Within ``repro.ir``
-   exactly one module may reach back into it: ``passes.py`` (lazily,
-   for the ``narrow_bitwidth`` and ``elide_quantize`` passes),
-   mirroring the ``equiv.py`` -> ``lint.interval`` edge of contract 6.
-   Engines never import ``repro.lint.bits``: narrowing and quantize
-   elision reach them only as ordinary validated passes in a pipeline.
-
-8. The distributed-observability core — ``repro.obs.spans``,
-   ``repro.obs.aggregate`` and ``repro.obs.tail`` — is what the
-   orchestration layer builds *on*, so it must be importable without
-   it: those modules may import only ``repro.core`` and sibling
-   ``repro.obs`` modules (not even ``ir``/``fixpt``; ``repro.runner``
-   is already banned package-wide by contract 5 — the tail reads the
-   runner's journal as plain JSONL precisely so watching a campaign
-   never loads the orchestration layer).
-
-Run from the repository root::
+Run from the repository root (exit 1 on a violation)::
 
     python tools/check_layering.py
 """
@@ -75,57 +82,42 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-#: Back-end subpackages that must stay privately independent.
-LAYERS = ("hdl", "sim", "synth")
-#: Subpackages repro.lint is allowed to import from.
-LINT_MAY_IMPORT = ("lint", "core", "ir", "fixpt")
-#: Subpackages that must not depend on repro.lint.
-LINT_FREE = ("sim", "hdl", "synth")
-#: Subpackages repro.obs is allowed to import from.
-OBS_MAY_IMPORT = ("obs", "core", "ir", "fixpt")
-#: Model layers that must not depend on repro.obs (engines *may* import
-#: obs — that direction is the whole point).
-OBS_FREE = ("core", "ir", "fixpt")
-#: Scalar-semantics layers that must stay lane-agnostic.
-LANE_FREE = ("core", "ir", "fixpt", "lint")
-#: Engine packages allowed to own lane/batch machinery.
-LANE_OWNERS = ("sim", "synth", "verify")
-#: Identifier fragments that mark lane/batch machinery.
-LANE_WORDS = ("lane", "batch")
-#: The orchestration layer nothing else may depend on.
-TOP_LAYER = "runner"
-#: The one repro.ir module allowed to import repro.lint, and the one
-#: lint module it may reach.
-EQUIV_MODULE = ("ir", "equiv.py")
-EQUIV_MAY_IMPORT = "repro.lint.interval"
-#: Engine packages that must not import repro.ir.equiv directly.
-EQUIV_FREE = ("sim", "hdl", "synth")
-#: The sanctioned repro.ir -> repro.lint edges: module file -> the one
-#: lint module it may import (contracts 6 and 7).
-IR_LINT_EDGES = {
-    ("ir", "equiv.py"): "repro.lint.interval",
-    ("ir", "passes.py"): "repro.lint.bits",
-}
-#: Contract 7: the bit-level domain module and its permitted imports.
-BITS_MODULE = ("lint", "bits.py")
-BITS_MAY_IMPORT = ("core", "ir", "fixpt")
-BITS_LINT_MAY_IMPORT = ("repro.lint.interval",)
-#: Engine packages that must not import repro.lint.bits.
-BITS_FREE = ("sim", "hdl", "synth")
-#: Contract 8: the distributed-observability core modules and the only
-#: subpackages they may import.
-SPANS_MODULES = ("spans.py", "aggregate.py", "tail.py")
-SPANS_MAY_IMPORT = ("obs", "core")
 PACKAGE = "repro"
+#: Importer -> the subpackages and modules it may import.
+ALLOWED = {
+    "core": {"fixpt"},
+    "fixpt": {"core"},
+    "ir": {"core", "fixpt"},
+    "ir.equiv": {"ir", "core", "fixpt", "lint.interval"},
+    "ir.passes": {"ir", "core", "fixpt", "lint.bits"},
+    "lint": {"core", "fixpt", "ir"},
+    "lint.bits": {"core", "fixpt", "ir", "lint.interval"},
+    "obs": {"core", "fixpt"},
+    "obs.spans": {"obs", "core"},
+    "obs.aggregate": {"obs", "core"},
+    "obs.tail": {"obs", "core"},
+    "hdl": {"core", "fixpt", "ir", "sim"},
+    "sim": {"core", "fixpt", "ir", "obs"},
+    "synth": {"core", "fixpt", "ir", "sim"},
+    "verify": {"core", "fixpt", "ir", "sim", "synth"},
+    "designs": {"core", "dsp", "fixpt", "sim"},
+    "dsp": set(),
+    "runner": {"*"},
+}
+#: Modules importable from outside their subpackage only by name.
+TARGETS = {"ir.equiv", "lint.interval", "lint.bits"}
+#: Subpackages that define no lane or batch names.
+LANE_FREE = ("core", "ir", "fixpt", "lint")
+LANE_WORDS = ("lane", "batch")
 
 
-def _resolve(module_pkg: str, node: ast.ImportFrom) -> Optional[str]:
+def _resolve(package: str, node: ast.ImportFrom) -> Optional[str]:
     """Absolute dotted module a ``from ... import`` statement targets."""
     if node.level == 0:
         return node.module
-    parts = module_pkg.split(".")
+    parts = package.split(".")
     if node.level > len(parts):
         return None
     base = parts[: len(parts) - (node.level - 1)]
@@ -134,287 +126,107 @@ def _resolve(module_pkg: str, node: ast.ImportFrom) -> Optional[str]:
     return ".".join(base)
 
 
-def _layer_of(dotted: str) -> Optional[str]:
-    parts = dotted.split(".")
-    if len(parts) >= 2 and parts[0] == PACKAGE and parts[1] in LAYERS:
-        return parts[1]
-    return None
+def _imports(tree: ast.AST,
+             package: str) -> Iterator[Tuple[int, str, Sequence[str]]]:
+    """Each import: (line, dotted module, names a ``from`` takes)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name, ()
+        elif isinstance(node, ast.ImportFrom):
+            module = _resolve(package, node)
+            if module is not None:
+                yield node.lineno, module, [a.name for a in node.names]
 
 
-def _subpackage_of(dotted: str) -> Optional[str]:
-    parts = dotted.split(".")
-    if len(parts) >= 2 and parts[0] == PACKAGE:
-        return parts[1]
-    return None
+def _reached(module: str, names: Sequence[str]) -> Set[str]:
+    """The table entries one import reaches: a subpackage, or a module
+    of :data:`TARGETS` (which a ``from`` may take as a name)."""
+    reached = set()
+    for dotted in [f"{module}.{name}" for name in names] or [module]:
+        parts = dotted.split(".")
+        if parts[0] != PACKAGE or len(parts) < 2:
+            continue
+        target = ".".join(parts[1:3])
+        reached.add(target if target in TARGETS else parts[1])
+    return reached
 
 
-def _imports(src_root: Path, subpackage: str) -> Iterator[Tuple[Path, int, str]]:
-    """Every absolute import target in *subpackage*: (file, line, dotted)."""
-    for path in sorted((src_root / PACKAGE / subpackage).rglob("*.py")):
+def _allows(row: str, own: str, target: str) -> bool:
+    """Whether importer *row*, in subpackage *own*, may import *target*."""
+    allowed = ALLOWED[row]
+    if "*" in allowed or target in allowed:
+        return True
+    sub = target.split(".")[0]
+    if target in TARGETS and sub != own:
+        return False
+    return sub in allowed or (sub == own and row == own)
+
+
+def _lane_names(tree: ast.AST) -> Iterator[Tuple[int, str]]:
+    """Definitions, arguments and assigned names that mention lanes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Store):
+            name = node.attr
+        else:
+            continue
+        if any(word in name.lower() for word in LANE_WORDS):
+            yield node.lineno, name
+
+
+def check(src_root: Path) -> Tuple[int, List[str]]:
+    """Modules checked under *src_root*, and every violation found."""
+    paths = [path for path in sorted((src_root / PACKAGE).rglob("*.py"))
+             if len(path.relative_to(src_root).parts) > 2]
+    subpackages = {path.relative_to(src_root).parts[1] for path in paths}
+    violations = [f"{PACKAGE}/{own}: subpackage {own!r} has no row"
+                  for own in sorted(subpackages - ALLOWED.keys())]
+    for path in paths:
         rel = path.relative_to(src_root)
-        module_pkg = ".".join(rel.with_suffix("").parts[:-1])
+        parts = rel.with_suffix("").parts
+        own = parts[1]
+        if own not in ALLOWED:
+            continue
+        module = f"{own}.{parts[2]}"
+        row = module if module in ALLOWED else own
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    yield rel, node.lineno, alias.name
-            elif isinstance(node, ast.ImportFrom):
-                target = _resolve(module_pkg, node)
-                if target is not None:
-                    yield rel, node.lineno, target
-
-
-def check_tree(src_root: Path) -> List[str]:
-    """All private cross-layer imports under *src_root*, as messages."""
-    violations: List[str] = []
-    for layer in LAYERS:
-        for path in sorted((src_root / PACKAGE / layer).rglob("*.py")):
-            rel = path.relative_to(src_root)
-            module_pkg = ".".join(rel.with_suffix("").parts[:-1])
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.ImportFrom):
-                    continue
-                target = _resolve(module_pkg, node)
-                if target is None:
-                    continue
-                target_layer = _layer_of(target)
-                if target_layer is None or target_layer == layer:
-                    continue
-                private = [
-                    alias.name for alias in node.names
-                    if alias.name.startswith("_") or alias.name == "*"
-                ]
-                for name in private:
-                    violations.append(
-                        f"{rel}:{node.lineno}: imports private name "
-                        f"{name!r} from {target} (layer {target_layer!r} "
-                        f"!= {layer!r})"
-                    )
-    return violations
-
-
-def check_lint_layer(src_root: Path) -> List[str]:
-    """Violations of the repro.lint dependency contract, as messages."""
-    violations: List[str] = []
-    for rel, lineno, target in _imports(src_root, "lint"):
-        subpackage = _subpackage_of(target)
-        if subpackage is not None and subpackage not in LINT_MAY_IMPORT:
-            violations.append(
-                f"{rel}:{lineno}: repro.lint imports {target} — the "
-                f"linter may depend only on "
-                f"{', '.join(sorted(set(LINT_MAY_IMPORT) - {'lint'}))}"
-            )
-    for subpackage in LINT_FREE:
-        for rel, lineno, target in _imports(src_root, subpackage):
-            if _subpackage_of(target) == "lint":
-                violations.append(
-                    f"{rel}:{lineno}: repro.{subpackage} imports {target} — "
-                    "back-ends must not depend on repro.lint"
-                )
-    return violations
-
-
-def check_obs_layer(src_root: Path) -> List[str]:
-    """Violations of the repro.obs dependency contract, as messages."""
-    violations: List[str] = []
-    if (src_root / PACKAGE / "obs").is_dir():
-        for rel, lineno, target in _imports(src_root, "obs"):
-            subpackage = _subpackage_of(target)
-            if subpackage is not None and subpackage not in OBS_MAY_IMPORT:
-                violations.append(
-                    f"{rel}:{lineno}: repro.obs imports {target} — the "
-                    f"observability layer may depend only on "
-                    f"{', '.join(sorted(set(OBS_MAY_IMPORT) - {'obs'}))}"
-                )
-    for subpackage in OBS_FREE:
-        if not (src_root / PACKAGE / subpackage).is_dir():
-            continue
-        for rel, lineno, target in _imports(src_root, subpackage):
-            if _subpackage_of(target) == "obs":
-                violations.append(
-                    f"{rel}:{lineno}: repro.{subpackage} imports {target} — "
-                    "model layers must not depend on repro.obs"
-                )
-    return violations
-
-
-def _lane_named(name: str) -> bool:
-    lowered = name.lower()
-    return any(word in lowered for word in LANE_WORDS)
-
-
-def check_lane_layer(src_root: Path) -> List[str]:
-    """Violations of the lane-agnosticism contract, as messages."""
-    violations: List[str] = []
-    for subpackage in LANE_FREE:
-        pkg = src_root / PACKAGE / subpackage
-        if not pkg.is_dir():
-            continue
-        for rel, lineno, target in _imports(src_root, subpackage):
-            if _subpackage_of(target) in LANE_OWNERS:
-                violations.append(
-                    f"{rel}:{lineno}: repro.{subpackage} imports {target} — "
-                    "scalar-semantics layers must not depend on an engine "
-                    "package"
-                )
-        for path in sorted(pkg.rglob("*.py")):
-            rel = path.relative_to(src_root)
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                names: List[str] = []
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    names.append(node.name)
-                elif isinstance(node, ast.arg):
-                    names.append(node.arg)
-                elif isinstance(node, ast.Name) \
-                        and isinstance(node.ctx, ast.Store):
-                    names.append(node.id)
-                elif isinstance(node, ast.Attribute) \
-                        and isinstance(node.ctx, ast.Store):
-                    names.append(node.attr)
+        for lineno, dotted, names in _imports(tree, ".".join(parts[:-1])):
+            for target in sorted(_reached(dotted, names)):
+                if not _allows(row, own, target):
+                    violations.append(f"{rel}:{lineno}: {row} may not "
+                                      f"import {target} ({dotted})")
+            head = dotted.split(".")
+            if head[0] == PACKAGE and len(head) > 1 and head[1] != own:
                 for name in names:
-                    if _lane_named(name):
+                    if name.startswith("_") or name == "*":
                         violations.append(
-                            f"{rel}:{node.lineno}: repro.{subpackage} "
-                            f"defines {name!r} — lane/batch machinery "
-                            f"belongs to {', '.join(LANE_OWNERS)} only"
-                        )
-    return violations
-
-
-def check_runner_layer(src_root: Path) -> List[str]:
-    """Violations of the repro.runner top-layer contract, as messages."""
-    violations: List[str] = []
-    for pkg in sorted((src_root / PACKAGE).iterdir()):
-        if not pkg.is_dir() or pkg.name == TOP_LAYER:
-            continue
-        for rel, lineno, target in _imports(src_root, pkg.name):
-            if _subpackage_of(target) == TOP_LAYER:
+                            f"{rel}:{lineno}: imports private name "
+                            f"{name!r} from {dotted}")
+        if own in LANE_FREE:
+            for lineno, name in _lane_names(tree):
                 violations.append(
-                    f"{rel}:{lineno}: repro.{pkg.name} imports {target} — "
-                    "repro.runner is the top orchestration layer; nothing "
-                    "may depend on it"
-                )
-    return violations
-
-
-def check_equiv_layer(src_root: Path) -> List[str]:
-    """Violations of the translation-validation contract, as messages."""
-    violations: List[str] = []
-    allowed = {Path(PACKAGE) / pkg / name: target
-               for (pkg, name), target in IR_LINT_EDGES.items()}
-    for rel, lineno, target in _imports(src_root, "ir"):
-        if _subpackage_of(target) != "lint":
-            continue
-        if rel not in allowed:
-            edges = ", ".join(str(path) for path in sorted(allowed))
-            violations.append(
-                f"{rel}:{lineno}: repro.ir imports {target} — within "
-                f"repro.ir only {edges} may import repro.lint"
-            )
-        elif target != allowed[rel]:
-            violations.append(
-                f"{rel}:{lineno}: imports {target} — {rel} may only "
-                f"import {allowed[rel]}"
-            )
-    for subpackage in EQUIV_FREE:
-        for rel, lineno, target in _imports(src_root, subpackage):
-            if target == f"{PACKAGE}.ir.equiv" \
-                    or target.startswith(f"{PACKAGE}.ir.equiv."):
-                violations.append(
-                    f"{rel}:{lineno}: repro.{subpackage} imports {target} — "
-                    "engines state equivalence obligations through "
-                    "PassManager(validate=...), never by importing "
-                    "repro.ir.equiv"
-                )
-    return violations
-
-
-def check_bits_layer(src_root: Path) -> List[str]:
-    """Violations of the bit-level-domain contract (7), as messages."""
-    violations: List[str] = []
-    bits_rel = Path(PACKAGE) / BITS_MODULE[0] / BITS_MODULE[1]
-    for rel, lineno, target in _imports(src_root, BITS_MODULE[0]):
-        if rel != bits_rel:
-            continue
-        subpackage = _subpackage_of(target)
-        if subpackage is None:
-            continue  # stdlib / third-party
-        if subpackage in BITS_MAY_IMPORT:
-            continue
-        if subpackage == "lint":
-            if target in BITS_LINT_MAY_IMPORT or any(
-                    target.startswith(ok + ".")
-                    for ok in BITS_LINT_MAY_IMPORT):
-                continue
-            violations.append(
-                f"{rel}:{lineno}: lint/bits imports {target} — within "
-                f"repro.lint the bit domain may only import "
-                f"{', '.join(BITS_LINT_MAY_IMPORT)}"
-            )
-            continue
-        violations.append(
-            f"{rel}:{lineno}: lint/bits imports {target} — the bit "
-            f"domain may depend only on "
-            f"{', '.join(BITS_MAY_IMPORT)} and "
-            f"{', '.join(BITS_LINT_MAY_IMPORT)}"
-        )
-    for subpackage in BITS_FREE:
-        for rel, lineno, target in _imports(src_root, subpackage):
-            if target == f"{PACKAGE}.lint.bits" \
-                    or target.startswith(f"{PACKAGE}.lint.bits."):
-                violations.append(
-                    f"{rel}:{lineno}: repro.{subpackage} imports {target} — "
-                    "engines see bit narrowing only as a validated pass in "
-                    "a pipeline, never by importing repro.lint.bits"
-                )
-    return violations
-
-
-def check_spans_layer(src_root: Path) -> List[str]:
-    """Violations of the distributed-obs-core contract (8), as messages."""
-    violations: List[str] = []
-    core = {Path(PACKAGE) / "obs" / name for name in SPANS_MODULES}
-    for rel, lineno, target in _imports(src_root, "obs"):
-        if rel not in core:
-            continue
-        subpackage = _subpackage_of(target)
-        if subpackage is None or subpackage in SPANS_MAY_IMPORT:
-            continue
-        violations.append(
-            f"{rel}:{lineno}: imports {target} — the distributed-obs "
-            f"core ({', '.join(SPANS_MODULES)}) may depend only on "
-            f"repro.core and sibling repro.obs modules"
-        )
-    return violations
+                    f"{rel}:{lineno}: {own} defines {name!r}; lane and "
+                    f"batch machinery belongs to sim, synth and verify")
+    return len(paths), violations
 
 
 def main(argv: Tuple[str, ...] = ()) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
-    src_root = root / "src"
-    violations = (check_tree(src_root) + check_lint_layer(src_root)
-                  + check_obs_layer(src_root) + check_lane_layer(src_root)
-                  + check_runner_layer(src_root)
-                  + check_equiv_layer(src_root)
-                  + check_bits_layer(src_root)
-                  + check_spans_layer(src_root))
+    count, violations = check(root / "src")
     if violations:
         print("layering violations:")
         for message in violations:
             print(f"  {message}")
         return 1
-    print(f"layering clean: {', '.join(LAYERS)} share no private names; "
-          "repro.lint depends only on core/ir/fixpt and no back-end "
-          "imports it; repro.obs depends only on core/ir/fixpt and no "
-          "model layer imports it; core/ir/fixpt/lint are lane-agnostic; "
-          "nothing imports repro.runner; the only ir->lint edges are "
-          "ir/equiv->lint.interval and ir/passes->lint.bits, no engine "
-          "imports ir.equiv; lint/bits depends only on core/ir/fixpt "
-          "plus lint.interval and no engine imports it; obs "
-          "spans/aggregate/tail depend only on core and sibling obs "
-          "modules")
+    print(f"layering clean: every import of {count} modules is in the table")
     return 0
 
 
