@@ -301,6 +301,8 @@ class SystemLayout:
         self.watch = list(watch)
         self.timed: List[TimedProcess] = system.timed_processes()
         self.untimed: List[UntimedProcess] = system.untimed_processes()
+        for process in self.untimed:
+            process.require_connected_inputs()
         self.sig_name = _Namer("s")
         self.reg_name = _Namer("r")
 
@@ -566,10 +568,9 @@ class SystemLayout:
             else:
                 process = node
                 for port in process.in_ports():
-                    chan = port.channel
-                    if chan is None or chan.producer is None:
+                    src_port = port.channel.producer
+                    if src_port is None:
                         continue
-                    src_port = chan.producer
                     if isinstance(src_port.process, UntimedProcess):
                         add_edge(src_port.process, node)
                     else:
@@ -861,8 +862,6 @@ class CompiledSimulator:
             invariant).
             """
             chan = port.channel
-            if chan is None:
-                return "0"
             if chan in layout.boundary:
                 return layout.boundary_var(chan)
             code, fmt = layout.sig_ref_full(chan.producer.sig)
@@ -878,8 +877,6 @@ class CompiledSimulator:
             zero for positive ones.
             """
             chan = port.channel
-            if chan is None:
-                return "0"
             if chan in layout.boundary:
                 return f"int({layout.boundary_var(chan)})"
             code, fmt = layout.sig_ref_full(chan.producer.sig)

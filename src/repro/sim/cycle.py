@@ -139,6 +139,7 @@ class CycleScheduler:
             )
         self.clocks = system.clocks()
         for process in self.untimed:
+            process.require_connected_inputs()
             for port in process.ports.values():
                 if port.rate != 1:
                     raise ModelError(

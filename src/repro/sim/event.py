@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..fixpt import Fx, quantize
-from ..core.errors import ModelError, SimulationError
+from ..core.errors import SimulationError
 from ..core.process import TimedProcess, UntimedProcess
 from ..core.sfg import SFG, Assignment
 from ..core.signal import Register, Sig
@@ -220,15 +220,11 @@ class EventSimulator:
                 ))
 
     def _build_untimed(self, process: UntimedProcess) -> None:
+        process.require_connected_inputs()
         in_sigs: Dict[str, Sig] = {}
         sens: List[Sig] = []
         for port in process.in_ports():
             chan = port.channel
-            if chan is None:
-                raise ModelError(
-                    f"untimed process {process.name!r} port {port.name!r} "
-                    "is unconnected"
-                )
             net = self._net(f"{process.name}.{port.name}")
             in_sigs[port.name] = net
             sens.append(net)

@@ -13,9 +13,15 @@ token (type, raw value and format), its ``writes`` and its ``firings``.
 import random
 import re
 
-from repro.core import SFG, Clock, Ram, Sig, System, TimedProcess
+import pytest
+
+from repro.core import (
+    SFG, Clock, ModelError, Ram, Sig, System, TimedProcess, actor,
+)
 from repro.fixpt import Fx, FxFormat, Overflow
-from repro.sim import CompiledSimulator
+from repro.sim import (
+    CompiledSimulator, CycleScheduler, DataflowScheduler, EventSimulator,
+)
 from repro.verify import CompiledAdapter, CycleAdapter, Lockstep
 
 U4 = FxFormat(4, 4, signed=False)
@@ -294,3 +300,31 @@ def test_dect_step_calls_only_the_instruction_rom():
     assert source.count("_quantize_raw(") == 9
     for name in chip.rams:
         assert f"proc_{name}.writes += 1" in source
+
+
+@pytest.mark.parametrize("engine",
+                         [CycleScheduler, CompiledSimulator, EventSimulator])
+def test_clocked_engines_reject_an_unconnected_untimed_input(engine):
+    """A RAM fed and read by timed processes, its write address left
+    unconnected, could never fire under a clock: each clocked engine
+    rejects it when it is built, with one error naming the port."""
+    feeds = {("m", "addr"): U4, ("m", "we"): BIT, ("m", "wdata"): S8_4}
+    system = _ram_system([Ram("m", depth=4)], feeds, {("m", "q"): S8_4})
+    with pytest.raises(ModelError, match=r"^untimed process 'm' port "
+                                         r"'waddr' is unconnected$"):
+        engine(system)
+
+
+def test_dataflow_never_fires_an_actor_with_an_unconnected_input():
+    """Under token semantics the same wiring is no error: the actor's
+    firing rule never holds."""
+    calls = []
+    add = actor("add", lambda a, b: calls.append((a, b)) or {"y": a + b},
+                inputs={"a": 1, "b": 1}, outputs={"y": 1})
+    system = System("df")
+    system.add(add)
+    feed = system.connect(None, add.port("a"), name="a")
+    system.connect(add.port("y"), name="y")
+    scheduler = DataflowScheduler(system)
+    feed.put(1)
+    assert scheduler.run() == 0 and calls == []
