@@ -32,13 +32,12 @@ DATAPATHS = ("disc", "sum", "lms")
 SIM_CYCLES = int(os.environ.get("BENCH_IR_CYCLES", "1500"))
 
 
-def _compiled_rate(optimize: bool, passes=None) -> Dict[str, float]:
+def _compiled_rate(passes=None) -> Dict[str, float]:
     from repro.designs.dect import build_transceiver
     from repro.sim import CompiledSimulator
 
     chip = build_transceiver()
-    simulator = CompiledSimulator(chip.system, optimize=optimize,
-                                  passes=passes)
+    simulator = CompiledSimulator(chip.system, passes=passes)
     pins = {"sample_i": 0.5, "sample_q": -0.25, "hold_request": 0,
             "ctl_coef_re": 0.1, "ctl_coef_im": 0.0}
     for _ in range(200):  # warm caches so the timed loop is steady-state
@@ -68,14 +67,13 @@ def _build_datapath(name: str):
     return builders[name]()
 
 
-def _gate_counts(name: str, ir_passes: bool,
-                 passes=None) -> Dict[str, int]:
+def _gate_counts(name: str, passes=None) -> Dict[str, int]:
     from repro.synth.flow import synthesize_process
 
-    raw = synthesize_process(_build_datapath(name), ir_passes=ir_passes,
-                             passes=passes, optimize=False)
-    final = synthesize_process(_build_datapath(name), ir_passes=ir_passes,
-                               passes=passes, optimize=True)
+    raw = synthesize_process(_build_datapath(name), passes=passes,
+                             optimize=False)
+    final = synthesize_process(_build_datapath(name), passes=passes,
+                               optimize=True)
     return {
         "gates_synthesized": raw.gate_count,
         "gates_after_netlist_opt": final.gate_count,
@@ -99,25 +97,25 @@ def run() -> Dict[str, object]:
         "bench": "ir_passes",
         "sim_cycles": SIM_CYCLES,
         "compiled_sim": {
-            "passes_on": _compiled_rate(True),
-            "passes_off": _compiled_rate(False),
-            "aggressive": _compiled_rate(True, passes="aggressive"),
+            "passes_on": _compiled_rate(),
+            "passes_off": _compiled_rate(passes=()),
+            "aggressive": _compiled_rate(passes="aggressive"),
         },
         "synthesis": {},
         "ablation": {},
     }
     for name in DATAPATHS:
         results["synthesis"][name] = {
-            "passes_on": _gate_counts(name, True),
-            "passes_off": _gate_counts(name, False),
-            "aggressive": _gate_counts(name, True, passes="aggressive"),
+            "passes_on": _gate_counts(name),
+            "passes_off": _gate_counts(name, passes=()),
+            "aggressive": _gate_counts(name, passes="aggressive"),
         }
     # Leave-one-out rows for the new passes, on the datapath where the
     # aggressive pipeline moves the needle (disc: the chain hoist halves
     # the array multipliers).
     for dropped in NEW_PASSES:
         results["ablation"][f"aggressive-no-{dropped}"] = _gate_counts(
-            "disc", True, passes=_pipeline_without(dropped))
+            "disc", passes=_pipeline_without(dropped))
     return results
 
 

@@ -136,13 +136,12 @@ class _VerilogEmitter:
 class VerilogGenerator:
     """Generates Verilog modules for a system's timed components."""
 
-    def __init__(self, system: System, optimize: bool = True,
-                 passes=None, validate: str = "off"):
+    def __init__(self, system: System, passes=None, validate: str = "off"):
         self.system = system
-        #: Run the IR pass pipeline over every lowered block before
-        #: emission; ``passes`` names the pipeline and ``validate``
-        #: turns on translation validation of each application.
-        self.optimize = optimize
+        #: The IR pass pipeline run over every lowered block before
+        #: emission: ``passes`` names it (``()`` emits the naive
+        #: lowering) and ``validate`` turns on translation validation
+        #: of each application.
         self.pass_manager = PassManager(
             "default" if passes is None else passes, validate=validate)
         #: Per-pass statistics across every generated block.
@@ -157,10 +156,7 @@ class VerilogGenerator:
         return files
 
     def _lower(self, build) -> IRBlock:
-        block = build()
-        if self.optimize:
-            block = self.pass_manager.run(block)
-        return block
+        return self.pass_manager.run(build())
 
     def component(self, process: TimedProcess) -> str:
         """Generate one module: two-always-block FSMD Verilog."""
@@ -354,8 +350,8 @@ class VerilogGenerator:
         return "\n".join(lines) + "\n"
 
 
-def generate_verilog(system: System, optimize: bool = True,
-                     passes=None, validate: str = "off") -> Dict[str, str]:
+def generate_verilog(system: System, passes=None,
+                     validate: str = "off") -> Dict[str, str]:
     """Convenience wrapper: generate Verilog for every timed component."""
-    return VerilogGenerator(system, optimize=optimize, passes=passes,
+    return VerilogGenerator(system, passes=passes,
                             validate=validate).generate()

@@ -230,13 +230,12 @@ class _VhdlEmitter:
 class VhdlGenerator:
     """Generates VHDL for a whole system: package, entities, top level."""
 
-    def __init__(self, system: System, optimize: bool = True,
-                 passes=None, validate: str = "off"):
+    def __init__(self, system: System, passes=None, validate: str = "off"):
         self.system = system
-        #: Run the IR pass pipeline over every lowered block before
-        #: emission; ``passes`` names the pipeline and ``validate``
-        #: turns on translation validation of each application.
-        self.optimize = optimize
+        #: The IR pass pipeline run over every lowered block before
+        #: emission: ``passes`` names it (``()`` emits the naive
+        #: lowering) and ``validate`` turns on translation validation
+        #: of each application.
         self.pass_manager = PassManager(
             "default" if passes is None else passes, validate=validate)
         #: Per-pass statistics across every generated block.
@@ -306,9 +305,8 @@ class VhdlGenerator:
         def lowered(sfg) -> IRBlock:
             block = block_cache.get(id(sfg))
             if block is None:
-                block = lower_sfg(sfg, require_formats=True)
-                if self.optimize:
-                    block = self.pass_manager.run(block)
+                block = self.pass_manager.run(
+                    lower_sfg(sfg, require_formats=True))
                 block_cache[id(sfg)] = block
             return block
 
@@ -415,10 +413,8 @@ class VhdlGenerator:
                             emit("        else")
                             emit_body(transition, "          ")
                         break
-                    cond_block = lower_expr(condition.expr,
-                                            require_formats=True)
-                    if self.optimize:
-                        cond_block = self.pass_manager.run(cond_block)
+                    cond_block = self.pass_manager.run(lower_expr(
+                        condition.expr, require_formats=True))
                     code = emitter.refs(cond_block).ref(cond_block.roots[0])
                     test = f"{code} /= 0"
                     if condition.negated:
@@ -602,11 +598,10 @@ class VhdlGenerator:
         return "\n".join(lines) + "\n"
 
 
-def generate_vhdl(system: System, optimize: bool = True,
-                  passes=None, validate: str = "off") -> Dict[str, str]:
+def generate_vhdl(system: System, passes=None,
+                  validate: str = "off") -> Dict[str, str]:
     """Convenience wrapper: generate all VHDL files for *system*."""
-    return VhdlGenerator(system, optimize=optimize, passes=passes,
-                         validate=validate).generate()
+    return VhdlGenerator(system, passes=passes, validate=validate).generate()
 
 
 def line_count(files: Dict[str, str]) -> int:

@@ -10,7 +10,8 @@ identically:
   callable that returns a :class:`~repro.synth.netlist.Netlist`.
 
 Builders accept ``ir_passes`` (threaded from the job spec, part of the
-artifact-cache key) plus the job's ``design_kwargs``.
+artifact-cache key; ``False`` synthesizes with ``passes=()``) plus the
+job's ``design_kwargs``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ def build_hcor_netlist(ir_passes: bool = True, **kwargs):
     from ..synth.flow import synthesize_process
 
     design = build_hcor(**kwargs)
-    return synthesize_process(design.process, ir_passes=ir_passes).netlist
+    return synthesize_process(design.process,
+                              passes=None if ir_passes else ()).netlist
 
 
 def build_and2_netlist(ir_passes: bool = True, **kwargs):

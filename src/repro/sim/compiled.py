@@ -586,14 +586,13 @@ class SystemLayout:
 class CompiledSimulator:
     """Generate, compile and run an application-specific simulator.
 
-    ``optimize=True`` (the default) runs the IR pass pipeline over
-    every lowered block before emission; ``optimize=False`` renders the
-    naive lowering, the ablation baseline.  ``passes`` picks the
-    pipeline: ``"engine"`` by default (the default passes plus
+    ``passes`` picks the IR pass pipeline run over every lowered block
+    before emission: ``"engine"`` by default (the default passes plus
     ``elide_quantize``, which drops every saturation, wrap fold and
     overflow check the block's interval facts prove can never fire),
     any other :data:`~repro.ir.passes.PIPELINES` name, or an explicit
-    ``(name, fn)`` sequence.  ``validate`` turns on translation
+    ``(name, fn)`` sequence; ``passes=()`` renders the naive lowering,
+    the ablation baseline.  ``validate`` turns on translation
     validation of every pass application (``"sampled"`` /
     ``"exhaustive"``, see :mod:`repro.ir.equiv`) — an inequivalent
     rewrite aborts construction with
@@ -605,12 +604,10 @@ class CompiledSimulator:
     """
 
     def __init__(self, system: System, watch: Sequence[Channel] = (),
-                 optimize: bool = True, passes=None, validate: str = "off",
-                 obs=None):
+                 passes=None, validate: str = "off", obs=None):
         self.system = system
         self.layout = SystemLayout(system, watch)
         self.watch = self.layout.watch
-        self.optimize = optimize
         self.pass_manager = PassManager(
             "engine" if passes is None else passes, validate=validate)
         self.cycle = 0
@@ -686,8 +683,7 @@ class CompiledSimulator:
 
     def _optimized(self, block: IRBlock) -> IRBlock:
         self.ir_op_count_raw += block.op_count()
-        if self.optimize:
-            block = self.pass_manager.run(block)
+        block = self.pass_manager.run(block)
         self.ir_op_count += block.op_count()
         return block
 

@@ -195,15 +195,15 @@ class ExprSynthesizer:
     """
 
     def __init__(self, nl: Netlist, alloc: OperatorAllocator,
-                 leaf_word: Callable[[Sig], Word], optimize: bool = True,
-                 passes=None, validate: str = "off"):
+                 leaf_word: Callable[[Sig], Word], passes=None,
+                 validate: str = "off"):
         self.nl = nl
         self.alloc = alloc
         self.leaf_word = leaf_word
-        #: Run the IR pass pipeline over every lowered block; ``passes``
-        #: names the pipeline and ``validate`` turns on translation
-        #: validation of each application.
-        self.optimize = optimize
+        #: The IR pass pipeline run over every lowered block: ``passes``
+        #: names it (``()`` synthesizes the naive lowering) and
+        #: ``validate`` turns on translation validation of each
+        #: application.
         self.pass_manager = PassManager(
             "default" if passes is None else passes, validate=validate)
         #: Per-pass statistics across every lowered block.
@@ -216,10 +216,7 @@ class ExprSynthesizer:
     def _lowered(self, cache: Dict[int, IRBlock], key: int, build) -> IRBlock:
         block = cache.get(key)
         if block is None:
-            block = build()
-            if self.optimize:
-                block = self.pass_manager.run(block)
-            cache[key] = block
+            block = cache[key] = self.pass_manager.run(build())
         return block
 
     def sfg_block(self, sfg: SFG) -> IRBlock:

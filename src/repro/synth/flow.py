@@ -68,21 +68,20 @@ class ComponentSynthesis:
 def synthesize_process(process: TimedProcess, share: bool = True,
                        encoding: str = "binary", two_level: bool = False,
                        optimize: bool = True,
-                       expose_registers: bool = False,
-                       ir_passes: bool = True, passes=None,
+                       expose_registers: bool = False, passes=None,
                        validate: str = "off") -> ComponentSynthesis:
     """Synthesize one timed component to a gate-level netlist.
 
-    ``ir_passes`` runs the IR optimization pipeline over every lowered
-    instruction before expansion to gates; disable it for the ablation
-    baseline.  ``passes`` picks the pipeline (``"default"``,
-    ``"aggressive"`` or an explicit sequence) and ``validate`` turns on
-    translation validation of every IR pass application *and* a
-    netlist-level miter check of the post-synthesis optimizer
+    ``passes`` picks the IR pipeline run over every lowered instruction
+    before expansion to gates (``"default"``, ``"aggressive"``, an
+    explicit sequence, or ``()`` for the ablation baseline).
+    ``optimize`` runs the netlist optimizer on the result.  ``validate``
+    turns on translation validation of every IR pass application *and*
+    a netlist-level miter check of the netlist optimizer
     (:func:`repro.synth.equiv.check_netlists`).
     """
     synthesis = _bit_blast(process, share, encoding, two_level,
-                           expose_registers, ir_passes, passes, validate)
+                           expose_registers, passes, validate)
     if optimize:
         synthesis.netlist = optimize_netlist(synthesis.netlist,
                                              validate=validate)
@@ -90,8 +89,8 @@ def synthesize_process(process: TimedProcess, share: bool = True,
 
 
 def _bit_blast(process: TimedProcess, share: bool, encoding: str,
-               two_level: bool, expose_registers: bool, ir_passes: bool,
-               passes, validate: str) -> ComponentSynthesis:
+               two_level: bool, expose_registers: bool, passes,
+               validate: str) -> ComponentSynthesis:
     """:func:`synthesize_process` up to, not including, optimization."""
     nl = Netlist(process.name)
     all_sfgs = process.all_sfgs()
@@ -140,8 +139,8 @@ def _bit_blast(process: TimedProcess, share: bool, encoding: str,
             "an intermediate, a register, nor an input port"
         )
 
-    synthesizer = ExprSynthesizer(nl, alloc, leaf_word, optimize=ir_passes,
-                                  passes=passes, validate=validate)
+    synthesizer = ExprSynthesizer(nl, alloc, leaf_word, passes=passes,
+                                  validate=validate)
 
     # Guard conditions (always active: dedicated operators).
     controller = None
@@ -289,8 +288,7 @@ class SystemSynthesis:
 
 def synthesize_system(system: System, share: bool = True,
                       encoding: str = "binary",
-                      optimize: bool = True,
-                      ir_passes: bool = True, passes=None,
+                      optimize: bool = True, passes=None,
                       validate: str = "off") -> SystemSynthesis:
     """Synthesize every timed component of *system* (Fig. 8 flow).
 
@@ -305,8 +303,7 @@ def synthesize_system(system: System, share: bool = True,
     for process in system.timed_processes():
         synthesis = _bit_blast(process, share, encoding,
                                two_level=False, expose_registers=False,
-                               ir_passes=ir_passes, passes=passes,
-                               validate=validate)
+                               passes=passes, validate=validate)
         if optimize:
             synthesis.netlist = _optimize_once(synthesis.netlist, distinct,
                                                validate)

@@ -86,13 +86,12 @@ class CycleAdapter(EngineAdapter):
 class CompiledAdapter(EngineAdapter):
     """The generated compiled-code simulator."""
 
-    def __init__(self, system, name: str = "compiled",
-                 optimize: bool = True, passes=None, validate: str = "off"):
+    def __init__(self, system, name: str = "compiled", passes=None,
+                 validate: str = "off"):
         self._outs = [
             chan for chan in system.channels if chan.producer is not None
         ]
-        self.sim = CompiledSimulator(system, watch=self._outs,
-                                     optimize=optimize, passes=passes,
+        self.sim = CompiledSimulator(system, watch=self._outs, passes=passes,
                                      validate=validate)
         self.name = name
 

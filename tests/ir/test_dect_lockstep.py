@@ -37,7 +37,7 @@ def test_transceiver_lockstep_with_passes():
         return CycleAdapter(build_transceiver().system)
 
     def compiled_opt():
-        return CompiledAdapter(build_transceiver().system, optimize=True)
+        return CompiledAdapter(build_transceiver().system)
 
     div = Lockstep(interpreted, compiled_opt, stim).run()
     assert div is None, f"IR passes diverged on the transceiver: {div}"
@@ -46,5 +46,5 @@ def test_transceiver_lockstep_with_passes():
 def test_transceiver_passes_shrink_program():
     from repro.sim import CompiledSimulator
 
-    sim = CompiledSimulator(build_transceiver().system, optimize=True)
+    sim = CompiledSimulator(build_transceiver().system)
     assert sim.ir_op_count < sim.ir_op_count_raw

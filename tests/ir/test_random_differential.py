@@ -118,11 +118,11 @@ def test_three_engines_agree(seed):
 
     def compiled_raw():
         return CompiledAdapter(build_random_system(seed)[0],
-                               name="compiled_raw", optimize=False)
+                               name="compiled_raw", passes=())
 
     def compiled_opt():
         return CompiledAdapter(build_random_system(seed)[0],
-                               name="compiled_opt", optimize=True)
+                               name="compiled_opt")
 
     div = Lockstep(interpreted, compiled_raw, stim).run()
     assert div is None, f"seed {seed}: interpreted vs raw-compiled: {div}"
@@ -139,7 +139,7 @@ def test_passes_reduce_op_count_somewhere():
     shrunk = False
     for seed in range(12):
         system, _ = build_random_system(seed)
-        sim = CompiledSimulator(system, optimize=True)
+        sim = CompiledSimulator(system)
         assert sim.ir_op_count <= sim.ir_op_count_raw
         if sim.ir_op_count < sim.ir_op_count_raw:
             shrunk = True

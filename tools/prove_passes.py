@@ -94,7 +94,7 @@ def prove_netlist(datapath: str, passes: str, validate: str) -> int:
     if builder is None:
         raise SystemExit(f"no DECT datapath builder build_{datapath}")
     raw = synthesize_process(builder(Clock(f"{datapath}_raw")),
-                             ir_passes=False, optimize=False)
+                             passes=(), optimize=False)
     opt = synthesize_process(builder(Clock(f"{datapath}_opt")),
                              passes=passes)
     mode = "exhaustive" if validate == "exhaustive" else "sampled"
