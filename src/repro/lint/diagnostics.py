@@ -1,8 +1,9 @@
 """Diagnostic records: what a lint rule reports.
 
 Every finding carries a stable code (``L204``), a symbolic name
-(``shadowed-transition``), a severity, the design object it is about, and the source location of the
-DSL construction that caused it (captured by :mod:`repro.core.srcloc`).
+(``shadowed-transition``), a severity, the design object it is about,
+and the source location of the DSL construction that caused it
+(captured by :mod:`repro.core.srcloc`).
 """
 
 from __future__ import annotations
