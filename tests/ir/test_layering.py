@@ -60,7 +60,7 @@ def _rows(sub):
             if key.split(".")[0] == sub]
 
 
-def _names(row, sub):
+def _reaches(row, sub):
     """Whether *row* lets its importer reach subpackage *sub*."""
     return "*" in row or any(entry.split(".")[0] == sub for entry in row)
 
@@ -89,7 +89,7 @@ def test_lint_layer_contract_holds():
     for row in _rows("lint"):
         assert row - {"lint.interval"} <= {"core", "ir", "fixpt"}, row
     for sub in ("sim", "hdl", "synth"):
-        assert not any(_names(row, "lint") for row in _rows(sub)), sub
+        assert not any(_reaches(row, "lint") for row in _rows(sub)), sub
 
 
 def test_lint_layer_checker_catches_violations(tmp_path, capsys):
@@ -119,7 +119,7 @@ def test_obs_layer_contract_holds():
     for row in _rows("obs"):
         assert row <= {"obs", "core", "ir", "fixpt"}, row
     for sub in ("core", "ir", "fixpt"):
-        assert not any(_names(row, "obs") for row in _rows(sub)), sub
+        assert not any(_reaches(row, "obs") for row in _rows(sub)), sub
 
 
 def test_obs_layer_checker_catches_violations(tmp_path, capsys):
@@ -148,14 +148,14 @@ def test_lane_layer_contract_holds():
     """No row of a scalar-semantics layer names an engine package."""
     for sub in ("core", "ir", "fixpt", "lint"):
         for engine in ("sim", "synth", "verify"):
-            assert not any(_names(row, engine) for row in _rows(sub)), \
+            assert not any(_reaches(row, engine) for row in _rows(sub)), \
                 (sub, engine)
 
 
 def test_runner_is_the_top_layer():
     """Only the runner's own row reaches repro.runner."""
     rows = _load_checker().ALLOWED
-    assert [key for key, row in rows.items() if _names(row, "runner")] == \
+    assert [key for key, row in rows.items() if _reaches(row, "runner")] == \
         ["runner"]
 
 
