@@ -155,9 +155,6 @@ class VerilogGenerator:
             files[f"{name}.v"] = self.component(process)
         return files
 
-    def _lower(self, build) -> IRBlock:
-        return self.pass_manager.run(build())
-
     def component(self, process: TimedProcess) -> str:
         """Generate one module: two-always-block FSMD Verilog."""
         scope = NameScope()
@@ -177,17 +174,16 @@ class VerilogGenerator:
         # module-wide precision is the exact maximum over all IR values.
         sfg_blocks: Dict[int, IRBlock] = {}
         for sfg in all_sfgs:
-            sfg_blocks[id(sfg)] = self._lower(
-                lambda sfg=sfg: lower_sfg(sfg, require_formats=True))
+            sfg_blocks[id(sfg)] = self.pass_manager.run(
+                lower_sfg(sfg, require_formats=True))
         cond_blocks: Dict[int, IRBlock] = {}
         if fsm is not None:
             for state in fsm.states:
                 for transition in state.transitions:
                     expr = transition.condition.expr
                     if expr is not None and id(expr) not in cond_blocks:
-                        cond_blocks[id(expr)] = self._lower(
-                            lambda expr=expr: lower_expr(
-                                expr, require_formats=True))
+                        cond_blocks[id(expr)] = self.pass_manager.run(
+                            lower_expr(expr, require_formats=True))
 
         widths = [2]
         for block in list(sfg_blocks.values()) + list(cond_blocks.values()):
