@@ -116,19 +116,6 @@ class UntimedProcess(Process):
             raise ModelError(f"port rate must be >= 1, got {rate}")
         return self._add_port(Port(self, name, "out", rate=rate))
 
-    def require_connected_inputs(self) -> None:
-        """Raise :class:`ModelError` if an input port is unconnected.
-
-        Under a clock such a process could never fire, so the clocked
-        engines reject it when they are built.  Under the data-flow
-        scheduler it simply never fires: its firing rule never holds.
-        """
-        for port in self.in_ports():
-            if port.channel is None:
-                raise ModelError(
-                    f"untimed process {self.name!r} port {port.name!r} "
-                    "is unconnected")
-
     def firing_rule(self) -> bool:
         """True when this process may fire.
 
@@ -232,7 +219,7 @@ class TimedProcess(Process):
 
     def add_input(self, name: str, sig: Sig) -> Port:
         """Bind an input port to an SFG input signal."""
-        if sig.is_register():
+        if sig is not None and sig.is_register():
             raise ModelError(
                 f"input port {name!r} of {self.name!r} cannot bind a register"
             )

@@ -191,13 +191,6 @@ class System:
             if port.channel is None
         ]
 
-    def validate(self) -> None:
-        """Raise :class:`ModelError` on dangling wiring."""
-        dangling = self.unconnected_ports()
-        if dangling:
-            names = ", ".join(f"{p.process.name}.{p.name}" for p in dangling)
-            raise ModelError(f"unconnected ports in system {self.name!r}: {names}")
-
     def __repr__(self) -> str:
         return (f"System({self.name!r}, {len(self.processes)} processes, "
                 f"{len(self.channels)} channels)")

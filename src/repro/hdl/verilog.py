@@ -14,12 +14,13 @@ is exact instead of the old leaf-width heuristic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..fixpt import Fx, FxFormat, Overflow, Rounding
+from ..core.elaborate import register_inventory
 from ..core.errors import CodegenError
 from ..core.process import TimedProcess, UntimedProcess
-from ..core.signal import Register, Sig
+from ..core.signal import Sig
 from ..core.system import System
 from ..ir import IRBlock, PassManager, lower_expr, lower_sfg
 from ..ir.formats import sig_fmt, vector_width
@@ -162,13 +163,7 @@ class VerilogGenerator:
         all_sfgs = process.all_sfgs()
         fsm = process.fsm
 
-        registers: List[Register] = []
-        seen: Set[int] = set()
-        for sfg in all_sfgs:
-            for reg in sfg.registers():
-                if id(reg) not in seen:
-                    seen.add(id(reg))
-                    registers.append(reg)
+        registers = list(register_inventory([process]))
 
         # Lower (and optimize) every SFG and FSM guard up front; the
         # module-wide precision is the exact maximum over all IR values.

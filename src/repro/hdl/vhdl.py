@@ -19,12 +19,13 @@ slicing and multiplexing helpers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fixpt import Fx, FxFormat, Overflow, Rounding
+from ..core.elaborate import Elaboration, is_boundary, register_inventory
 from ..core.errors import CodegenError
 from ..core.process import TimedProcess, UntimedProcess
-from ..core.signal import Register, Sig
+from ..core.signal import Sig
 from ..core.system import System
 from ..ir import IRBlock, PassManager, lower_expr, lower_sfg
 from ..ir.formats import sig_fmt, vector_width
@@ -232,6 +233,7 @@ class VhdlGenerator:
 
     def __init__(self, system: System, passes=None, validate: str = "off"):
         self.system = system
+        self.elaboration = Elaboration(system)
         #: The IR pass pipeline run over every lowered block before
         #: emission: ``passes`` names it (``()`` emits the naive
         #: lowering) and ``validate`` turns on translation validation
@@ -264,13 +266,7 @@ class VhdlGenerator:
 
         # Collect structure.
         all_sfgs = process.all_sfgs()
-        registers: List[Register] = []
-        seen: Set[int] = set()
-        for sfg in all_sfgs:
-            for reg in sfg.registers():
-                if id(reg) not in seen:
-                    seen.add(id(reg))
-                    registers.append(reg)
+        registers = list(register_inventory([process]))
         port_sigs = {port.sig for port in process.ports.values()}
         # Every non-register target gets a process variable; output-port
         # targets additionally drive their port from that variable, so that
@@ -478,17 +474,7 @@ class VhdlGenerator:
         ]
         ports = []
         for port in process.ports.values():
-            chan = port.channel
-            width = 32
-            if chan is not None:
-                peer = chan.producer if port.direction == "in" else None
-                if peer is not None and peer.sig is not None and peer.sig.fmt:
-                    width = vector_width(peer.sig.fmt)
-                elif port.direction == "out":
-                    for consumer in chan.consumers:
-                        if consumer.sig is not None and consumer.sig.fmt:
-                            width = vector_width(consumer.sig.fmt)
-                            break
+            width = self.net_width(port.channel)
             direction = "in" if port.direction == "in" else "out"
             ports.append(
                 f"    {sanitize(port.name)} : {direction} "
@@ -513,6 +499,19 @@ class VhdlGenerator:
 
     # -- structural top ---------------------------------------------------------------
 
+    def net_width(self, chan) -> int:
+        """Bits of *chan*'s net (32 unconnected or unformatted): its
+        timed producer's format, else its consumers' one format."""
+        fmts = self.elaboration.formats.get(chan, [])
+        timed = chan is not None and not is_boundary(chan)
+        if len(fmts) > (0 if timed else 1):
+            raise CodegenError(
+                f"channel {chan.name!r} is converted into another format; "
+                "its net has one width")
+        if timed:
+            fmts = [chan.producer.sig.fmt]
+        return vector_width(fmts[0]) if fmts and fmts[0] else 32
+
     def top_level(self) -> str:
         """The structural system linkage: instances + channel nets."""
         system = self.system
@@ -530,18 +529,8 @@ class VhdlGenerator:
         ]
         # Primary inputs (producer-less channels) and unread outputs.
         externals: List[str] = []
-        chan_width: Dict[str, int] = {}
         for chan in system.channels:
-            width = 32
-            if chan.producer is not None and chan.producer.sig is not None \
-                    and chan.producer.sig.fmt is not None:
-                width = vector_width(chan.producer.sig.fmt)
-            else:
-                for consumer in chan.consumers:
-                    if consumer.sig is not None and consumer.sig.fmt is not None:
-                        width = vector_width(consumer.sig.fmt)
-                        break
-            chan_width[chan.name] = width
+            width = self.net_width(chan)
             if chan.producer is None:
                 externals.append(
                     f"    {sanitize(chan.name)} : in "
@@ -563,7 +552,7 @@ class VhdlGenerator:
         lines.append(f"architecture structural of {name} is")
         for chan in system.channels:
             if chan.producer is not None and chan.consumers:
-                width = chan_width[chan.name]
+                width = self.net_width(chan)
                 lines.append(
                     f"  signal net_{sanitize(chan.name)} : "
                     f"signed({width - 1} downto 0);"

@@ -15,11 +15,11 @@ hands each engine exactly the observer callable it needs:
 * :meth:`gate_monitor` — a post-settle monitor for the gate-level
   simulator (primary-output toggle counts).
 
-The register traversal used for toggle accounting
-(:func:`register_watchlist`) is *identical* to the compiled simulator's
-own register collection, so the interpreted and compiled engines observe
-the same registers under the same hierarchical names in the same order —
-that is what makes toggle counts lockstep-comparable across engines.
+The registers used for toggle accounting (:func:`register_watchlist`)
+are the elaboration's inventory, which the compiled simulator reads too,
+so the interpreted and compiled engines observe the same registers under
+the same hierarchical names in the same order — that is what makes
+toggle counts lockstep-comparable across engines.
 
 Layering: this module (like all of :mod:`repro.obs`) imports only
 ``core``/``ir``/``fixpt``.  Engines import *it*, never the reverse;
@@ -32,6 +32,7 @@ import json
 import os
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
+from ..core.elaborate import register_inventory
 from ..core.signal import Register, Sig
 from ..core.system import Channel, System
 from ..fixpt import Fx
@@ -46,21 +47,12 @@ from .spans import SpanTracer
 def register_watchlist(system: System) -> List[Tuple[str, Register]]:
     """Every register of *system* with its hierarchical name.
 
-    The traversal (timed processes in addition order, each process's
-    ``all_sfgs()``, each SFG's ``registers()``, de-duplicated by
-    identity) matches the compiled simulator's register collection
-    exactly; a register shared between processes is owned by the first
-    process that reaches it in both engines.
+    The elaboration's register inventory, which every engine reads: a
+    register shared between processes is owned by the first process
+    that reaches it.
     """
-    out: List[Tuple[str, Register]] = []
-    seen = set()
-    for process in system.timed_processes():
-        for sfg in process.all_sfgs():
-            for reg in sfg.registers():
-                if id(reg) not in seen:
-                    seen.add(id(reg))
-                    out.append((f"{process.name}/{reg.name}", reg))
-    return out
+    inventory = register_inventory(system.timed_processes())
+    return [(name, reg) for reg, name in inventory.items()]
 
 
 def fsm_watchlist(system: System) -> List[Tuple[str, object]]:

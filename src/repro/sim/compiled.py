@@ -12,15 +12,13 @@ specialized Python ``step()`` function:
 * fixed-point signals become raw integers; operator alignment, rounding and
   saturation arrive pre-lowered as explicit shift/quantize IR ops, and a
   saturation renders as compare-and-branch;
-* values enter from outside only at the boundary — primary-input pins
-  and untimed processes' outputs — and are quantized there once into
-  each formatted consumer's format, as the cycle scheduler coerces a
-  token into the reading signal's format (an ``Overflow.ERROR`` format,
-  which can raise, is quantized where a marked assignment reads it);
-  untimed behaviours are called directly, with ``Fx`` inputs built
-  without a second range check (:attr:`SystemLayout.boundary`,
-  DESIGN.md §18), except a :class:`~repro.core.Ram`'s, whose reads and
-  write are emitted inline over the step's raw values (DESIGN.md §22);
+* a channel's value is quantized into each consumer format the
+  elaboration names where it enters (a pin, an untimed output, a timed
+  producer's store), or where a marked assignment reads it for an
+  ``Overflow.ERROR`` format (DESIGN.md §18, §23); untimed behaviours
+  are called directly, with ``Fx`` inputs built without a second range
+  check, except a :class:`~repro.core.Ram`'s, whose reads and write are
+  emitted inline over the step's raw values (DESIGN.md §22);
 * the FSM transition selection of every component is emitted first (the
   conditions depend only on registers, so this is the scheduler's phase 0);
 * all assignments of all components are emitted in one global topological
@@ -34,9 +32,9 @@ Python equivalent of regenerating C++ and running it through the compiler.
 
 Semantics vs rendering
 ----------------------
-Everything about *what* a cycle computes — channel aliasing, register
-collection, FSM transition tables, the global assignment schedule and its
-guards — lives in :class:`SystemLayout`.  *How* that schedule is spelled
+Everything about *what* a cycle computes — the system's elaboration, FSM
+transition tables, the global assignment schedule and its guards — lives
+in :class:`SystemLayout`.  *How* that schedule is spelled
 is an emitter decision: :class:`_PyEmitter` renders it as Python
 integers.  The layout never knows about the spelling.
 
@@ -53,10 +51,10 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..fixpt import Fx, FxFormat, Overflow, Rounding
+from ..core.elaborate import Elaboration, is_boundary
 from ..core.errors import CodegenError, SimulationError
-from ..core.memory import Ram, memories, restore_memories, save_memories
+from ..core.memory import Ram, restore_memories, save_memories
 from ..core.process import TimedProcess, UntimedProcess
-from ..core.sfg import Assignment
 from ..core.signal import Register, Sig
 from ..core.system import Channel, System
 from ..ir import IRBlock, Lowerer, PassManager
@@ -286,73 +284,25 @@ class _PyEmitter:
 Guard = Optional[Tuple[TimedProcess, Tuple[int, ...]]]
 
 
-class SystemLayout:
+class SystemLayout(Elaboration):
     """The semantics of a system, apart from how a step renders them.
 
-    One :class:`SystemLayout` answers every *what-does-a-cycle-compute*
-    question — channel aliasing, boundary formats, register/FSM inventories,
-    the globally scheduled assignment order and its structured
-    :data:`Guard` s — without committing to a rendering.
+    The system's :class:`~repro.core.elaborate.Elaboration` (what each
+    channel means: aliases, conversions and where they happen, the
+    register inventory), plus what the compiled step adds to it:
+    variable naming, FSM transition tables, the globally scheduled
+    assignment order and its structured :data:`Guard` s.
     :class:`CompiledSimulator` renders it as Python source.
     """
 
     def __init__(self, system: System, watch: Sequence[Channel] = ()):
-        self.system = system
+        super().__init__(system)
         self.watch = list(watch)
-        self.timed: List[TimedProcess] = system.timed_processes()
-        self.untimed: List[UntimedProcess] = system.untimed_processes()
-        for process in self.untimed:
-            process.require_connected_inputs()
         self.sig_name = _Namer("s")
         self.reg_name = _Namer("r")
-
-        # Map every timed input-port signal to its channel's producing sig.
-        alias: Dict[Sig, Sig] = {}
-        self.pin_channels: List[Channel] = []
-        #: Boundary channels — primary-input pins and untimed outputs,
-        #: whose values come from outside the generated step — mapped
-        #: to the distinct formats of their formatted timed consumers.
-        #: Each (channel, format) pair is one raw-integer variable of the
-        #: step (:meth:`boundary_var`), quantized once where the value
-        #: enters (DESIGN.md §18).
-        self.boundary: Dict[Channel, List[FxFormat]] = {}
-        for chan in system.channels:
-            producer = chan.producer
-            driver_sig = None
-            if producer is not None and producer.sig is not None:
-                driver_sig = producer.sig
-            for consumer in chan.consumers:
-                if consumer.sig is not None and driver_sig is not None:
-                    alias[consumer.sig] = driver_sig
-            if producer is None:
-                self.pin_channels.append(chan)
-            elif not isinstance(producer.process, UntimedProcess):
-                continue
-            fmts = self.boundary[chan] = []
-            for consumer in chan.consumers:
-                fmt = consumer.sig.fmt if consumer.sig is not None else None
-                if fmt is not None and fmt not in fmts:
-                    fmts.append(fmt)
-        self._alias = alias
         #: Built by :meth:`watch_guard` on first use.
         self._assigned: Optional[Dict[
             Sig, Optional[Tuple[TimedProcess, Set[int]]]]] = None
-
-        # Collect all registers and FSMs.  The hierarchical names are the
-        # same ones repro.obs.register_watchlist derives for the cycle
-        # scheduler — identical traversal, so cross-engine toggle counts
-        # line up signal for signal.
-        self.registers: List[Register] = []
-        seen_regs: Set[int] = set()
-        self.obs_regs: List[Tuple[str, Register]] = []
-        for process in self.timed:
-            for sfg in process.all_sfgs():
-                for reg in sfg.registers():
-                    if id(reg) not in seen_regs:
-                        seen_regs.add(id(reg))
-                        self.registers.append(reg)
-                        self.obs_regs.append(
-                            (f"{process.name}/{reg.name}", reg))
 
         #: FSM state-name -> index per timed process (keyed by id).
         self.fsm_index: Dict[int, Dict[str, int]] = {}
@@ -362,43 +312,17 @@ class SystemLayout:
                     s.name: i for i, s in enumerate(process.fsm.states)
                 }
 
-        # A timed consumer of a boundary channel reads the variable of its
-        # own format at that format's binary point, as the cycle scheduler
-        # coerces a token into the reading signal's format; an
-        # unformatted consumer reads the value as driven (float domain).
+        # A consumer that converts reads the variable of its own format
+        # at that format's binary point (DESIGN.md §18); an unformatted
+        # consumer of a boundary channel reads the value as driven
+        # (float domain).
         self.overrides: Dict[Sig, Tuple[str, Optional[FxFormat]]] = {}
-        for chan in self.boundary:
+        for chan in self.formats:
             for consumer in chan.consumers:
                 sig = consumer.sig
-                if sig is not None:
+                if sig is not None and sig not in self.alias:
                     self.overrides[sig] = (self.boundary_var(chan, sig.fmt),
                                            sig.fmt)
-
-        #: The ``Overflow.ERROR`` boundary formats each assignment reads
-        #: through its input cone, as (channel, format) pairs.  Such a
-        #: conversion can raise, so it happens where a marked assignment
-        #: reads the port — where the cycle scheduler copies the token
-        #: into the port's signal — not where the value enters.
-        self.checked_reads: Dict[Assignment,
-                                 List[Tuple[Channel, FxFormat]]] = {}
-        for process in self.timed:
-            in_ports = {port.sig: port for port in process.in_ports()
-                        if port.sig is not None}
-            checked = sorted(
-                (sig for sig, port in in_ports.items()
-                 if sig.fmt is not None
-                 and sig.fmt.overflow is Overflow.ERROR
-                 and port.channel in self.boundary),
-                key=lambda s: s.name)
-            if not checked:
-                continue
-            for sfg in process.all_sfgs():
-                deps = sfg.assignment_input_deps(set(in_ports))
-                for assignment in sfg.ordered_assignments():
-                    reads = [(in_ports[sig].channel, sig.fmt)
-                             for sig in checked if sig in deps[assignment]]
-                    if reads:
-                        self.checked_reads[assignment] = reads
 
         # The globally scheduled assignment order (with structured guards)
         # plus interleaved untimed processes.
@@ -408,7 +332,7 @@ class SystemLayout:
     # -- signal references --------------------------------------------------------
 
     def resolve(self, sig: Sig) -> Sig:
-        alias = self._alias
+        alias = self.alias
         while sig in alias:
             sig = alias[sig]
         return sig
@@ -426,22 +350,24 @@ class SystemLayout:
 
     def boundary_var(self, chan: Channel,
                      fmt: Optional[FxFormat] = None) -> str:
-        """The step variable of a boundary channel.
+        """The step variable of a channel's value.
 
         With *fmt* None, the value as driven (a pin's value from the
-        caller, an untimed output as its behaviour returned it);
-        otherwise that value quantized into *fmt*, one of
-        ``boundary[chan]``, as a raw integer.
+        caller, an untimed output as its behaviour returned it, a timed
+        producer's signal); otherwise that value quantized into *fmt*,
+        one of ``formats[chan]``, as a raw integer.
         """
         producer = chan.producer
         if producer is None:
             var = f"pin_{_sanitize(chan.name)}"
-        else:
+        elif producer.sig is None:
             var = (f"u_{_sanitize(producer.process.name)}"
                    f"_{_sanitize(producer.name)}")
+        else:
+            var = self.sig_ref(producer.sig)[0]
         if fmt is None:
             return var
-        return f"q{self.boundary[chan].index(fmt)}_{var}"
+        return f"q{self.formats[chan].index(fmt)}_{var}"
 
     # The lowering resolves aliases up front so one producing signal is
     # one IR read; override signals keep their identity (their variable
@@ -459,7 +385,7 @@ class SystemLayout:
 
     def watch_ref(self, chan: Channel) -> Tuple[str, Optional[FxFormat]]:
         """Variable reference and format of one watched channel."""
-        if chan in self.boundary:
+        if is_boundary(chan):
             return self.boundary_var(chan), None
         # A watched register sees the pre-edge value, like the cycle
         # scheduler (the commit happens after the watch emission).
@@ -474,7 +400,7 @@ class SystemLayout:
         token only in the cycles that select one of them, as in the cycle
         scheduler.
         """
-        if chan in self.boundary:
+        if is_boundary(chan):
             return None
         sig = self.resolve(chan.producer.sig)
         if sig.is_register():
@@ -543,15 +469,17 @@ class SystemLayout:
                     if not target.is_register():
                         produces[target] = node
 
-        for process in self.untimed:
-            nodes.append(process)
-            for port in process.out_ports():
-                chan = port.channel
-                if chan is None:
-                    continue
+        nodes.extend(self.untimed)
+        # A converted read follows its channel's producer, as an aliased
+        # read follows the signal it resolves to.
+        for chan in self.formats:
+            producer = chan.producer
+            if producer is not None:
+                source = (producer.process if producer.sig is None
+                          else produces.get(resolve(producer.sig)))
                 for consumer in chan.consumers:
-                    if consumer.sig is not None:
-                        produces[consumer.sig] = process
+                    if source is not None and consumer.sig in self.overrides:
+                        produces[consumer.sig] = source
 
         edges: Dict[int, List] = {id(n): [] for n in nodes}
 
@@ -613,7 +541,6 @@ class CompiledSimulator:
         self.cycle = 0
         self.outputs: Dict[str, object] = {}
         self._env: Dict[str, object] = {}
-        self._memories = memories(self.layout.untimed)
         #: Optional :class:`repro.obs.Capture`.  Instrumentation is
         #: *emitted into the generated source* only when the capture
         #: asks for it — a bare simulator contains no obs code at all.
@@ -667,7 +594,7 @@ class CompiledSimulator:
         """Deterministic checkpoint: raw register values, FSM states,
         every memory's contents and the cycle."""
         return {"cycle": self.cycle, "state": self._dump_raw(),
-                "memories": save_memories(self._memories)}
+                "memories": save_memories(self.layout.memories)}
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Restore a checkpoint taken with :meth:`save_state`.
@@ -675,7 +602,7 @@ class CompiledSimulator:
         The memories are written back in place, since the step holds
         their lists.
         """
-        restore_memories(self._memories, state["memories"])
+        restore_memories(self.layout.memories, state["memories"])
         self._load(state["state"])
         self.cycle = state["cycle"]
 
@@ -731,21 +658,34 @@ class CompiledSimulator:
         b = body.append
 
         def convert(chan: Channel, fmt: FxFormat, indent: str) -> None:
-            """Quantize a boundary channel's value into one of its formats."""
+            """Quantize a channel's value into one of its formats: from a
+            raw value at a timed producer's binary point, else a value."""
+            fmt_in = None if is_boundary(chan) \
+                else layout.sig_ref(chan.producer.sig)[1]
+            frac = fmt_in.frac_bits if fmt_in is not None else None
             b(f"{indent}{layout.boundary_var(chan, fmt)} = "
-              f"_quantize_raw({layout.boundary_var(chan)}, {_fmt_ref(fmt)})")
+              f"{gen_quantize(layout.boundary_var(chan), frac, fmt)}")
 
-        def convert_entering(chan: Channel) -> None:
+        def convert_entering(chan: Channel, indent: str = "        ") -> None:
             """Convert a value where it enters, but for ERROR formats."""
-            for fmt in layout.boundary[chan]:
+            for fmt in layout.formats[chan]:
                 if fmt.overflow is not Overflow.ERROR:
-                    convert(chan, fmt, "        ")
+                    convert(chan, fmt, indent)
 
         # Pins: the value as driven, then once per consumer format.
-        for chan in layout.pin_channels:
+        for chan in layout.pins:
             b(f"        {layout.boundary_var(chan)} = "
               f"pins.get({chan.name!r}, 0)")
             convert_entering(chan)
+        # A timed producer's value enters where it is stored: at the
+        # top for a register, after each assignment for a plain signal.
+        entering: Dict[Sig, List[Channel]] = {}
+        for chan in layout.formats:
+            if not is_boundary(chan):
+                source = layout.resolve(chan.producer.sig)
+                entering.setdefault(source, []).append(chan)
+                if source.is_register():
+                    convert_entering(chan)
 
         def condition_code(expr) -> Tuple[str, Optional[int]]:
             """Lower, optimize and inline-render one FSM guard."""
@@ -846,6 +786,8 @@ class CompiledSimulator:
                 b(f"{indent}{var} = {code}")
                 if not isinstance(target, Register):
                     emitter.bind(store.value, var)
+                    for chan in entering.get(target, ()):
+                        convert_entering(chan, indent)
             if prof_index is not None:
                 b(f"{indent}_obs_block({prof_index}, _obs_perf() - _obs_t)")
 
@@ -858,7 +800,7 @@ class CompiledSimulator:
             invariant).
             """
             chan = port.channel
-            if chan in layout.boundary:
+            if is_boundary(chan):
                 return layout.boundary_var(chan)
             code, fmt = layout.sig_ref_full(chan.producer.sig)
             if fmt is not None:
@@ -873,7 +815,7 @@ class CompiledSimulator:
             zero for positive ones.
             """
             chan = port.channel
-            if chan in layout.boundary:
+            if is_boundary(chan):
                 return f"int({layout.boundary_var(chan)})"
             code, fmt = layout.sig_ref_full(chan.producer.sig)
             if fmt is None:
@@ -963,7 +905,14 @@ class CompiledSimulator:
         group: List[tuple] = []
         for node in layout.order:
             if isinstance(node, tuple):
-                if group and group[0][2] != node[2]:
+                # An ERROR conversion opens its block, so one of a value
+                # stored in the current block starts a new block.
+                sources = {layout.resolve(chan.producer.sig)
+                           for chan, _fmt in layout.checked_reads.get(
+                               node[1], ()) if not is_boundary(chan)}
+                if group and (group[0][2] != node[2] or sources and any(
+                        layout.resolve(g[1].target) in sources
+                        for g in group)):
                     flush_group(group)
                     group = []
                 group.append(node)
@@ -1003,7 +952,7 @@ class CompiledSimulator:
             obs_fsms = [(f"{p.name}/{p.fsm.name}", p.fsm)
                         for p in timed if p.fsm is not None]
             self._obs_hook = self.obs.compiled_observer(
-                layout.obs_regs, obs_fsms)
+                [(name, reg) for reg, name in registers.items()], obs_fsms)
         if self._obs_hook is not None:
             regs_args = ", ".join(reg_name(reg, reg.name)
                                   for reg in registers)

@@ -27,21 +27,13 @@ from __future__ import annotations
 from time import perf_counter as _perf
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..core.elaborate import Elaboration
 from ..core.errors import DeadlockError, ModelError, SimulationError
-from ..core.memory import memories, restore_memories, save_memories
+from ..core.memory import restore_memories, save_memories
 from ..core.process import Port, TimedProcess, UntimedProcess
 from ..core.sfg import SFG, Assignment
 from ..core.signal import Sig
 from ..core.system import Channel, System
-
-
-#: The wire of an unconnected input port: never holds a token.
-_NO_WIRE = ()
-
-
-def _wire(port: Port):
-    """The token queue *port* reads under cycle semantics."""
-    return port.channel.queue if port.channel is not None else _NO_WIRE
 
 
 class _PlanStep:
@@ -60,7 +52,8 @@ class _PlanStep:
                  output_port: Optional[Port],
                  label: str = ""):
         self.execute = assignment.execute
-        self.reads = tuple((_wire(port), port.sig) for port in input_ports)
+        self.reads = tuple((port.channel.queue, port.sig)
+                           for port in input_ports)
         self.out = output_port.channel if output_port is not None else None
         self.target = assignment.target
         #: The ports behind ``reads``, for deadlock diagnostics.
@@ -79,11 +72,6 @@ class _ProcessPlan:
         port_of_sig: Dict[Sig, Port] = {}
         in_port_of_sig: Dict[Sig, Port] = {}
         for port in process.ports.values():
-            if port.sig is None:
-                raise ModelError(
-                    f"port {process.name}.{port.name} of a timed process must "
-                    "bind an SFG signal"
-                )
             if port.direction == "out":
                 port_of_sig[port.sig] = port
             else:
@@ -129,24 +117,15 @@ class CycleScheduler:
         self.obs = obs
         self._prof = obs.profile if obs is not None else None
         self.cycle = 0
-        self.timed = system.timed_processes()
-        self.untimed = system.untimed_processes()
-        self._memories = memories(self.untimed)
+        self.elaboration = Elaboration(system)
+        self.timed = self.elaboration.timed
+        self.untimed = self.elaboration.untimed
         if not self.timed:
             raise ModelError(
                 "the cycle scheduler needs at least one timed description; "
                 "use the data-flow scheduler for untimed systems"
             )
         self.clocks = system.clocks()
-        for process in self.untimed:
-            process.require_connected_inputs()
-            for port in process.ports.values():
-                if port.rate != 1:
-                    raise ModelError(
-                        f"untimed process {process.name!r} has port rate "
-                        f"{port.rate}; under the cycle scheduler untimed "
-                        "blocks are single-rate"
-                    )
         # Per timed process: its FSM and its plans keyed by the selected
         # transition (None for a process without an FSM).
         self._selectors: List[Tuple[TimedProcess, object,
@@ -157,7 +136,8 @@ class CycleScheduler:
         # output channels, in declaration order.
         self._untimed_io = [
             (process,
-             tuple((port.name, _wire(port)) for port in process.in_ports()),
+             tuple((port.name, port.channel.queue)
+                   for port in process.in_ports()),
              tuple((port.name, port.channel) for port in process.out_ports()))
             for process in self.untimed
         ]
@@ -306,16 +286,12 @@ class CycleScheduler:
         """
         blocked: Dict[str, Set[str]] = {}
         for step in pending:
-            waits = [
-                port.name for port in step.input_ports
-                if port.channel is None or not port.channel.valid
-            ]
+            waits = [port.name for port in step.input_ports
+                     if not port.channel.valid]
             blocked.setdefault(step.process.name, set()).update(waits)
         for process in self.untimed:
-            waits = {
-                port.name for port in process.in_ports()
-                if port.channel is None or not port.channel.valid
-            }
+            waits = {port.name for port in process.in_ports()
+                     if not port.channel.valid}
             if waits:
                 blocked.setdefault(process.name, set()).update(waits)
         return {name: sorted(waits) for name, waits in sorted(blocked.items())}
@@ -373,17 +349,6 @@ class CycleScheduler:
 
     # -- checkpoint / restore ------------------------------------------------------
 
-    def _state_registers(self):
-        registers = []
-        seen: Set[int] = set()
-        for process in self.timed:
-            for sfg in process.all_sfgs():
-                for reg in sfg.registers():
-                    if id(reg) not in seen:
-                        seen.add(id(reg))
-                        registers.append(reg)
-        return registers
-
     def save_state(self) -> Dict[str, object]:
         """Deterministic checkpoint of all simulator state.
 
@@ -398,23 +363,23 @@ class CycleScheduler:
             "clocks": [clock.cycle for clock in self.clocks],
             "registers": [
                 (reg._value, reg._next, reg._next_set)
-                for reg in self._state_registers()
+                for reg in self.elaboration.registers
             ],
             "fsms": [
                 process.fsm.current.name if process.fsm is not None else None
                 for process in self.timed
             ],
-            "memories": save_memories(self._memories),
+            "memories": save_memories(self.elaboration.memories),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Restore a checkpoint taken with :meth:`save_state`."""
-        restore_memories(self._memories, state["memories"])
+        restore_memories(self.elaboration.memories, state["memories"])
         self.cycle = state["cycle"]
         for clock, count in zip(self.clocks, state["clocks"]):
             clock.cycle = count
         for reg, (value, nxt, next_set) in zip(
-                self._state_registers(), state["registers"]):
+                self.elaboration.registers, state["registers"]):
             reg._value = value
             reg._next = nxt
             reg._next_set = next_set

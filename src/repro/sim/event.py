@@ -14,8 +14,11 @@ generated VHDL would be:
   SFG's marking net and sensitive to the signals it reads;
 * every register becomes a clocked process sampling a combinational
   next-value net;
-* every channel becomes a propagation process (structural port map);
-* untimed blocks become combinational processes.
+* every channel becomes a propagation process (structural port map),
+  reading its consumers' formats from the system's
+  :class:`~repro.core.elaborate.Elaboration`;
+* untimed blocks become combinational processes, except a RAM, which
+  reads combinationally and writes at the clock edge.
 
 One :meth:`EventSimulator.step` simulates one clock cycle: drive pins,
 settle the combinational network through delta cycles, then apply the
@@ -25,11 +28,14 @@ which is the point of the Table 1 comparison.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..fixpt import Fx, quantize
+from ..fixpt import FxFormat, Overflow, quantize
+from ..core.elaborate import Elaboration, is_boundary
 from ..core.errors import SimulationError
-from ..core.process import TimedProcess, UntimedProcess
+from ..core.memory import Ram
+from ..core.process import TimedProcess
 from ..core.sfg import SFG, Assignment
 from ..core.signal import Register, Sig
 from ..core.system import Channel, System
@@ -63,6 +69,10 @@ class EventSimulator:
         self._seq_actions: List[Callable[[], List[Tuple[Sig, object]]]] = []
         self._pin_sigs: Dict[str, List[Sig]] = {}
         self._mark_nets: Dict[int, Sig] = {}
+        self._nets: Dict[Channel, Sig] = {}  # each value as driven
+        # (marking net, value net, format) of each checked read.
+        self._checks: List[Tuple[Sig, Sig, FxFormat]] = []
+        self.elaboration = Elaboration(system)
         self._build()
 
     # -- network construction -----------------------------------------------------
@@ -76,33 +86,68 @@ class EventSimulator:
             self._sensitive.setdefault(id(sig), []).append(proc)
 
     def _build(self) -> None:
-        system = self.system
+        elaboration = self.elaboration
+        in_nets = {port: self._net(f"{process.name}.{port.name}")
+                   for process in elaboration.untimed
+                   for port in process.in_ports()}
+        # Per channel, the net holding its value as driven (a timed
+        # producer's signal, else a net of its own) and the nets it is
+        # written to: consumer signals, which quantize it into their
+        # formats, and untimed input nets, which keep the token.
+        targets: Dict[Channel, List[Sig]] = {}
+        for chan in self.system.channels:
+            boundary = is_boundary(chan)
+            source = self._nets[chan] = self._net(f"drive:{chan.name}") \
+                if boundary else chan.producer.sig
+            nets = targets[chan] = [source] if boundary else []
+            for port in chan.consumers:
+                sig = port.sig
+                if sig is None:
+                    nets.append(in_nets[port])
+                elif elaboration.converts(sig) \
+                        and sig.fmt.overflow is Overflow.ERROR:
+                    # Through a saturating twin of the format, so that no
+                    # glitch of a delta cycle raises; the step checks the
+                    # settled value where a marked assignment reads it.
+                    twin = replace(sig.fmt, overflow=Overflow.SATURATE)
 
-        # Channel propagation processes (structural port maps).
-        for chan in system.channels:
-            producer = chan.producer
-            if producer is None:
-                # Primary input: pins drive every consumer sig directly.
-                sigs = [c.sig for c in chan.consumers if c.sig is not None]
-                self._pin_sigs[chan.name] = sigs
-                continue
-            src_sig = producer.sig
-            if src_sig is None:
-                continue  # produced by an untimed block; handled below
-            targets = [c.sig for c in chan.consumers if c.sig is not None]
-            if not targets:
-                continue
+                    def feed(src=source, dst=sig, twin=twin):
+                        return [(dst, quantize(src.value, twin))]
 
-            def propagate(src=src_sig, dst=tuple(targets)):
-                value = src.value if not isinstance(src, Register) else src.current
-                return [(t, value) for t in dst]
+                    self._add_proc(_Process(f"feed:{sig.name}", feed,
+                                            [source]))
+                else:
+                    nets.append(sig)
+            if chan.producer is None:
+                self._pin_sigs[chan.name] = nets
+            elif not boundary and nets:
+                def propagate(src=source, dst=tuple(nets)):
+                    return [(t, src.value) for t in dst]
 
-            self._add_proc(_Process(f"wire:{chan.name}", propagate, [src_sig]))
+                self._add_proc(_Process(f"wire:{chan.name}", propagate,
+                                        [source]))
 
-        for process in system.timed_processes():
+        for process in elaboration.timed:
             self._build_timed(process)
-        for process in system.untimed_processes():
-            self._build_untimed(process)
+        for process in elaboration.untimed:
+            outs = {port.name: targets[port.channel]
+                    for port in process.out_ports() if port.channel}
+            ins = {port.name: in_nets[port] for port in process.in_ports()}
+            if isinstance(process, Ram) \
+                    and type(process).behavior is Ram.behavior:
+                self._build_ram(process, ins, outs)
+                continue
+
+            def run(process=process, ins=ins, outs=outs):
+                results = process.behavior(
+                    **{name: net.value for name, net in ins.items()}) or {}
+                process.firings += 1
+                return [(target, results[name])
+                        for name, targets in outs.items()
+                        for target in targets]
+
+            self._add_proc(_Process(f"{process.name}.run", run,
+                                    list(ins.values())))
 
     def _build_timed(self, process: TimedProcess) -> None:
         fsm = process.fsm
@@ -116,6 +161,13 @@ class EventSimulator:
 
         for sfg in process.static_sfgs:
             self._mark_nets[id(sfg)].value = 1  # statically marked
+
+        for sfg in all_sfgs:
+            for assignment in sfg.assignments:
+                self._checks.extend(
+                    (self._mark_nets[id(sfg)], self._nets[chan], fmt)
+                    for chan, fmt in self.elaboration.checked_reads.get(
+                        assignment, ()))
 
         if fsm is not None:
             state_net = self._net(f"{process.name}.state")
@@ -219,50 +271,33 @@ class EventSimulator:
                     f"{process.name}.{target.name}", comb, sens,
                 ))
 
-    def _build_untimed(self, process: UntimedProcess) -> None:
-        process.require_connected_inputs()
-        in_sigs: Dict[str, Sig] = {}
-        sens: List[Sig] = []
-        for port in process.in_ports():
-            chan = port.channel
-            net = self._net(f"{process.name}.{port.name}")
-            in_sigs[port.name] = net
-            sens.append(net)
-            # Feed the net from the channel's producer.
-            producer = chan.producer
-            if producer is None:
-                self._pin_sigs.setdefault(chan.name, []).append(net)
-            elif producer.sig is not None:
-                def feed(src=producer.sig, dst=net):
-                    value = src.current if isinstance(src, Register) else src.value
-                    return [(dst, value)]
+    def _build_ram(self, ram: Ram, ins: Dict[str, Sig],
+                   outs: Dict[str, List[Sig]]) -> None:
+        """A RAM reads combinationally and writes once per cycle, at the
+        clock edge, from the settled nets: ``Ram.behavior`` fired once
+        with the cycle's tokens, its write seen by the next cycle."""
+        data, depth = ram.data, ram.depth
+        reads = [(ins["addr"], outs.get("q", ()))]
+        if ram.second_read_port:
+            reads.append((ins["addr_b"], outs.get("q_b", ())))
+        enables = [ins["we"], ins["wgate"]] if ram.write_gate \
+            else [ins["we"]]
+        waddr, wdata = ins["waddr"], ins["wdata"]
 
-                self._add_proc(_Process(
-                    f"{process.name}.{port.name}.feed", feed, [producer.sig],
-                ))
-            else:
-                # Untimed-to-untimed: producer writes consumer nets directly.
-                pass
+        def read():
+            return [(target, data[int(addr.value) % depth])
+                    for addr, targets in reads for target in targets]
 
-        out_nets: Dict[str, List[Sig]] = {}
-        for port in process.out_ports():
-            chan = port.channel
-            if chan is None:
-                continue
-            targets = [c.sig for c in chan.consumers if c.sig is not None]
-            out_nets[port.name] = targets
+        def write():
+            if all(int(net.value) for net in enables):
+                data[int(waddr.value) % depth] = wdata.value
+                ram.writes += 1
+            ram.firings += 1
+            return read()
 
-        def run(process=process, in_sigs=in_sigs, out_nets=out_nets):
-            kwargs = {name: net.value for name, net in in_sigs.items()}
-            results = process.behavior(**kwargs) or {}
-            process.firings += 1
-            updates = []
-            for name, targets in out_nets.items():
-                for target in targets:
-                    updates.append((target, results[name]))
-            return updates
-
-        self._add_proc(_Process(f"{process.name}.run", run, sens))
+        self._add_proc(_Process(f"{ram.name}.read", read,
+                                [addr for addr, _targets in reads]))
+        self._seq_actions.append(write)
 
     # -- kernel ----------------------------------------------------------------------
 
@@ -335,6 +370,9 @@ class EventSimulator:
                 for sig in self._pin_sigs.get(name, ()):
                     updates.append((sig, value))
             self._settle(updates)
+        for mark, source, fmt in self._checks:
+            if mark.value:
+                quantize(source.value, fmt)  # raises out of range
         for monitor in self.monitors:
             monitor(self)
         # Clock edge: all clocked processes sample, then updates propagate.
@@ -350,9 +388,9 @@ class EventSimulator:
         for _ in range(cycles):
             self.step(pins_fn(self.cycle) if pins_fn else None)
 
-    def value(self, sig: Sig):
-        """Read a signal's settled value."""
-        return sig.current if isinstance(sig, Register) else sig.value
+    def value(self, target):
+        """Read a signal's settled value, or a channel's value as driven."""
+        return self._nets.get(target, target).value
 
 
 class _Keep:

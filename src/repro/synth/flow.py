@@ -26,9 +26,10 @@ verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fixpt import Fx, FxFormat, quantize_raw
+from ..core.elaborate import register_inventory
 from ..core.errors import SynthesisError
 from ..core.fsm import Transition
 from ..core.process import TimedProcess, UntimedProcess
@@ -93,16 +94,9 @@ def _bit_blast(process: TimedProcess, share: bool, encoding: str,
                validate: str) -> ComponentSynthesis:
     """:func:`synthesize_process` up to, not including, optimization."""
     nl = Netlist(process.name)
-    all_sfgs = process.all_sfgs()
 
     # Registers: pre-allocate Q buses so everything can read them.
-    registers: List[Register] = []
-    seen: Set[int] = set()
-    for sfg in all_sfgs:
-        for reg in sfg.registers():
-            if id(reg) not in seen:
-                seen.add(id(reg))
-                registers.append(reg)
+    registers = list(register_inventory([process]))
     reg_q: Dict[int, Word] = {}
     for reg in registers:
         fmt = _fmt_of(reg)

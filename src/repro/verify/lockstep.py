@@ -62,10 +62,8 @@ class CycleAdapter(EngineAdapter):
     def __init__(self, system, name: str = "interpreted"):
         self.scheduler = CycleScheduler(system)
         self.name = name
-        self._pins = {
-            chan.name: chan for chan in system.channels
-            if chan.producer is None
-        }
+        self._pins = {chan.name: chan
+                      for chan in self.scheduler.elaboration.pins}
         self._outs = [
             chan for chan in system.channels if chan.producer is not None
         ]
@@ -112,15 +110,14 @@ class EventAdapter(EngineAdapter):
         self.sim = EventSimulator(system)
         self.name = name
         self._outs = [
-            (chan.name, chan.producer.sig) for chan in system.channels
-            if chan.producer is not None and chan.producer.sig is not None
+            chan for chan in system.channels if chan.producer is not None
         ]
         self._last: Observation = {}
         self.sim.monitors.append(self._capture)
 
     def _capture(self, sim) -> None:
         self._last = {
-            name: _canonical(sim.value(sig)) for name, sig in self._outs
+            chan.name: _canonical(sim.value(chan)) for chan in self._outs
         }
 
     def step(self, pins: Mapping[str, object]) -> None:

@@ -206,13 +206,6 @@ class TestSystemWiring:
         chan = system.connect(src.port("y"), d1.port("x"), d2.port("x"))
         assert len(chan.consumers) == 2
 
-    def test_validate_flags_dangling(self):
-        a1 = actor("a1", lambda: {"y": 1}, inputs={}, outputs={"y": 1})
-        system = System("s")
-        system.add(a1)
-        with pytest.raises(ModelError):
-            system.validate()
-
     def test_clocks_collected(self):
         clk = Clock("master")
         a, y = Sig("a", F), Sig("y", F)

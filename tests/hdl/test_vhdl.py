@@ -111,6 +111,45 @@ class TestGeneratedStructure:
             generate_vhdl(system)
 
 
+    @pytest.mark.parametrize("producer", ["timed", "pin"])
+    def test_channel_read_in_another_format_is_error(self, producer):
+        """One net cannot carry a value in two widths: a timed channel
+        into a consumer of another format, or a pin read in two."""
+        clk = Clock()
+        system = System("s")
+        wide, narrow = FxFormat(12, 6), FxFormat(5, 3)
+        fmts = [narrow] if producer == "timed" else [wide, narrow]
+        readers = []
+        for index, fmt in enumerate(fmts):
+            x, acc = Sig(f"x{index}", fmt), Register(f"acc{index}", clk, W)
+            sfg = SFG(f"r{index}")
+            with sfg:
+                acc <<= x
+            sfg.inp(x)
+            p = TimedProcess(f"r{index}", clk, sfgs=[sfg])
+            p.add_input("x", x)
+            p.add_output("acc", acc)
+            system.add(p)
+            system.connect(p.port("acc"))
+            readers.append(p.port("x"))
+        if producer == "pin":
+            system.connect(None, *readers, name="u")
+        else:
+            a, y = Sig("a", wide), Sig("y", wide)
+            sfg = SFG("t")
+            with sfg:
+                y <<= a
+            sfg.inp(a).out(y)
+            p = TimedProcess("p", clk, sfgs=[sfg])
+            p.add_input("a", a)
+            p.add_output("y", y)
+            system.add(p)
+            system.connect(None, p.port("a"), name="a")
+            system.connect(p.port("y"), *readers, name="u")
+        with pytest.raises(CodegenError, match="channel 'u'"):
+            generate_vhdl(system)
+
+
 class TestCodeSizeClaim:
     def test_python_source_more_compact_than_vhdl(self):
         """Section 5: the C++ model is ~5x more compact than RT-VHDL.

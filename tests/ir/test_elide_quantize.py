@@ -256,7 +256,7 @@ class TestFloatDomain:
 
         for passes in ("default", "engine"):
             sim = CompiledSimulator(build_transceiver().system, passes=passes)
-            pairs = sum(len(fmts) for fmts in sim.layout.boundary.values())
+            pairs = sum(len(fmts) for fmts in sim.layout.formats.values())
             # Pins and untimed outputs (the scratch RAM, the coefficient
             # RAMs, the instruction ROM) are quantized once per consumer
             # format where they enter; no store is left in the float

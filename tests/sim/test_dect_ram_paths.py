@@ -1,4 +1,4 @@
-"""The DECT ALU and LMS lanes through their RAMs, interpreted vs compiled.
+"""The DECT ALU and LMS lanes through their RAMs on every clocked engine.
 
 The burst program issues no ALU instruction and no LMS update, so the
 paths from the scratch RAM into the ALU registers and from the
@@ -7,8 +7,10 @@ compiled step at an untimed output, never run in it.  This program
 issues every one of the 57 ALU instructions around a scratch-RAM write
 and its read-back, and a LOADE/UPDRE/UPDIM/WR update of four
 coefficient taps, with the RAMs preloaded past their consumers'
-formats.  The cycle scheduler and the compiled engine run it in
-lockstep, compared on every producer channel every cycle.
+formats.  The cycle scheduler runs it in lockstep with the compiled
+engine and with the event engine, compared on every producer channel
+every cycle; every RAM then holds the same words after the same number
+of writes.
 """
 
 import random
@@ -18,7 +20,7 @@ from repro.designs.dect.irom import Program
 from repro.designs.dect.program import ALL_FIR_SHIFT
 from repro.designs.dect.transceiver import build_transceiver
 from repro.fixpt import Fx
-from repro.verify import CompiledAdapter, CycleAdapter, Lockstep
+from repro.verify import CompiledAdapter, CycleAdapter, EventAdapter, Lockstep
 
 #: Scratch word 2 lies past WORD16: the ALU must read it saturated.
 SCRATCH = [0, 0, 40000.0, -7]
@@ -79,7 +81,9 @@ class _Recording(CompiledAdapter):
         return observation
 
 
-def test_alu_and_lms_ram_paths_in_lockstep():
+def _lockstep(other):
+    """Run the program on the cycle scheduler in lockstep with *other*;
+    the two chips and adapters."""
     program = _program()
     chips, adapters = [], []
 
@@ -95,9 +99,14 @@ def test_alu_and_lms_ram_paths_in_lockstep():
         return make
 
     stimulus = _stimulus(len(program) + 4)
-    divergence = Lockstep(build(CycleAdapter), build(_Recording),
+    divergence = Lockstep(build(CycleAdapter), build(other),
                           stimulus).run()
     assert divergence is None, str(divergence)
+    return chips, adapters, stimulus
+
+
+def test_alu_and_lms_ram_paths_in_lockstep():
+    chips, adapters, stimulus = _lockstep(_Recording)
 
     interpreted, compiled = chips
     for chip in chips:
@@ -118,3 +127,16 @@ def test_alu_and_lms_ram_paths_in_lockstep():
     assert any(o["alu_r0"] == 32767 for o in trace)
     written = [float(v) for v in compiled.rams["coef_re"].dump()[:4]]
     assert written != COEF_RE and written[2] < 4
+
+
+def test_event_engine_ram_paths_match():
+    """The event engine writes each RAM once per cycle, at the clock
+    edge, from the settled nets: the same words and write counts."""
+    (interpreted, event), _adapters, stimulus = _lockstep(EventAdapter)
+    for name, ram in interpreted.rams.items():
+        other = event.rams[name]
+        assert [(type(t), t) for t in ram.dump()] == \
+            [(type(t), t) for t in other.dump()], name
+        assert (other.writes, other.firings) == \
+            (ram.writes, len(stimulus)), name
+    assert interpreted.rams["scratch"].writes == 4

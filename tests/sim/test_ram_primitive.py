@@ -1,11 +1,13 @@
-"""The RAM primitive: the compiled step's inline accesses against
-``Ram.behavior`` under the cycle scheduler.
+"""The RAM primitive: the compiled step's inline accesses and the event
+engine's edge writes against ``Ram.behavior`` under the cycle scheduler.
 
 The compiled step fires a :class:`~repro.core.Ram` inline over its raw
 values (DESIGN.md §22): it reads, writes the token the behaviour would
-have been handed, and counts writes and firings.  Each case wires one
-or two RAMs into a small system, runs the cycle scheduler and the
-compiled engine in lockstep over every producer channel
+have been handed, and counts writes and firings.  The event engine
+reads it combinationally and writes once per cycle, at the clock edge
+(DESIGN.md §23).  Each case wires one or two RAMs into a small system,
+runs the compiled and the event engine in lockstep with the cycle
+scheduler over every producer channel
 (:class:`~repro.verify.Lockstep`), then compares every memory token by
 token (type, raw value and format), its ``writes`` and its ``firings``.
 """
@@ -16,13 +18,13 @@ import re
 import pytest
 
 from repro.core import (
-    SFG, Clock, ModelError, Ram, Sig, System, TimedProcess, actor,
+    SFG, Clock, ModelError, Ram, Register, Sig, System, TimedProcess, actor,
 )
 from repro.fixpt import Fx, FxFormat, Overflow
 from repro.sim import (
     CompiledSimulator, CycleScheduler, DataflowScheduler, EventSimulator,
 )
-from repro.verify import CompiledAdapter, CycleAdapter, Lockstep
+from repro.verify import CompiledAdapter, CycleAdapter, EventAdapter, Lockstep
 
 U4 = FxFormat(4, 4, signed=False)
 BIT = FxFormat(1, 1, signed=False)
@@ -112,8 +114,10 @@ def _tokens(ram):
             else (type(t).__name__, t, None) for t in ram.dump()]
 
 
-def _lockstep(build, stimulus):
-    """Run *build* under both engines; the two instances' RAMs."""
+def _lockstep(build, stimulus, event=True):
+    """Run *build* under the cycle scheduler in lockstep with the compiled
+    engine and, with *event*, the event engine; the cycle scheduler's
+    and the compiled engine's instances' RAMs."""
     built = []
 
     def engine(adapter):
@@ -123,15 +127,18 @@ def _lockstep(build, stimulus):
             return adapter(system)
         return make
 
-    divergence = Lockstep(engine(CycleAdapter), engine(CompiledAdapter),
-                          stimulus).run()
-    assert divergence is None, str(divergence)
-    interpreted, compiled = built[0], built[1]
-    for a, b in zip(interpreted, compiled):
-        assert _tokens(a) == _tokens(b), a.name
-        assert (a.writes, a.firings) == (b.writes, b.firings), a.name
-        assert a.firings == len(stimulus)
-    return interpreted, compiled
+    for other in (CompiledAdapter, EventAdapter) if event \
+            else (CompiledAdapter,):
+        divergence = Lockstep(engine(CycleAdapter), engine(other),
+                              stimulus).run()
+        assert divergence is None, str(divergence)
+    interpreted = built[0]
+    for rams in built[1:]:
+        for a, b in zip(interpreted, rams):
+            assert _tokens(a) == _tokens(b), a.name
+            assert (a.writes, a.firings) == (b.writes, b.firings), a.name
+            assert a.firings == len(stimulus)
+    return interpreted, built[1]
 
 
 def _random_pins(names, cycles, seed, values):
@@ -279,9 +286,11 @@ def test_subclass_overriding_behavior_still_runs():
                  ("m", "wdata"): S8_4}
         return [ram], _ram_system([ram], feeds, {("m", "q"): S8_4})
 
+    # The event engine runs an overriding behaviour as any untimed
+    # process's, on every change of its inputs.
     stimulus = [{"m_addr": k % 4, "m_we": 1, "m_waddr": k % 4,
                  "m_wdata": k / 8} for k in range(8)]
-    interpreted, compiled = _lockstep(build, stimulus)
+    interpreted, compiled = _lockstep(build, stimulus, event=False)
     assert interpreted[0].calls == compiled[0].calls == len(stimulus)
     assert compiled[0].dump()[3] == Fx(7 / 8, S8_4) * 2
 
@@ -300,6 +309,46 @@ def test_dect_step_calls_only_the_instruction_rom():
     assert source.count("_quantize_raw(") == 9
     for name in chip.rams:
         assert f"proc_{name}.writes += 1" in source
+
+
+def test_write_commits_once_per_cycle_on_every_engine():
+    """A counter register writes word ``waddr`` every cycle.  The write
+    stores the counter's value of its own cycle, once: the event engine
+    used to fire the RAM on every change of its inputs, writing again
+    after the clock edge with the next count."""
+    def build():
+        clk = Clock()
+        count = Register("count", clk, S8_4)
+        sfg = SFG("inc")
+        with sfg:
+            count <<= count + 1
+        ctl = TimedProcess("ctl", clk, sfgs=[sfg])
+        ctl.add_output("count", count)
+        ram = Ram("m", depth=8)
+        rd_sfg = SFG("rd_s")
+        v, w = Sig("v", S8_4), Sig("w", S8_4)
+        with rd_sfg:
+            w <<= v
+        rd_sfg.inp(v).out(w)
+        rd = TimedProcess("rd", clk, sfgs=[rd_sfg])
+        rd.add_input("q", v)
+        rd.add_output("w", w)
+        system = System("counter_ram")
+        for process in (ctl, ram, rd):
+            system.add(process)
+        system.connect(ctl.port("count"), ram.port("wdata"), name="count")
+        for port in ("addr", "we", "waddr"):
+            system.connect(None, ram.port(port), name=port)
+        system.connect(ram.port("q"), rd.port("q"), name="q")
+        system.connect(rd.port("w"), name="w")
+        return [ram], system
+
+    stimulus = [{"addr": (k + 7) % 8, "we": 1, "waddr": k % 8}
+                for k in range(6)]
+    interpreted, _compiled = _lockstep(build, stimulus)
+    assert interpreted[0].writes == 6
+    assert [float(v) for v in interpreted[0].dump()[:6]] == \
+        [0, 1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("engine",
