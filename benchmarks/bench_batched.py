@@ -30,7 +30,7 @@ OUT_PATH = os.path.join(os.path.dirname(__file__), "..",
                         "BENCH_batched.json")
 
 LANES = 64
-GATE_CYCLES = int(os.environ.get("BENCH_BATCHED_GATE_CYCLES", "40"))
+GATE_CYCLES = 40
 #: Timed runs per side and netlist: one ``perf_counter`` pair around a
 #: few milliseconds is too noisy to gate on alone.
 REPEATS = 7

@@ -29,7 +29,7 @@ OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_ir.json")
 #: where the builder needs them).
 DATAPATHS = ("disc", "sum", "lms")
 
-SIM_CYCLES = int(os.environ.get("BENCH_IR_CYCLES", "1500"))
+SIM_CYCLES = 1500
 
 
 def _compiled_rate(passes=None) -> Dict[str, float]:

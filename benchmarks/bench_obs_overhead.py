@@ -40,9 +40,9 @@ OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs.json")
 
 #: Acceptance threshold: a disabled capture may cost at most this much.
 MAX_DISABLED_OVERHEAD_PCT = 5.0
-BENCH_SECONDS = float(os.environ.get("BENCH_OBS_SECONDS", "0.5"))
+BENCH_SECONDS = 0.5
 #: Repeat each measurement and keep the best rate (least-noise sample).
-REPEATS = int(os.environ.get("BENCH_OBS_REPEATS", "3"))
+REPEATS = 3
 #: Cycles per timed call — the size of one work item.  Spans delimit
 #: units of work (the runner opens one span per shard), so this is the
 #: granularity the ``spans_disabled`` row wraps one span around.
