@@ -15,7 +15,7 @@ computes, once per clock cycle, all assignments in dependency order.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import CheckError, ModelError
 from .expr import Expr
@@ -43,7 +43,7 @@ def _active_sfg() -> Optional["SFG"]:
 class Assignment:
     """One ``target <- expr`` arc of a signal flow graph."""
 
-    __slots__ = ("target", "expr", "loc")
+    __slots__ = ("target", "expr", "loc", "_reads")
 
     def __init__(self, target: Sig, expr: Expr):
         if not isinstance(target, Sig):
@@ -51,6 +51,7 @@ class Assignment:
         self.target = target
         self.expr = expr
         self.loc = here()
+        self._reads: Optional[FrozenSet[Sig]] = None
 
     def execute(self) -> None:
         """Evaluate the expression and drive the target."""
@@ -60,9 +61,12 @@ class Assignment:
         else:
             self.target.value = value
 
-    def reads(self) -> Set[Sig]:
-        """The signals this assignment reads."""
-        return self.expr.signals()
+    def reads(self) -> FrozenSet[Sig]:
+        """The signals this assignment reads, walked once."""
+        if self._reads is None:
+            self._reads = frozenset(leaf for leaf in self.expr.leaves()
+                                    if isinstance(leaf, Sig))
+        return self._reads
 
     def __repr__(self) -> str:
         return f"{self.target.name} <- {self.expr!r}"
@@ -142,7 +146,9 @@ class SFG:
 
         for assignment in self.assignments:
             note(assignment.target)
-            for sig in sorted(assignment.reads(), key=lambda s: s.name):
+            for sig in sorted((sig for sig in assignment.reads()
+                               if isinstance(sig, Register)),
+                              key=lambda s: s.name):
                 note(sig)
         return seen
 

@@ -20,6 +20,50 @@ W16 = FxFormat(16, 16)
 BOOLF = FxFormat(1, 1, signed=False)
 
 
+# -- both spellings of the compiled step -----------------------------------------
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "both_steps: run each test as collected, on the native "
+        "compiled step where it builds, and again on the Python step")
+    config.addinivalue_line(
+        "markers", "python_step: compiled simulators run the Python step")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Follow each test of a ``both_steps`` module with a copy named
+    ``...[python-step]`` (or ``...-python-step]``), which runs the
+    Python step through the private seam ``_python_step``."""
+    collected = []
+    for item in items:
+        collected.append(item)
+        if not isinstance(item, pytest.Function) \
+                or item.get_closest_marker("both_steps") is None:
+            continue
+        callspec = getattr(item, "callspec", None)
+        name = f"{item.name[:-1]}-python-step]" if callspec is not None \
+            else f"{item.name}[python-step]"
+        copy = pytest.Function.from_parent(
+            item.parent, name=name, callspec=callspec,
+            fixtureinfo=item._fixtureinfo, originalname=item.originalname)
+        copy.add_marker("python_step")
+        collected.append(copy)
+    items[:] = collected
+
+
+@pytest.fixture(autouse=True)
+def _compiled_step_spelling(request):
+    """Compiled simulators of a ``python_step`` test run the Python step."""
+    if request.node.get_closest_marker("python_step") is None:
+        yield
+        return
+    from repro.sim.compiled import _python_step
+
+    with _python_step():
+        yield
+
+
 def build_counter_system(width_fmt=W16):
     """A minimal timed system: a free-running counter with an output port."""
     clk = Clock()

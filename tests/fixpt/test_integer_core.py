@@ -28,6 +28,8 @@ from repro.designs.hcor import build_hcor
 from repro.dsp import build_burst, nrz, random_payloads
 from repro.sim import CompiledSimulator, CycleScheduler, EventSimulator
 
+pytestmark = pytest.mark.both_steps
+
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 CYCLES = 100
 

@@ -8,10 +8,14 @@ compared on every producer channel, every cycle.
 
 import random
 
+import pytest
+
 from repro.designs.dect import formats as F
 from repro.designs.dect.transceiver import build_transceiver
 from repro.fixpt import Fx
 from repro.verify import CompiledAdapter, CycleAdapter, Lockstep
+
+pytestmark = pytest.mark.both_steps
 
 CYCLES = 150
 

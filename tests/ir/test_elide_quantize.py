@@ -60,6 +60,8 @@ from repro.ir.ops import execute
 from repro.lint.bits import elide_quantize_block
 from repro.sim import CompiledSimulator
 
+pytestmark = pytest.mark.both_steps
+
 MODES = list(itertools.product(Rounding, Overflow))
 S4 = FxFormat(4, 4)                      # raw [-8, 7] at frac 0
 U4 = FxFormat(4, 4, signed=False)        # raw [0, 15] at frac 0

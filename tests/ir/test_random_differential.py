@@ -28,6 +28,8 @@ from repro.core import (
 from repro.fixpt import Fx, FxFormat
 from repro.verify import CompiledAdapter, CycleAdapter, Lockstep
 
+pytestmark = pytest.mark.both_steps
+
 FORMATS = [
     FxFormat(8, 4),
     FxFormat(10, 6),

@@ -13,10 +13,14 @@ here:
 
 import tracemalloc
 
+import pytest
+
 from repro.obs import Capture
 from repro.sim import CompiledSimulator, CycleScheduler
 
 from tests.conftest import build_hold_system
+
+pytestmark = pytest.mark.both_steps
 
 
 def disabled_capture():

@@ -20,6 +20,8 @@ from repro.core import (
 from repro.fixpt import Fx, FxFormat, Overflow, Rounding
 from repro.sim import CompiledSimulator, CycleScheduler, EventSimulator
 
+pytestmark = pytest.mark.both_steps
+
 SRC = FxFormat(8, 5)                    # binary point 3, range [-16, 16)
 WIDE = FxFormat(16, 8)
 

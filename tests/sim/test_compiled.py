@@ -26,6 +26,8 @@ from repro.sim import CompiledSimulator, CycleScheduler, Recorder
 
 from tests.conftest import build_counter_system, build_hold_system, build_loop_system
 
+pytestmark = pytest.mark.both_steps
+
 W = FxFormat(16, 16)
 
 

@@ -32,6 +32,8 @@ from repro.core import (
 from repro.fixpt import FxFormat, Overflow
 from repro.sim import CompiledSimulator, CycleScheduler
 
+pytestmark = pytest.mark.both_steps
+
 S6_4 = FxFormat(6, 4)      # binary point 2
 S8_4 = FxFormat(8, 4)      # binary point 4
 S8_6 = FxFormat(8, 6)      # binary point 2

@@ -15,12 +15,16 @@ of writes.
 
 import random
 
+import pytest
+
 from repro.designs.dect import formats as F
 from repro.designs.dect.irom import Program
 from repro.designs.dect.program import ALL_FIR_SHIFT
 from repro.designs.dect.transceiver import build_transceiver
 from repro.fixpt import Fx
 from repro.verify import CompiledAdapter, CycleAdapter, EventAdapter, Lockstep
+
+pytestmark = pytest.mark.both_steps
 
 #: Scratch word 2 lies past WORD16: the ALU must read it saturated.
 SCRATCH = [0, 0, 40000.0, -7]

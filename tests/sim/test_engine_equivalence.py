@@ -8,6 +8,8 @@ agree register-for-register — and that the synthesized netlist replays
 the same traffic.
 """
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,8 @@ from repro.core import (
 )
 from repro.fixpt import FxFormat, Overflow, Rounding
 from repro.sim import CompiledSimulator, CycleScheduler, EventSimulator, PortLog
+
+pytestmark = pytest.mark.both_steps
 
 
 @st.composite

@@ -14,6 +14,8 @@ from repro.designs.dect import build_transceiver
 from repro.designs.dect.irom import Program
 from repro.verify import CompiledAdapter, CycleAdapter, checkpoint, restore
 
+pytestmark = pytest.mark.both_steps
+
 PINS = {"sample_i": 0.5, "sample_q": -0.25, "hold_request": 0,
         "ctl_coef_re": 0.0, "ctl_coef_im": 0.0}
 

@@ -26,6 +26,8 @@ from repro.sim import (
 )
 from repro.verify import CompiledAdapter, CycleAdapter, EventAdapter, Lockstep
 
+pytestmark = pytest.mark.both_steps
+
 U4 = FxFormat(4, 4, signed=False)
 BIT = FxFormat(1, 1, signed=False)
 S6 = FxFormat(6, 6)             # signed integer addresses

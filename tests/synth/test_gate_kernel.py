@@ -28,7 +28,8 @@ from contextlib import nullcontext
 import pytest
 
 from repro.core import SimulationError, SynthesisError
-from repro.synth import GateKind, GateSimulator, Netlist, native
+from repro.sim import cbuild
+from repro.synth import GateKind, GateSimulator, Netlist
 from repro.synth.gates import ARITY, KINDS, evaluate_gate_word
 from repro.synth.gatesim import _NativeGateSimulator, _python_kernel
 
@@ -294,7 +295,7 @@ def test_kernel_matches_gate_by_gate_reference(seed, lanes):
     assert sim.gate_evals == settles * len(comb)
 
 
-@pytest.mark.skipif(shutil.which(native._COMPILER) is None,
+@pytest.mark.skipif(shutil.which(cbuild._COMPILER) is None,
                     reason="no C compiler on this host")
 def test_native_kernel_runs_up_to_64_lanes():
     netlist = random_netlist(0)

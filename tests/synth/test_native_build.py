@@ -1,5 +1,8 @@
 """Building, caching and falling back from the native gate kernel.
 
+The kernel builds through :mod:`repro.sim.cbuild`, the build path it
+shares with the compiled simulator's native step.
+
 Each test builds into a cache directory of its own.  A build that cannot
 finish — no compiler, a compile error, a compiler that outlives the
 timeout — falls back to the Python kernel once, with one warning that
@@ -14,13 +17,14 @@ import warnings
 
 import pytest
 
+from repro.sim import cbuild
 from repro.synth import GateSimulator, native
 from repro.synth.gatesim import _NativeGateSimulator
 
 from .test_gate_kernel import random_netlist
 
 needs_compiler = pytest.mark.skipif(
-    shutil.which(native._COMPILER) is None, reason="no C compiler")
+    shutil.which(cbuild._COMPILER) is None, reason="no C compiler")
 
 
 @pytest.fixture
@@ -28,7 +32,7 @@ def cache(monkeypatch, tmp_path):
     """An empty kernel cache for this test (the kernel this process has
     loaded stays loaded until the test unloads it)."""
     root = tmp_path / "cache"
-    monkeypatch.setattr(native, "_cache_dir", lambda: root)
+    monkeypatch.setattr(cbuild, "_cache_dir", lambda: root)
     monkeypatch.setattr(native, "failure", None)
     return root
 
@@ -77,19 +81,22 @@ def test_cold_build_is_cached_and_atomic(cache, monkeypatch):
     assert len(entries) == 1 and entries[0].suffix == ".so"
     # A second process loads it without compiling.
     monkeypatch.setattr(native, "_library", None)
-    monkeypatch.setattr(native, "_compile", None)  # calling it fails
+    monkeypatch.setattr(cbuild, "_compile", None)  # calling it fails
     assert _run(netlist) == (_NativeGateSimulator, values)
 
 
 def test_cache_key_covers_source_compiler_and_platform(cache, monkeypatch):
-    path = native.cache_path(b"source", b"cc 1.0")
+    path = cbuild.cache_path(b"source", b"cc 1.0")
     assert path.parent == cache
-    assert native.cache_path(b"source", b"cc 1.0") == path
-    assert native.cache_path(b"source 2", b"cc 1.0") != path
-    assert native.cache_path(b"source", b"cc 1.1") != path
+    assert cbuild.cache_path(b"source", b"cc 1.0") == path
+    assert cbuild.cache_path(b"source 2", b"cc 1.0") != path
+    assert cbuild.cache_path(b"source", b"cc 1.1") != path
+    assert cbuild.cache_path(b"source", b"cc 1.0",
+                             cbuild._EXTENSION_FLAGS) != path
     monkeypatch.setattr(sys, "platform", "other")
-    assert native.cache_path(b"source", b"cc 1.0") != path
-    assert not any("native" in flag for flag in native._FLAGS)
+    assert cbuild.cache_path(b"source", b"cc 1.0") != path
+    for flags in (cbuild.KERNEL_FLAGS, cbuild._EXTENSION_FLAGS):
+        assert not any("native" in flag for flag in flags)
 
 
 @needs_compiler
@@ -98,7 +105,7 @@ def test_missing_compiler_falls_back(cache, monkeypatch):
     _kernel, values = _run(netlist)
     before = _files(cache)
     monkeypatch.setattr(native, "_library", None)
-    monkeypatch.setattr(native, "_COMPILER", "no-such-compiler-here")
+    monkeypatch.setattr(cbuild, "_COMPILER", "no-such-compiler-here")
     assert _falls_back(netlist, "no C compiler") == values
     assert _files(cache) == before
 
@@ -124,8 +131,8 @@ def test_compile_timeout_bounds_the_build(cache, monkeypatch, tmp_path):
     compiler = _fake_compiler(tmp_path, f"echo $$ > {pid_file}\nexec sleep 60")
     before = _files(cache)
     monkeypatch.setattr(native, "_library", None)
-    monkeypatch.setattr(native, "_COMPILER", compiler)
-    monkeypatch.setattr(native, "_TIMEOUT", 0.5)
+    monkeypatch.setattr(cbuild, "_COMPILER", compiler)
+    monkeypatch.setattr(cbuild, "_TIMEOUT", 0.5)
     start = time.perf_counter()
     assert _falls_back(netlist, r"took over 0\.5 s") == values
     assert time.perf_counter() - start < 20

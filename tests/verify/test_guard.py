@@ -10,6 +10,8 @@ from repro.verify import Watchdog, checkpoint, restore, supports_checkpoint
 
 from tests.conftest import build_counter_system, build_hold_system
 
+pytestmark = pytest.mark.both_steps
+
 
 class TestWatchdog:
     def test_completes_within_budget(self):
