@@ -13,6 +13,7 @@ Python step runs instead is checked.
 import shutil
 import sysconfig
 import warnings
+from contextlib import nullcontext
 from operator import is_not
 
 import numpy as np
@@ -39,19 +40,19 @@ needs_compiler = pytest.mark.skipif(
     shutil.which(cbuild._COMPILER) is None, reason="no C compiler")
 
 
-def _pair(build, watch_all=True):
+def _simulator(system, python, **kwargs):
+    """A compiled simulator of *system* on the Python step or not."""
+    with _python_step() if python else nullcontext():
+        return CompiledSimulator(system, **kwargs)
+
+
+def _pair(build):
     """A native and a Python simulator of two instances of one design,
-    with their designs."""
+    every channel watched, with their designs."""
     designs = [build(), build()]
-    sims = []
-    for design, python in zip(designs, (False, True)):
-        system = design.system
-        watch = list(system.channels) if watch_all else []
-        if python:
-            with _python_step():
-                sims.append(CompiledSimulator(system, watch=watch))
-        else:
-            sims.append(CompiledSimulator(system, watch=watch))
+    sims = [_simulator(design.system, python,
+                       watch=list(design.system.channels))
+            for design, python in zip(designs, (False, True))]
     return designs, sims
 
 
@@ -128,8 +129,7 @@ def _dect_program(seed, cycles=6000):
     coefficients = DectTransceiver.chip_coefficients(equalizer.weights)
     grid = list(samples[::4])
     chip = build_transceiver()
-    with _python_step():
-        sim = CompiledSimulator(chip.system, watch=[chip.ack, chip.pc])
+    sim = _simulator(chip.system, python=True, watch=[chip.ack, chip.pc])
     done_pc = len(chip.irom.words) - 1
     pointer = coef_index = 0
     program = []
@@ -218,8 +218,7 @@ class TestLockstep:
         second = CompiledSimulator(build_transceiver().system)
         assert second.backend == first.backend == "native"
         assert first.save_state() == before
-        with _python_step():
-            reference = CompiledSimulator(build_transceiver().system)
+        reference = _simulator(build_transceiver().system, python=True)
         assert second.save_state() == reference.save_state()
         for pins in dect_program[:40]:
             second.step(pins)
@@ -234,12 +233,7 @@ def _errors(build, program):
     outcomes = []
     backends = []
     for python in (False, True):
-        system = build()
-        if python:
-            with _python_step():
-                sim = CompiledSimulator(system)
-        else:
-            sim = CompiledSimulator(system)
+        sim = _simulator(build(), python)
         outcome = None
         for cycle, pins in enumerate(program):
             try:
@@ -393,16 +387,10 @@ class TestFallbacks:
     @needs_compiler
     def test_wide_values_up_to_127_bits_run_native(self):
         wide = FxFormat(120, 120)
-        designs = []
         sims = []
         for python in (False, True):
             system, out, _count = build_counter_system(wide)
-            designs.append(system)
-            if python:
-                with _python_step():
-                    sims.append(CompiledSimulator(system, watch=[out]))
-            else:
-                sims.append(CompiledSimulator(system, watch=[out]))
+            sims.append(_simulator(system, python, watch=[out]))
         assert [s.backend for s in sims] == ["native", "python"]
         big = 1 << 110
         for sim in sims:
