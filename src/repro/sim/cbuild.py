@@ -11,7 +11,9 @@ per digest on a host and a process only loads it, without running the
 compiler.  The compiler writes into a private scratch directory beside
 the cache entry (its own temporary files included), which is renamed
 into place when the build succeeds and removed either way: concurrent
-or interrupted builds leave no partial library and no stray file.
+or interrupted builds leave no partial library and no stray file.  The
+cache keeps the :data:`_CACHE_LIMIT` most recently used libraries of
+each kind.
 
 Every way a build can fail — no compiler, no Python headers, a compile
 error, a build over :data:`_TIMEOUT` seconds, an unwritable cache — is a
@@ -43,10 +45,19 @@ _COMPILER = "cc"
 KERNEL_FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
 #: The step's flags add the Python headers (:func:`extension`).  Signed
 #: overflow wraps, as the emitter's width analysis assumes it never
-#: happens; ``__int128`` and C99 are what the emitted code needs.
-_EXTENSION_FLAGS = ("-O1", "-shared", "-fPIC", "-fwrapv")
+#: happens; ``__int128`` and C99 are what the emitted code needs.  A
+#: value passed where a pointer is expected, or the reverse, is an
+#: error, as from GCC 14 on, never a library that crashes when run.
+_EXTENSION_FLAGS = ("-O1", "-shared", "-fPIC", "-fwrapv",
+                    "-Werror=int-conversion",
+                    "-Werror=incompatible-pointer-types",
+                    "-Werror=implicit-function-declaration")
 #: Seconds a compiler call may take before it is killed.
 _TIMEOUT = 120.0
+#: Libraries of one stem the cache keeps: a build past this many removes
+#: the least recently used (every load marks its library used).  Each
+#: new design adds a step library, about 20 to 70 KB.
+_CACHE_LIMIT = 256
 #: The name every step module is built and loaded under.
 EXTENSION_NAME = "_repro_step"
 
@@ -78,11 +89,40 @@ def library(source: bytes, stem: str, flags: Sequence[str]) -> Path:
         path = cache_path(source, f"{real} {stat.st_size} "
                                   f"{stat.st_mtime_ns}".encode(),
                           flags, stem)
-        if not path.exists():
+        if not _mark_used(path):
             _compile(compiler, source, path, flags)
+            _prune(path.parent, stem)
     except (OSError, RuntimeError) as error:
         raise BuildError(f"cannot build {stem}: {error}") from None
     return path
+
+
+def _mark_used(path: Path) -> bool:
+    """Touch the cached library *path*; False when it is not cached."""
+    try:
+        os.utime(path)
+    except FileNotFoundError:
+        return False
+    except OSError:
+        pass  # a cache this process may read but not write
+    return True
+
+
+def _prune(directory: Path, stem: str) -> None:
+    """Remove the least recently used libraries of *stem* past
+    :data:`_CACHE_LIMIT`.  A process that loaded one keeps its mapping."""
+    used = []
+    for entry in directory.glob(f"{stem}-*.so"):
+        try:
+            used.append((entry.stat().st_mtime_ns, entry))
+        except FileNotFoundError:
+            continue
+    used.sort(reverse=True)
+    for _mtime, entry in used[_CACHE_LIMIT:]:
+        try:
+            entry.unlink()
+        except FileNotFoundError:
+            continue
 
 
 def cache_path(source: bytes, compiler: bytes,

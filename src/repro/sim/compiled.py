@@ -702,7 +702,9 @@ class _CEmitter:
     tokens and RAM words stay Python objects; :attr:`ctx` lists every
     object the step reads (``K(i)`` in the source), so the source of a
     design never names an object and one build serves every instance.
-    A construct the spelling cannot render raises :class:`_NotNative`.
+    A construct the spelling cannot render raises :class:`_NotNative`,
+    and so does a read of a plain signal in a cycle that may not have
+    stored it, where the Python step raises ``UnboundLocalError``.
     """
 
     def __init__(self, layout: "SystemLayout"):
@@ -723,6 +725,11 @@ class _CEmitter:
         self.body: List[str] = []
         self.indent = "    "
         self.source = ""
+        #: The guard of the statements being emitted, and the cycles
+        #: that have stored each raw variable so far: None for every
+        #: cycle, else the transitions of each process that store it.
+        self.guard: Guard = None
+        self.stored: Dict[str, Optional[Dict[TimedProcess, Set[int]]]] = {}
 
     # -- names -------------------------------------------------------------------
 
@@ -752,12 +759,41 @@ class _CEmitter:
         return name
 
     def raw(self, sig: Sig) -> Tuple[str, FxFormat]:
-        """A signal's raw variable (declared) and format."""
+        """A signal's raw variable (declared) and format, read under
+        the current guard."""
         var, fmt = self.sig_ref(sig)
         if fmt is None:
             raise _NotNative(f"the float-domain signal {sig.name!r}")
+        if not isinstance(self.layout.resolve(sig), Register) \
+                and not self._covered(var):
+            raise _NotNative(f"a read of {var} in a cycle that may not "
+                             f"store it")
         self.declare(var, fmt)
         return var, fmt
+
+    def _store(self, var: str) -> None:
+        """Note that *var* is stored under the current guard."""
+        guard = self.guard
+        if guard is None:
+            self.stored[var] = None
+            return
+        cover = self.stored.setdefault(var, {})
+        if cover is not None:
+            cover.setdefault(guard[0], set()).update(guard[1])
+
+    def _covered(self, var: str) -> bool:
+        """Whether every cycle that runs the current statement has
+        stored *var* before it."""
+        if var not in self.stored:
+            return False
+        cover = self.stored[var]
+        if cover is None or any(len(trs) == len(_global_transitions(p))
+                                for p, trs in cover.items()):
+            return True
+        guard = self.guard
+        if guard is None:
+            return False
+        return set(guard[1]) <= cover.get(guard[0], set())
 
     def declare(self, var: str, fmt: FxFormat) -> str:
         ctype = _ctype(vector_width(fmt))
@@ -954,12 +990,13 @@ class _CEmitter:
 
     def pin(self, chan: Channel) -> None:
         var = self.obj(self.layout.boundary_var(chan))
-        self.line(f"SETOBJ({var}, pin_get(pins, {self.k(chan.name)}));")
+        self.line(f"SETOBJ({var}, get_pin(pins, {self.k(chan.name)}));")
 
     def convert(self, chan: Channel, fmt: FxFormat) -> None:
         layout = self.layout
         target = layout.boundary_var(chan, fmt)
         ctype = self.declare(target, fmt)
+        self._store(target)
         if is_boundary(chan):
             source = layout.boundary_var(chan)
             self.line(f"if (qobj({source}, &{self.qf(fmt)}, {self.k(fmt)}, "
@@ -981,7 +1018,8 @@ class _CEmitter:
         self.line(f"/* phase 0: {pname} transition select */")
         for index, (state, entries) in enumerate(rows):
             self.line(f"{'if' if index == 0 else '} else if'} "
-                      f"(st_{pname} == {states[state.name]}) {{")
+                      f"(fsm_{pname} == {states[state.name]}) {{")
+            raising = False
             for position, (t_index, block, negated, target) in \
                     enumerate(entries):
                 if block is None:
@@ -990,21 +1028,25 @@ class _CEmitter:
                     refs = self.render(block)
                     root = block.roots[0]
                     self.ref(root)
-                    checks = checks or self._raising[root]
+                    raising = raising or self._raising[root]
                     test = f"({refs[root]}) != 0"
                     if negated:
                         test = f"!({test})"
                     head = f"{'if' if position == 0 else 'else if'} ({test})"
                 self.line(f"    {head} {{ tr_{pname} = {t_index}; "
-                          f"nst_{pname} = {target}; }}")
+                          f"nfsm_{pname} = {target}; }}")
+            checks = checks or raising
             if not entries:
                 message = f"FSM {process.name}: state {state.name} is stuck"
                 self.line(f"    PyErr_SetObject(PyExc_RuntimeError, "
                           f"{self.k(message)}); goto fail;")
             elif entries[-1][1] is not None:
+                # An overflow in a condition has set its exception, the
+                # one the Python step raises.
                 message = (f"FSM {process.name}: no transition from "
                            f"{state.name}")
-                self.line(f"    else {{ PyErr_SetObject(PyExc_RuntimeError, "
+                self.line(f"    else {{ {'if (!err) ' if raising else ''}"
+                          f"PyErr_SetObject(PyExc_RuntimeError, "
                           f"{self.k(message)}); goto fail; }}")
         if rows:
             self.line("}")
@@ -1012,12 +1054,14 @@ class _CEmitter:
             self.line("if (err) goto fail;")
 
     def open_group(self, guard: "Guard") -> None:
+        self.guard = guard
         code = _c_guard(guard)
         if code is not None:
             self.line(f"if ({code}) {{")
             self.indent += "    "
 
     def close_group(self) -> None:
+        self.guard = None
         if self.indent != "    ":
             self.indent = "    "
             self.line("}")
@@ -1041,6 +1085,7 @@ class _CEmitter:
         else:
             var = self.layout.sig_name(target, target.name)
             ctype = self.declare(var, target.fmt)
+            self._store(var)
         value_type = _ctype(self._bits[store.value])
         self.line(f"{var} = {_cast(code, value_type, ctype)};")
         if self._raising[store.value]:
@@ -1121,10 +1166,10 @@ class _CEmitter:
         token = self._token(ports["wdata"])
         self._index(ports["waddr"], depth, "a_")
         self.line(f"if (mem_set({mem}, a_, {token})) goto fail;")
-        self.line(f"if (bump({proc}, s_writes)) goto fail;")
+        self.line(f"if (bump({proc}, str_writes)) goto fail;")
         self.indent = self.indent[:-4]
         self.line("}")
-        self.line(f"if (bump({proc}, s_firings)) goto fail;")
+        self.line(f"if (bump({proc}, str_firings)) goto fail;")
         self.indent = self.indent[:-4]
         self.line("}")
 
@@ -1151,7 +1196,7 @@ class _CEmitter:
             self.line(f"  if (!v_) {{ no_token({self.k(_no_token)}, {proc}, "
                       f"{result}); goto fail; }}")
             self.line(f"  Py_XSETREF({var}, v_); }}")
-        self.line(f"if (bump({proc}, s_firings)) goto fail;")
+        self.line(f"if (bump({proc}, str_firings)) goto fail;")
 
     def watch(self, chan: Channel) -> None:
         layout = self.layout
@@ -1195,7 +1240,7 @@ class _CEmitter:
         for name, ctype in regs:
             emit(f"    {ctype} {name};")
         for pname in fsms:
-            emit(f"    int st_{pname};")
+            emit(f"    int fsm_{pname};")
         emit("} Step;")
         emit("")
         emit("static PyObject *")
@@ -1221,8 +1266,8 @@ class _CEmitter:
         for name, ctype in regs:
             emit(f"    {ctype} {name} = self->{name}, n_{name} = {name};")
         for pname in fsms:
-            emit(f"    int st_{pname} = self->st_{pname}, tr_{pname} = -1, "
-                 f"nst_{pname} = 0;")
+            emit(f"    int fsm_{pname} = self->fsm_{pname}, tr_{pname} = -1, "
+                 f"nfsm_{pname} = 0;")
         register_names = {name for name, _ctype in regs}
         for var, ctype in self.raw_vars.items():
             if var not in register_names:
@@ -1231,7 +1276,7 @@ class _CEmitter:
         for name, _ctype in regs:
             emit(f"    self->{name} = n_{name};")
         for pname in fsms:
-            emit(f"    self->st_{pname} = nst_{pname};")
+            emit(f"    self->fsm_{pname} = nfsm_{pname};")
         emit("    result = Py_None;")
         emit("    Py_INCREF(result);")
         emit("fail:")
@@ -1241,7 +1286,7 @@ class _CEmitter:
         emit("    return result;")
         emit("}")
         fields = [(name, ctype) for name, ctype in regs] + \
-            [(f"st_{pname}", "int") for pname in fsms]
+            [(f"fsm_{pname}", "int") for pname in fsms]
         emit("")
         emit("static PyObject *")
         emit("state(Step *self, PyObject *unused)")

@@ -5,6 +5,11 @@
  * init.  Raw fixed-point values are int64_t up to 63 bits and __int128
  * up to 127; the helpers below come in both widths.  The helpers that
  * touch Python objects return -1 with an exception set on failure.
+ *
+ * The step's own variables are named after the model, with the
+ * prefixes s_, r_, n_r_, pin_, u_, q<n>_, fsm_, tr_, nfsm_ and res_, so
+ * no name declared here starts with one of them: a step variable would
+ * shadow it.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -49,7 +54,8 @@ static inline i64 pymod64(i64 a, i64 d)
 
 /* -- Python ints --------------------------------------------------------- */
 
-static PyObject *s_get, *s_firings, *s_writes, *s_raw, *s_fmt, *s_frac_bits;
+static PyObject *str_get, *str_firings, *str_writes, *str_raw, *str_fmt;
+static PyObject *str_frac_bits;
 static PyObject *py_zero, *py_one, *py_64, *empty_args;
 
 static PyObject *from128(i128 v)
@@ -181,9 +187,9 @@ static int qobj(PyObject *o, const QF *f, PyObject *fmt, PyObject *lib,
         if (!overflow)
             slow = qat(n, 0, f, out);
     } else if (Py_TYPE(o) == (PyTypeObject *)fx_type) {
-        PyObject *raw = PyObject_GetAttr(o, s_raw);
-        PyObject *ofmt = raw ? PyObject_GetAttr(o, s_fmt) : NULL;
-        PyObject *frac = ofmt ? PyObject_GetAttr(ofmt, s_frac_bits) : NULL;
+        PyObject *raw = PyObject_GetAttr(o, str_raw);
+        PyObject *ofmt = raw ? PyObject_GetAttr(o, str_fmt) : NULL;
+        PyObject *frac = ofmt ? PyObject_GetAttr(ofmt, str_frac_bits) : NULL;
         int overflow = 1;
         long long n = 0, at = 0;
         if (frac) {
@@ -245,8 +251,8 @@ static PyObject *mkfx(i128 raw, PyObject *fmt, PyObject *fx_type)
         return NULL;
     PyObject *value = PyBaseObject_Type.tp_new((PyTypeObject *)fx_type,
                                                empty_args, NULL);
-    if (!value || PyObject_SetAttr(value, s_raw, r)
-            || PyObject_SetAttr(value, s_fmt, fmt)) {
+    if (!value || PyObject_SetAttr(value, str_raw, r)
+            || PyObject_SetAttr(value, str_fmt, fmt)) {
         Py_XDECREF(value);
         value = NULL;
     }
@@ -255,7 +261,7 @@ static PyObject *mkfx(i128 raw, PyObject *fmt, PyObject *fx_type)
 }
 
 /* pins.get(key, 0) */
-static PyObject *pin_get(PyObject *pins, PyObject *key)
+static PyObject *get_pin(PyObject *pins, PyObject *key)
 {
     if (PyDict_CheckExact(pins)) {
         PyObject *v = PyDict_GetItemWithError(pins, key);
@@ -268,7 +274,7 @@ static PyObject *pin_get(PyObject *pins, PyObject *key)
         Py_INCREF(py_zero);
         return py_zero;
     }
-    return PyObject_CallMethodObjArgs(pins, s_get, key, py_zero, NULL);
+    return PyObject_CallMethodObjArgs(pins, str_get, key, py_zero, NULL);
 }
 
 /* int(o) % depth */
@@ -391,16 +397,16 @@ static void no_token(PyObject *fn, PyObject *proc, PyObject *result)
 
 static int prelude_init(void)
 {
-    s_get = PyUnicode_InternFromString("get");
-    s_firings = PyUnicode_InternFromString("firings");
-    s_writes = PyUnicode_InternFromString("writes");
-    s_raw = PyUnicode_InternFromString("_raw");
-    s_fmt = PyUnicode_InternFromString("_fmt");
-    s_frac_bits = PyUnicode_InternFromString("frac_bits");
+    str_get = PyUnicode_InternFromString("get");
+    str_firings = PyUnicode_InternFromString("firings");
+    str_writes = PyUnicode_InternFromString("writes");
+    str_raw = PyUnicode_InternFromString("_raw");
+    str_fmt = PyUnicode_InternFromString("_fmt");
+    str_frac_bits = PyUnicode_InternFromString("frac_bits");
     py_zero = PyLong_FromLong(0);
     py_one = PyLong_FromLong(1);
     py_64 = PyLong_FromLong(64);
     empty_args = PyTuple_New(0);
-    return s_get && s_firings && s_writes && s_raw && s_fmt && s_frac_bits
-        && py_zero && py_one && py_64 && empty_args ? 0 : -1;
+    return str_get && str_firings && str_writes && str_raw && str_fmt
+        && str_frac_bits && py_zero && py_one && py_64 && empty_args ? 0 : -1;
 }

@@ -23,39 +23,33 @@ BOOLF = FxFormat(1, 1, signed=False)
 # -- both spellings of the compiled step -----------------------------------------
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "both_steps: run each test as collected, on the native "
-        "compiled step where it builds, and again on the Python step")
-    config.addinivalue_line(
-        "markers", "python_step: compiled simulators run the Python step")
+def pytest_collection_modifyitems(items):
+    """Follow each test of a ``both_steps`` module with a copy whose id
+    ends in ``python-step]``, which runs the Python step.
 
-
-def pytest_collection_modifyitems(config, items):
-    """Follow each test of a ``both_steps`` module with a copy named
-    ``...[python-step]`` (or ``...-python-step]``), which runs the
-    Python step through the private seam ``_python_step``."""
+    The test as collected keeps its id and runs the native step where it
+    builds; a parametrized fixture would rename it with a ``[native]``
+    id.  The copy shares the test's fixture closure and parameters.
+    """
     collected = []
     for item in items:
         collected.append(item)
-        if not isinstance(item, pytest.Function) \
-                or item.get_closest_marker("both_steps") is None:
-            continue
-        callspec = getattr(item, "callspec", None)
-        name = f"{item.name[:-1]}-python-step]" if callspec is not None \
-            else f"{item.name}[python-step]"
-        copy = pytest.Function.from_parent(
-            item.parent, name=name, callspec=callspec,
-            fixtureinfo=item._fixtureinfo, originalname=item.originalname)
-        copy.add_marker("python_step")
-        collected.append(copy)
+        if item.get_closest_marker("both_steps") is not None:
+            callspec = getattr(item, "callspec", None)
+            name = f"{item.name[:-1]}-python-step]" if callspec is not None \
+                else f"{item.name}[python-step]"
+            collected.append(pytest.Function.from_parent(
+                item.parent, name=name, callspec=callspec,
+                fixtureinfo=item._fixtureinfo,
+                originalname=item.originalname))
     items[:] = collected
 
 
 @pytest.fixture(autouse=True)
 def _compiled_step_spelling(request):
-    """Compiled simulators of a ``python_step`` test run the Python step."""
-    if request.node.get_closest_marker("python_step") is None:
+    """A ``python-step]`` copy builds its compiled simulators on the
+    Python step, through the private seam ``_python_step``."""
+    if not request.node.name.endswith("python-step]"):
         yield
         return
     from repro.sim.compiled import _python_step

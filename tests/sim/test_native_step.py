@@ -12,16 +12,18 @@ Python step runs instead is checked.
 
 import shutil
 import sysconfig
+import time
 import warnings
 from contextlib import nullcontext
 from operator import is_not
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    FSM, SFG, Clock, FxOverflowError, Register, Sig, SimulationError,
-    System, TimedProcess, actor, always, cnd, gt,
+    FSM, SFG, Clock, FxOverflowError, Ram, Register, Sig, SimulationError,
+    System, TimedProcess, actor, always, cast, cnd, gt,
 )
 from repro.designs.dect import DectTransceiver, build_transceiver
 from repro.designs.hcor import build_hcor
@@ -208,6 +210,17 @@ class TestLockstep:
                 python.save_state()["state"]
         assert fresh.cycle == python.cycle == len(dect_program[:700])
 
+    def test_model_names_shadowing_runtime_and_header_names(self):
+        designs, sims = _pair(_shadowing_names)
+        assert [s.backend for s in sims] == ["native", "python"]
+        source = sims[0].c_source
+        for name in ("s_firings", "s_writes", "s_get", "s_raw", "s_fmt",
+                     "s_frac_bits", "pin_get", "_atime"):
+            assert name in source, name
+        _lockstep(designs, sims, [{"get": k % 5} for k in range(24)])
+        ram = sims[0].layout.memories[0]
+        assert ram.firings == 24 and ram.writes == 12
+
     def test_two_live_simulators_keep_their_own_state(self, dect_program):
         first = CompiledSimulator(build_transceiver().system)
         for pins in dect_program[:100]:
@@ -225,6 +238,56 @@ class TestLockstep:
             reference.step(pins)
         assert second.save_state() == reference.save_state()
         assert first.save_state() == before
+
+
+def _shadowing_names():
+    """A design whose step variables are named like the runtime's
+    interned names and pin lookup (``s_firings``, ``s_writes``,
+    ``pin_get``), with a RAM that bumps ``firings`` and ``writes``, and
+    an FSM process named after a ``struct stat`` field that the system
+    headers define as a macro (``st_atime``)."""
+    byte = FxFormat(8, 8, overflow=Overflow.WRAP)
+    clk = Clock()
+    x = Sig("x", byte)
+    q = Sig("q", byte)
+    acc = Register("acc", clk, byte)
+    addr = Register("addr", clk, byte)
+    we = Register("we", clk, FxFormat(1, 1, signed=False))
+    plain = {name: Sig(name, byte) for name in (
+        "firings", "writes", "get", "raw", "fmt", "frac_bits")}
+    work = SFG("work")
+    with work:
+        plain["firings"] <<= x + acc
+        plain["writes"] <<= plain["firings"] + q
+        plain["get"] <<= plain["writes"] + 1
+        plain["raw"] <<= plain["get"] + 2
+        plain["fmt"] <<= plain["raw"] + 3
+        plain["frac_bits"] <<= plain["fmt"] + 4
+        acc <<= plain["frac_bits"]
+        addr <<= addr + 1
+        we <<= 1 - we
+    work.inp(x, q)
+    fsm = FSM("ctl")
+    even = fsm.initial("even")
+    odd = fsm.state("odd")
+    even << always << work << odd
+    odd << always << work << even
+    process = TimedProcess("atime", clk, fsm=fsm)
+    process.add_input("x", x)
+    process.add_input("q", q)
+    for name, sig in (("addr", addr), ("we", we), ("acc", acc)):
+        process.add_output(name, sig)
+    ram = Ram("m", depth=4)
+    system = System("shadowing")
+    system.add(process)
+    system.add(ram)
+    system.connect(None, process.port("x"), name="get")
+    system.connect(process.port("addr"), ram.port("addr"),
+                   ram.port("waddr"))
+    system.connect(process.port("we"), ram.port("we"))
+    system.connect(process.port("acc"), ram.port("wdata"))
+    system.connect(ram.port("q"), process.port("q"))
+    return SimpleNamespace(system=system)
 
 
 def _errors(build, program):
@@ -306,6 +369,31 @@ class TestErrors:
         assert native[0] is RuntimeError and "is stuck" in native[1]
         assert native[2] == 4
 
+    def test_overflow_error_in_a_transition_condition(self):
+        strict = FxFormat(4, 4, overflow=Overflow.ERROR)
+
+        def build():
+            clk = Clock()
+            count = Register("count", clk, FxFormat(8, 8))
+            step = SFG("step")
+            with step:
+                count <<= count + 1
+            fsm = FSM("ctl")
+            go = fsm.initial("go")
+            wait = fsm.state("wait")
+            go << always << step << wait
+            # The state's only transition is conditional: the condition
+            # overflows, not the FSM's lack of a transition, at count 8.
+            wait << cnd(gt(cast(count, strict), -1)) << step << wait
+            process = TimedProcess("p", clk, fsm=fsm)
+            system = System("condition_error")
+            system.add(process)
+            return system
+
+        native, python = _errors(build, [{}] * 12)
+        assert native == python
+        assert native[0] is FxOverflowError and native[2] == 8
+
     def test_missing_behaviour_token(self):
         def build():
             clk = Clock()
@@ -346,6 +434,36 @@ def fresh_build(monkeypatch, tmp_path):
 
 def _hold():
     return build_hold_system()[0]
+
+
+def _late_store(both):
+    """``acc <<= acc + w`` in every cycle of a two-state FSM, where
+    ``w`` is stored in state s0 only, or in s1 too when *both*."""
+    word = FxFormat(16, 16)
+    clk = Clock()
+    acc = Register("acc", clk, word)
+    w = Sig("w", word)
+    a = SFG("a")
+    with a:
+        w <<= 5
+    b = SFG("b")
+    with b:
+        acc <<= acc + w
+    c = SFG("c")
+    with c:
+        w <<= 7
+    fsm = FSM("ctl")
+    s0 = fsm.initial("s0")
+    s1 = fsm.state("s1")
+    s0 << always << a << b << s1
+    if both:
+        s1 << always << c << b << s0
+    else:
+        s1 << always << b << s0
+    process = TimedProcess("p", clk, fsm=fsm)
+    system = System("late_store")
+    system.add(process)
+    return system
 
 
 def _quiet_backend(build):
@@ -400,6 +518,24 @@ class TestFallbacks:
         assert sims[0].save_state() == sims[1].save_state()
         assert sims[0].snapshot()["count"].raw == big + 3
 
+    @needs_compiler
+    def test_read_in_a_cycle_that_may_not_store_it_runs_python(self):
+        # Stored by ``a`` only in state s0, read by ``b`` in both.
+        assert _quiet_backend(lambda: _late_store(both=False)) == "python"
+        sim = CompiledSimulator(_late_store(both=False))
+        sim.step()
+        with pytest.raises(UnboundLocalError):
+            sim.step()
+        # Stored by ``a`` in s0 and by ``c`` in s1: every cycle stores
+        # it before ``b`` reads it, so the design runs native.
+        sims = [_simulator(_late_store(both=True), python)
+                for python in (False, True)]
+        assert [s.backend for s in sims] == ["native", "python"]
+        for sim in sims:
+            sim.run(6)
+        assert sims[0].snapshot() == sims[1].snapshot()
+        assert sims[0].snapshot()["acc"] == 5 + 7 + 5 + 7 + 5 + 7
+
     def test_host_without_a_compiler_warns_once(self, fresh_build,
                                                 monkeypatch):
         monkeypatch.setattr(cbuild, "_COMPILER", "no-such-compiler-here")
@@ -435,6 +571,33 @@ class TestFallbacks:
         assert len(entries) == 1 and entries[0].name.startswith("step-")
         assert CompiledSimulator(_hold()).backend == "native"
         assert list(fresh_build.iterdir()) == entries
+
+    @needs_compiler
+    def test_cache_keeps_the_most_recently_used_steps(self, fresh_build,
+                                                      monkeypatch):
+        monkeypatch.setattr(cbuild, "_CACHE_LIMIT", 2)
+
+        def counter(wl):
+            return lambda: build_counter_system(FxFormat(wl, wl))[0]
+
+        def libraries():
+            return {entry.name for entry in fresh_build.glob("step-*.so")}
+
+        assert _quiet_backend(counter(16)) == "native"
+        first = libraries()
+        time.sleep(0.05)
+        assert _quiet_backend(counter(17)) == "native"
+        second = libraries() - first
+        time.sleep(0.05)
+        # Loading the first marks it used: the third build removes the
+        # second, the least recently used.
+        assert _quiet_backend(counter(16)) == "native"
+        assert _quiet_backend(counter(18)) == "native"
+        assert len(libraries()) == 2
+        assert first <= libraries() and not second & libraries()
+        # A removed step is built again when its design comes back.
+        assert _quiet_backend(counter(17)) == "native"
+        assert second <= libraries() and len(libraries()) == 2
 
     @needs_compiler
     def test_capture_with_instrumentation_runs_python(self):
