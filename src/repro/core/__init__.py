@@ -46,7 +46,7 @@ from .expr import (
     ne,
 )
 from .fsm import FSM, Condition, State, Transition, always, cnd
-from .memory import Ram
+from .memory import Ram, Rom
 from .process import Port, Process, TimedProcess, UntimedProcess, actor
 from .sfg import SFG, Assignment
 from .signal import Register, Sig, sig_like
@@ -77,6 +77,7 @@ __all__ = [
     "Ram",
     "Register",
     "ReproError",
+    "Rom",
     "SFG",
     "Sig",
     "SimulationError",

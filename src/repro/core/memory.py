@@ -1,22 +1,25 @@
-"""Memories: RAM cells as a primitive of the system model.
+"""Memories: RAM and ROM cells as primitives of the system model.
 
 Paper, section 4: *"the RAM cells are described at high level while the
-datapaths are described at clock cycle true level"*.  A :class:`Ram` is
-an untimed process, so it sits in the cycle scheduler's evaluation phase
-like any behaviour, but the engines know what it is:
+datapaths are described at clock cycle true level"*.  A :class:`Ram` and
+a :class:`Rom` are untimed processes, so they sit in the cycle
+scheduler's evaluation phase like any behaviour, but the engines know
+what they are:
 
-* :meth:`Ram.behavior` is the one reference semantics.  The cycle
-  scheduler and the event engine call it; the compiled step emits the
-  same accesses inline over its raw values and indexes :attr:`Ram.data`
-  in place (DESIGN.md §22), unless a subclass overrides ``behavior``.
-* A memory's contents are simulation state: engine checkpoints record
+* :meth:`Ram.behavior` and :meth:`Rom.behavior` are the one reference
+  semantics.  The cycle scheduler calls them; the event engine reads
+  and writes as they do; the compiled step emits the same accesses
+  inline over its raw values, indexing :attr:`Ram.data` in place and
+  reading a ROM's words from a table (DESIGN.md §22), unless a subclass
+  overrides ``behavior``.
+* A RAM's contents are simulation state: engine checkpoints record
   them with :func:`save_memories` and write them back in place with
-  :func:`restore_memories`.
+  :func:`restore_memories`.  A ROM's words are fixed at construction.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .errors import ModelError, SimulationError
 from .process import UntimedProcess
@@ -53,8 +56,15 @@ class Ram(UntimedProcess):
             self.add_input("wgate")
         self.add_input("waddr")
         self.add_input("wdata")
-        #: Committed writes so far.
-        self.writes = 0
+
+    @property
+    def writes(self) -> int:
+        """Committed writes so far."""
+        return self._counts[1]
+
+    @writes.setter
+    def writes(self, value: int) -> None:
+        self._counts[1] = value
 
     @property
     def data(self) -> List:
@@ -84,6 +94,38 @@ class Ram(UntimedProcess):
         """Preload memory contents (testbench access)."""
         for index, value in enumerate(values):
             self._data[index % self.depth] = value
+
+
+class Rom(UntimedProcess):
+    """A read-only table of words fixed at construction.
+
+    The read is combinational: input *address* selects word
+    ``int(address)``, produced on output *data* within the same cycle,
+    and an address outside the table reads 0.  The words are any tokens
+    a consumer's format takes (ints, floats, ``Fx`` values), kept as a
+    tuple.
+    """
+
+    def __init__(self, name: str, words: Sequence, address: str = "addr",
+                 data: str = "q"):
+        super().__init__(name)
+        self._words = tuple(words)
+        #: The names of the address input and the data output.
+        self.address_port = address
+        self.data_port = data
+        self.add_input(address)
+        self.add_output(data)
+
+    @property
+    def words(self) -> Tuple:
+        """The table, one token per address."""
+        return self._words
+
+    def behavior(self, **inputs):
+        address = int(inputs[self.address_port])
+        words = self._words
+        return {self.data_port:
+                words[address] if 0 <= address < len(words) else 0}
 
 
 def memories(processes: Sequence[UntimedProcess]) -> List[Ram]:

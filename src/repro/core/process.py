@@ -16,6 +16,7 @@ Each process translates to one component in the final implementation.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .clock import Clock
@@ -102,7 +103,18 @@ class UntimedProcess(Process):
 
     def __init__(self, name: str):
         super().__init__(name)
-        self.firings = 0
+        #: The process's counts, ``firings`` then a RAM's ``writes``: a
+        #: native compiled step increments these words in place.
+        self._counts = array("q", (0, 0))
+
+    @property
+    def firings(self) -> int:
+        """Firings so far."""
+        return self._counts[0]
+
+    @firings.setter
+    def firings(self, value: int) -> None:
+        self._counts[0] = value
 
     def add_input(self, name: str, rate: int = 1) -> Port:
         """Declare an input port consuming *rate* tokens per firing."""

@@ -5,7 +5,8 @@ The instruction word carries one opcode field per datapath (in
 followed by the sequencer fields: a PC operation, a condition selector
 and a branch target.  The :class:`Program` assembler provides labels,
 branches and named opcode fields; :class:`InstructionRom` is the
-high-level (untimed) lookup-table component of the paper's Fig. 2/5.
+high-level (untimed) lookup-table component of the paper's Fig. 2/5, a
+:class:`~repro.core.Rom`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from ...core import UntimedProcess
+from ...core import Rom
 from ...core.errors import ModelError
 from .datapaths import DATAPATH_TABLES
 from .formats import field_width, opcode
@@ -148,17 +149,10 @@ class Program:
         return words
 
 
-class InstructionRom(UntimedProcess):
-    """The microcode lookup table, modeled at high level (untimed)."""
+class InstructionRom(Rom):
+    """The microcode lookup table, modeled at high level (untimed): a
+    :class:`~repro.core.Rom` read at ``pc`` onto ``word``.  Past the
+    program it reads 0, the all-NOP word, so the sequencer fetches on."""
 
     def __init__(self, words: List[int], name: str = "irom"):
-        super().__init__(name)
-        self.words = list(words)
-        self.add_input("pc")
-        self.add_output("word")
-
-    def behavior(self, pc):
-        address = int(pc)
-        if 0 <= address < len(self.words):
-            return {"word": self.words[address]}
-        return {"word": 0}  # all-NOP / sequential fetch beyond the program
+        super().__init__(name, words, address="pc", data="word")

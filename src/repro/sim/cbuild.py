@@ -18,7 +18,8 @@ each kind.
 Every way a build can fail — no compiler, no Python headers, a compile
 error, a build over :data:`_TIMEOUT` seconds, an unwritable cache — is a
 :class:`BuildError` naming the reason; each caller warns once and runs
-its Python reference instead.
+its Python reference instead.  A :class:`CompileError`, the compiler
+rejecting or timing out on one source, says nothing of another source.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ def _cache_dir() -> Path:
 
 class BuildError(Exception):
     """A source could not be built or loaded here."""
+
+
+class CompileError(BuildError):
+    """The compiler failed on this source, or took too long."""
 
 
 #: Extension modules loaded in this process, by library path.
@@ -189,9 +194,9 @@ def _compile(compiler: str, source: bytes, path: Path,
         except subprocess.TimeoutExpired:
             os.killpg(process.pid, signal.SIGKILL)
             process.communicate()
-            raise BuildError(f"{name} took over {_TIMEOUT:g} s") from None
+            raise CompileError(f"{name} took over {_TIMEOUT:g} s") from None
         if process.returncode:
             detail = err.decode(errors="replace").strip()
-            raise BuildError(f"{name} exited with status "
-                             f"{process.returncode}: {detail[:400]}")
+            raise CompileError(f"{name} exited with status "
+                               f"{process.returncode}: {detail[:400]}")
         os.replace(built, path)

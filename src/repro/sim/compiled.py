@@ -43,15 +43,21 @@ is an emitter decision: :class:`_PyEmitter` renders it as Python
 integers, :class:`_CEmitter` as C integers.  The layout never knows
 about the spelling.
 
-Semantics note: under the cycle scheduler a channel whose producer is
-inactive carries *no token*; the compiled simulator models the same net as
-a wire that holds its last value (what the synthesized hardware does).
-Designs that never read a stale token behave identically under both.
+Semantics note: a plain signal has a value in the cycles that store it.
+A watched channel whose signal only some transitions assign reads None
+in the other cycles, where the cycle scheduler's channel carries no
+token.  A read of a plain signal in a cycle that did not store it has
+no value in the step: the Python step raises ``UnboundLocalError``, and
+such a design does not run the native step (the C emitter finds the
+read and leaves it to the Python step), while the cycle scheduler reads
+the signal's last value.  Designs that never read an unstored signal
+behave identically under both.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from collections import Counter
 from contextlib import contextmanager
@@ -62,7 +68,7 @@ from ..fixpt import Fx, FxFormat, Overflow, Rounding
 from ..fixpt import quantize_raw as _quantize_raw
 from ..core.elaborate import Elaboration, is_boundary
 from ..core.errors import CodegenError, SimulationError
-from ..core.memory import Ram, restore_memories, save_memories
+from ..core.memory import Ram, Rom, restore_memories, save_memories
 from ..core.process import TimedProcess, UntimedProcess
 from ..core.signal import Register, Sig
 from ..core.system import Channel, System
@@ -73,7 +79,8 @@ from . import cbuild
 
 
 class _Namer:
-    """Allocates stable, unique Python identifiers for model objects."""
+    """Allocates stable, unique identifiers for model objects: the
+    prefix and the sanitized hint, and a number after a name taken."""
 
     def __init__(self, prefix: str):
         self.prefix = prefix
@@ -81,10 +88,11 @@ class _Namer:
         self._used: Set[str] = set()
         self._counter = itertools.count()
 
-    def __call__(self, obj, hint: str = "") -> str:
+    def __call__(self, obj, hint: str) -> str:
         name = self._names.get(id(obj))
         if name is None:
-            base = f"{self.prefix}_{_sanitize(hint)}" if hint else self.prefix
+            base = f"{self.prefix}_{_sanitize(hint)}" if self.prefix \
+                else _sanitize(hint)
             name = base
             while name in self._used:
                 name = f"{base}_{next(self._counter)}"
@@ -181,6 +189,7 @@ class _PyEmitter:
         self.behavior_name = _Namer("beh")
         self.process_name = _Namer("proc")
         self.memory_name = _Namer("mem")
+        self.rom_name = _Namer("rom")
         self.source = ""
 
     # -- blocks --------------------------------------------------------------------
@@ -326,7 +335,7 @@ class _PyEmitter:
         for process in layout.timed:
             if process.fsm is not None:
                 states = layout.fsm_index[id(process)]
-                emit(f"    st_{_sanitize(process.name)} = "
+                emit(f"    st_{layout.stem(process)} = "
                      f"{states[process.fsm.initial_state.name]}")
 
     def pin(self, chan: Channel) -> None:
@@ -348,7 +357,7 @@ class _PyEmitter:
     def select(self, process: TimedProcess, rows) -> None:
         """Phase 0 of one FSM: its transition select, state by state."""
         b = self.body.append
-        pname = _sanitize(process.name)
+        pname = self.layout.stem(process)
         states = self.layout.fsm_index[id(process)]
         b(f"        # phase 0: {process.name} transition select")
         for index, (state, entries) in enumerate(rows):
@@ -382,7 +391,7 @@ class _PyEmitter:
 
     def open_group(self, guard: "Guard") -> None:
         """Open one same-guard run of assignments."""
-        code = _py_guard(guard)
+        code = _py_guard(guard, self.layout)
         self.indent = _PY_BODY
         if code is not None:
             self.body.append(f"        if {code}:")
@@ -480,6 +489,26 @@ class _PyEmitter:
         b(f"            {proc}.writes += 1")
         b(f"        {proc}.firings += 1")
 
+    def rom(self, rom: Rom) -> None:
+        """Fire one ROM inline, as ``Rom.behavior`` does: the word at the
+        address, 0 outside the table (DESIGN.md §22).  The step holds
+        the ROM's words."""
+        b = self.body.append
+        words = self.rom_name(rom, rom.name)
+        proc = self.process_name(rom, rom.name)
+        self.env[words] = rom.words
+        self.env[proc] = rom
+        address = index = self._int(rom.ports[rom.address_port])
+        if not address.isidentifier():
+            address, index = f"(_a := {address})", "_a"
+        read = (f"{words}[{index}] if 0 <= {address} < {len(rom.words)} "
+                f"else 0")
+        chan = rom.ports[rom.data_port].channel
+        if chan is not None:
+            read = f"{self.layout.boundary_var(chan)} = {read}"
+        b(f"        {read}")
+        b(f"        {proc}.firings += 1")
+
     def behaviour(self, process: UntimedProcess) -> None:
         """Fire one behaviour and take its output tokens."""
         b = self.body.append
@@ -489,7 +518,7 @@ class _PyEmitter:
         self.env[proc] = process
         args = [f"{port.name}={self._token(port)}"
                 for port in process.in_ports()]
-        result = f"res_{_sanitize(process.name)}"
+        result = f"res_{self.layout.stem(process)}"
         b(f"        {result} = {fn}({', '.join(args)})")
         outs = [port for port in process.out_ports()
                 if port.channel is not None]
@@ -510,7 +539,7 @@ class _PyEmitter:
         value_code, fmt = self.layout.watch_ref(chan)
         if fmt is not None:
             value_code = f"_fx({value_code}, {_fmt_ref(fmt)})"
-        guard = _py_guard(self.layout.watch_guard(chan))
+        guard = _py_guard(self.layout.watch_guard(chan), self.layout)
         if guard is not None:
             value_code = f"{value_code} if {guard} else None"
         self.body.append(f"        outputs[{chan.name!r}] = {value_code}")
@@ -532,7 +561,7 @@ class _PyEmitter:
             commit.append(f"        {name} = n_{name}")
         for process in timed:
             if process.fsm is not None:
-                pname = _sanitize(process.name)
+                pname = layout.stem(process)
                 commit.append(f"        st_{pname} = nst_{pname}")
 
         # Observability hook: one post-commit call per cycle handing the
@@ -542,9 +571,9 @@ class _PyEmitter:
             regs_args = ", ".join(reg_name(reg, reg.name)
                                   for reg in registers)
             fsm_procs = [p for p in timed if p.fsm is not None]
-            sts_args = ", ".join(f"st_{_sanitize(p.name)}"
+            sts_args = ", ".join(f"st_{layout.stem(p)}"
                                  for p in fsm_procs)
-            trs_args = ", ".join(f"tr_{_sanitize(p.name)}"
+            trs_args = ", ".join(f"tr_{layout.stem(p)}"
                                  for p in fsm_procs)
             commit.append(
                 f"        _obs_end_cycle("
@@ -554,7 +583,8 @@ class _PyEmitter:
             )
 
         state_names = [reg_name(reg, reg.name) for reg in registers]
-        state_names += [f"st_{_sanitize(p.name)}" for p in timed if p.fsm is not None]
+        state_names += [f"st_{layout.stem(p)}" for p in timed
+                        if p.fsm is not None]
         emit("    def step(pins, outputs):")
         if state_names:
             emit(f"        nonlocal {', '.join(state_names)}")
@@ -576,7 +606,7 @@ class _PyEmitter:
             raw_entries.append(f"{reg.name!r}: {name}")
         for process in timed:
             if process.fsm is not None:
-                pname = _sanitize(process.name)
+                pname = layout.stem(process)
                 states = fsm_index[id(process)]
                 names = {index: state for state, index in states.items()}
                 emit_map = ", ".join(f"{i}: {n!r}" for i, n in sorted(names.items()))
@@ -597,7 +627,7 @@ class _PyEmitter:
             emit(f"        {name} = state[{reg.name!r}]")
         for process in timed:
             if process.fsm is not None:
-                pname = _sanitize(process.name)
+                pname = layout.stem(process)
                 states = fsm_index[id(process)]
                 emit_map = ", ".join(
                     f"{n!r}: {i}" for n, i in sorted(states.items(),
@@ -629,12 +659,12 @@ class _PyEmitter:
 _PY_BODY = "        "
 
 
-def _py_guard(guard: "Guard") -> Optional[str]:
+def _py_guard(guard: "Guard", layout: "SystemLayout") -> Optional[str]:
     """Render a structured guard as a one-lane Python condition."""
     if guard is None:
         return None
     process, trs = guard
-    pname = _sanitize(process.name)
+    pname = layout.stem(process)
     if len(trs) == 1:
         return f"tr_{pname} == {trs[0]}"
     options = ", ".join(str(t) for t in trs)
@@ -680,12 +710,12 @@ def _clit(value: int, ctype: str) -> str:
     return f"I128(INT64_C({value >> 64}), UINT64_C({value & (2**64 - 1)}))"
 
 
-def _c_guard(guard: "Guard") -> Optional[str]:
+def _c_guard(guard: "Guard", layout: "SystemLayout") -> Optional[str]:
     """Render a structured guard as a C condition."""
     if guard is None:
         return None
     process, trs = guard
-    pname = _sanitize(process.name)
+    pname = layout.stem(process)
     return " || ".join(f"tr_{pname} == {t}" for t in trs)
 
 
@@ -699,9 +729,13 @@ class _CEmitter:
     ``int64_t`` values, ``__int128`` above 63 bits (DESIGN.md §24).  A
     value's C type follows the bits it can need, bounded from its
     operands, never from the IR's recorded widths.  Pins, untimed
-    tokens and RAM words stay Python objects; :attr:`ctx` lists every
-    object the step reads (``K(i)`` in the source), so the source of a
-    design never names an object and one build serves every instance.
+    tokens and RAM words stay Python objects, an ``Fx`` read and built
+    through its two slots; a ROM is read from tables of raw values, and
+    ``firings`` and ``writes`` are counted in the processes' count
+    arrays.  :attr:`ctx` lists every object the step reads (``K(i)`` in
+    the source), tables and count arrays included, so the source of a
+    design never names an object or a word and one build serves every
+    instance.
     A construct the spelling cannot render raises :class:`_NotNative`,
     and so does a read of a plain signal in a cycle that may not have
     stored it, where the Python step raises ``UnboundLocalError``.
@@ -712,9 +746,15 @@ class _CEmitter:
         self.sig_ref = layout.sig_ref_full
         self._temps = itertools.count()
         self._objects = itertools.count()
-        #: The objects the step reads, by ``K(index)``.
-        self.ctx: List[object] = []
-        self._ctx_index: Dict[int, int] = {}
+        #: The objects the step reads, by ``K(index)``: the ``Fx`` type,
+        #: then the count arrays of the processes it fires (set by
+        #: :meth:`end`), then the rest.
+        self.ctx: List[object] = [Fx, None]
+        self._ctx_index: Dict[int, int] = {id(Fx): 0}
+        self.counts: List[object] = []
+        self._count_index: Dict[int, int] = {}
+        #: Each inlined ROM's index variable.
+        self._rom_index: Dict[int, str] = {}
         self._formats: Dict[FxFormat, str] = {}
         self._format_lines: List[str] = []
         #: Raw locals of the step (name -> C type) and object locals.
@@ -807,6 +847,15 @@ class _CEmitter:
 
     def temp_obj(self) -> str:
         return self.obj(f"o{next(self._objects)}")
+
+    def count(self, process: UntimedProcess, which: int) -> None:
+        """Add one to a process's ``firings`` (0) or a RAM's ``writes``
+        (1), in the process's count array."""
+        index = self._count_index.get(id(process))
+        if index is None:
+            index = self._count_index[id(process)] = len(self.counts)
+            self.counts.append(process._counts)
+        self.line(f"CNT({index})[{which}]++;")
 
     def line(self, text: str) -> None:
         self.body.append(f"{self.indent}{text}")
@@ -986,7 +1035,7 @@ class _CEmitter:
                                    _ctype(vector_width(reg.fmt))))
         for process in layout.timed:
             if process.fsm is not None:
-                self.fsms.append(_sanitize(process.name))
+                self.fsms.append(layout.stem(process))
 
     def pin(self, chan: Channel) -> None:
         var = self.obj(self.layout.boundary_var(chan))
@@ -998,9 +1047,26 @@ class _CEmitter:
         ctype = self.declare(target, fmt)
         self._store(target)
         if is_boundary(chan):
+            producer = chan.producer
+            process = producer.process if producer is not None else None
+            index = self._rom_index.get(id(process))
+            if index is not None:
+                table = self.k(self._table(process, fmt, ctype))
+                self.line(f"{target} = table{_CBITS[ctype]}({table}, "
+                          f"{index});")
+                return
+            want, at = "NULL", 0
+            if isinstance(process, Ram):
+                # A RAM holds the tokens its writes store: mostly Fx
+                # values of its write port's format.
+                wdata = process.ports["wdata"].channel
+                if not is_boundary(wdata):
+                    written = layout.sig_ref_full(wdata.producer.sig)[1]
+                    if written is not None:
+                        want, at = self.k(written), written.frac_bits
             source = layout.boundary_var(chan)
             self.line(f"if (qobj({source}, &{self.qf(fmt)}, {self.k(fmt)}, "
-                      f"{self.k(_quantize_raw)}, {self.k(Fx)}, &q_)) "
+                      f"{self.k(_quantize_raw)}, {want}, {at}, &q_)) "
                       f"goto fail;")
             self.line(f"{target} = ({ctype})q_;")
             return
@@ -1012,7 +1078,7 @@ class _CEmitter:
             self.line("if (err) goto fail;")
 
     def select(self, process: TimedProcess, rows) -> None:
-        pname = _sanitize(process.name)
+        pname = self.layout.stem(process)
         states = self.layout.fsm_index[id(process)]
         checks = False
         self.line(f"/* phase 0: {pname} transition select */")
@@ -1055,7 +1121,7 @@ class _CEmitter:
 
     def open_group(self, guard: "Guard") -> None:
         self.guard = guard
-        code = _c_guard(guard)
+        code = _c_guard(guard, self.layout)
         if code is not None:
             self.line(f"if ({code}) {{")
             self.indent += "    "
@@ -1102,8 +1168,7 @@ class _CEmitter:
             return self.layout.boundary_var(chan)
         code, fmt = self.raw(chan.producer.sig)
         var = self.temp_obj()
-        self.line(f"SETOBJ({var}, mkfx({code}, {self.k(fmt)}, "
-                  f"{self.k(Fx)}));")
+        self.line(f"SETOBJ({var}, mkfx({code}, {self.k(fmt)}));")
         return var
 
     def _int(self, port) -> Tuple[str, Optional[str]]:
@@ -1143,10 +1208,9 @@ class _CEmitter:
 
     def ram(self, ram: Ram) -> None:
         mem = self.k(ram.data)
-        proc = self.k(ram)
         ports = ram.ports
         depth = ram.depth
-        self.line(f"/* RAM {_sanitize(ram.name)} */")
+        self.line(f"/* RAM {self.layout.stem(ram)} */")
         self.line("{")
         self.indent += "    "
         self.line("i64 a_; int we_;")
@@ -1166,19 +1230,64 @@ class _CEmitter:
         token = self._token(ports["wdata"])
         self._index(ports["waddr"], depth, "a_")
         self.line(f"if (mem_set({mem}, a_, {token})) goto fail;")
-        self.line(f"if (bump({proc}, str_writes)) goto fail;")
+        self.count(ram, 1)
         self.indent = self.indent[:-4]
         self.line("}")
-        self.line(f"if (bump({proc}, str_firings)) goto fail;")
+        self.count(ram, 0)
         self.indent = self.indent[:-4]
         self.line("}")
+
+    def rom(self, rom: Rom) -> None:
+        """The ROM's address into ``rom_<stem>``, where :meth:`convert`
+        reads each consumer format's table; its token only where a watch
+        or an untimed consumer takes it."""
+        for word in rom.words:
+            raw = word.raw if isinstance(word, Fx) else word
+            if isinstance(raw, int):
+                _ctype(raw.bit_length() + 1)
+        stem = self.layout.stem(rom)
+        index = f"rom_{stem}"
+        self.raw_vars.setdefault(index, "i64")
+        self.line(f"/* ROM {stem} */")
+        code, ctype = self._int(rom.ports[rom.address_port])
+        if ctype is None:
+            self.line(f"if (obj_address({code}, &{index})) goto fail;")
+        elif ctype == "i64":
+            self.line(f"{index} = {code};")
+        else:
+            self.line(f"{{ i128 w_ = {code}; {index} = w_ >= 0 && "
+                      f"w_ <= INT64_MAX ? (i64)w_ : -1; }}")
+        self._rom_index[id(rom)] = index
+        chan = rom.ports[rom.data_port].channel
+        if chan is not None and (chan in self.layout.watch or any(
+                port.sig is None for port in chan.consumers)):
+            var = self.obj(self.layout.boundary_var(chan))
+            self.line(f"SETOBJ({var}, table_token({self.k(rom.words)}, "
+                      f"{index}));")
+        self.count(rom, 0)
+
+    @staticmethod
+    def _table(rom: Rom, fmt: FxFormat, ctype: str) -> bytes:
+        """The ROM's words quantized into *fmt*, as the bytes of an array
+        of *ctype*: handed to the step through its context, so the
+        library does not depend on the words.  A word that cannot be
+        quantized without raising is left to the Python step, which
+        raises at the cycle that reads it."""
+        try:
+            raws = [_quantize_raw(word, fmt) for word in rom.words]
+        except (ArithmeticError, TypeError, ValueError) as error:
+            raise _NotNative(f"a word of ROM {rom.name!r}: {error}")
+        size = _CBITS[ctype] // 8
+        return b"".join(raw.to_bytes(size, sys.byteorder, signed=True)
+                        for raw in raws)
 
     def behaviour(self, process: UntimedProcess) -> None:
         proc = self.k(process)
         ports = process.in_ports()
         tokens = [self._token(port) for port in ports]
-        result = self.obj(f"res_{_sanitize(process.name)}")
-        self.line(f"/* behaviour {_sanitize(process.name)} */")
+        stem = self.layout.stem(process)
+        result = self.obj(f"res_{stem}")
+        self.line(f"/* behaviour {stem} */")
         if tokens:
             names = self.k(tuple(port.name for port in ports))
             self.line(f"{{ PyObject *argv_[] = {{{', '.join(tokens)}}};")
@@ -1196,12 +1305,12 @@ class _CEmitter:
             self.line(f"  if (!v_) {{ no_token({self.k(_no_token)}, {proc}, "
                       f"{result}); goto fail; }}")
             self.line(f"  Py_XSETREF({var}, v_); }}")
-        self.line(f"if (bump({proc}, str_firings)) goto fail;")
+        self.count(process, 0)
 
     def watch(self, chan: Channel) -> None:
         layout = self.layout
         key = self.k(chan.name)
-        guard = _c_guard(layout.watch_guard(chan))
+        guard = _c_guard(layout.watch_guard(chan), layout)
         if guard is not None:
             self.line(f"if ({guard}) {{")
             self.indent += "    "
@@ -1213,8 +1322,7 @@ class _CEmitter:
                 raise _NotNative(f"the float-domain watch {chan.name!r}")
             self.declare(code, fmt)
             value = self.temp_obj()
-            self.line(f"SETOBJ({value}, mkfx({code}, {self.k(fmt)}, "
-                      f"{self.k(Fx)}));")
+            self.line(f"SETOBJ({value}, mkfx({code}, {self.k(fmt)}));")
         self.line(f"if (PyObject_SetItem(outputs, {key}, {value})) "
                   f"goto fail;")
         if guard is not None:
@@ -1231,17 +1339,24 @@ class _CEmitter:
         fsms = self.fsms
         out: List[str] = [_prelude_text]
         emit = out.append
+        self.ctx[1] = tuple(self.counts)
         emit(f"#define NCTX {len(self.ctx)}")
+        emit(f"#define NCOUNT {len(self.counts)}")
         out.extend(self._format_lines)
         emit("")
         emit("typedef struct {")
         emit("    PyObject_HEAD")
         emit("    PyObject *ctx;")
+        emit("    /* Buffers on the count arrays, held from new() to clear. */")
+        emit("    int held;")
+        emit("    Py_buffer views[NCOUNT > 0 ? NCOUNT : 1];")
         for name, ctype in regs:
             emit(f"    {ctype} {name};")
         for pname in fsms:
             emit(f"    int fsm_{pname};")
         emit("} Step;")
+        emit("")
+        emit("#define CNT(i) ((i64 *)self->views[i].buf)")
         emit("")
         emit("static PyObject *")
         emit("step(Step *self, PyObject *const *args, Py_ssize_t nargs)")
@@ -1348,12 +1463,17 @@ static int
 Step_traverse(Step *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->ctx);
+    for (int i = 0; i < self->held; i++)
+        Py_VISIT(self->views[i].obj);
     return 0;
 }
 
 static int
 Step_clear(Step *self)
 {
+    for (int i = 0; i < self->held; i++)
+        PyBuffer_Release(&self->views[i]);
+    self->held = 0;
     Py_CLEAR(self->ctx);
     return 0;
 }
@@ -1377,14 +1497,20 @@ static PyTypeObject StepType = {
     .tp_methods = Step_methods,
 };
 
-/* new(ctx): a step over the objects in ctx, every register zero. */
+/* new(ctx): a step over the objects in ctx, every register zero.  The
+ * context starts with the Fx type and a tuple of the count arrays of the
+ * processes the step fires, two 64-bit words each. */
 static PyObject *
 new_step(PyObject *module, PyObject *ctx)
 {
-    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != NCTX) {
+    if (!PyTuple_Check(ctx) || PyTuple_GET_SIZE(ctx) != NCTX
+            || !PyTuple_Check(PyTuple_GET_ITEM(ctx, 1))
+            || PyTuple_GET_SIZE(PyTuple_GET_ITEM(ctx, 1)) != NCOUNT) {
         PyErr_SetString(PyExc_TypeError, "new() takes the step's context");
         return NULL;
     }
+    if (fx_init(PyTuple_GET_ITEM(ctx, 0)))
+        return NULL;
     Step *self = PyObject_GC_New(Step, &StepType);
     if (!self)
         return NULL;
@@ -1392,8 +1518,25 @@ new_step(PyObject *module, PyObject *ctx)
            sizeof(Step) - sizeof(PyObject));
     Py_INCREF(ctx);
     self->ctx = ctx;
+    for (int i = 0; i < NCOUNT; i++) {
+        Py_buffer *view = &self->views[i];
+        if (PyObject_GetBuffer(PyTuple_GET_ITEM(PyTuple_GET_ITEM(ctx, 1), i),
+                               view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
+            goto fail;
+        self->held = i + 1;
+        if (view->len != 2 * (Py_ssize_t)sizeof(i64)
+                || view->itemsize != (Py_ssize_t)sizeof(i64)
+                || !view->format || strcmp(view->format, "q")) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a process's counts are an array('q') of two");
+            goto fail;
+        }
+    }
     PyObject_GC_Track(self);
     return (PyObject *)self;
+fail:
+    Py_DECREF(self);
+    return NULL;
 }
 
 static PyMethodDef module_methods[] = {
@@ -1437,6 +1580,11 @@ class SystemLayout(Elaboration):
         self.watch = list(watch)
         self.sig_name = _Namer("s")
         self.reg_name = _Namer("r")
+        # A process's stem, a pin's variable and an untimed output's:
+        # each unique, as sanitized model names need not be.
+        self._stem = _Namer("")
+        self._pin_name = _Namer("pin")
+        self._output_name = _Namer("u")
         #: Built by :meth:`watch_guard` on first use.
         self._assigned: Optional[Dict[
             Sig, Optional[Tuple[TimedProcess, Set[int]]]]] = None
@@ -1468,6 +1616,12 @@ class SystemLayout(Elaboration):
 
     # -- signal references --------------------------------------------------------
 
+    def stem(self, process) -> str:
+        """The process's part of the step's names: ``st_<stem>``,
+        ``tr_<stem>`` and ``res_<stem>``; ``fsm_<stem>`` and
+        ``rom_<stem>`` in C."""
+        return self._stem(process, process.name)
+
     def resolve(self, sig: Sig) -> Sig:
         alias = self.alias
         while sig in alias:
@@ -1496,10 +1650,11 @@ class SystemLayout(Elaboration):
         """
         producer = chan.producer
         if producer is None:
-            var = f"pin_{_sanitize(chan.name)}"
+            var = self._pin_name(chan, chan.name)
         elif producer.sig is None:
-            var = (f"u_{_sanitize(producer.process.name)}"
-                   f"_{_sanitize(producer.name)}")
+            var = self._output_name(
+                producer, f"{_sanitize(producer.process.name)}"
+                          f"_{_sanitize(producer.name)}")
         else:
             var = self.sig_ref(producer.sig)[0]
         if fmt is None:
@@ -1693,8 +1848,9 @@ class CompiledSimulator:
     :mod:`repro.sim.cbuild`.  :attr:`backend` names the step that runs:
     ``"native"``, or ``"python"`` when the design has a float-domain
     value or one wider than 127 bits, the host cannot build the module
-    (a warning, once per process, says why) or the capture asks for
-    emitted instrumentation.
+    (a warning says why: once per process for a host without the
+    compiler or headers, once per design for a source the compiler
+    rejects) or the capture asks for emitted instrumentation.
     """
 
     def __init__(self, system: System, watch: Sequence[Channel] = (),
@@ -1912,10 +2068,14 @@ class CompiledSimulator:
             else:
                 flush_group(group)
                 group = []
-                # A RAM whose class keeps Ram.behavior is emitted inline.
+                # A RAM or ROM whose class keeps its behaviour is
+                # emitted inline.
                 if isinstance(node, Ram) \
                         and type(node).behavior is Ram.behavior:
                     out.ram(node)
+                elif isinstance(node, Rom) \
+                        and type(node).behavior is Rom.behavior:
+                    out.rom(node)
                 else:
                     out.behaviour(node)
                 for port in node.out_ports():
@@ -1934,16 +2094,25 @@ class CompiledSimulator:
         return native[0] if native else None
 
     def _load_native(self, native: "_CEmitter") -> None:
-        """Build or load the C step and run it; on failure warn, once
-        per process, and leave the Python step to run."""
+        """Build or load the C step and run it; on failure warn and
+        leave the Python step to run.  A host that cannot build warns
+        once per process; a source the compiler rejects warns once and
+        runs the Python step for its design only."""
         global _native_failure
+        if native.source in _failed_sources:
+            return
         try:
             module = cbuild.extension(native.source)
         except cbuild.BuildError as error:
-            _native_failure = str(error)
-            warnings.warn(f"native compiled step unavailable, compiled "
-                          f"simulation runs the Python step: "
-                          f"{_native_failure}", RuntimeWarning, stacklevel=3)
+            if isinstance(error, cbuild.CompileError):
+                _failed_sources.add(native.source)
+                scope = "this design"
+            else:
+                _native_failure = str(error)
+                scope = "compiled simulation"
+            warnings.warn(f"native compiled step unavailable, {scope} "
+                          f"runs the Python step: {error}", RuntimeWarning,
+                          stacklevel=3)
             return
         layout = self.layout
         registers = list(layout.registers)
@@ -1992,9 +2161,11 @@ class CompiledSimulator:
 
 #: False inside :func:`_python_step`.
 _NATIVE_STEP = True
-#: Why the native step is unavailable in this process (None until a
-#: build failed).
+#: Why the native step is unavailable in this process (None until the
+#: host failed to build one).
 _native_failure: Optional[str] = None
+#: The C sources the compiler rejected in this process.
+_failed_sources: Set[str] = set()
 
 
 @contextmanager

@@ -18,7 +18,8 @@ generated VHDL would be:
   reading its consumers' formats from the system's
   :class:`~repro.core.elaborate.Elaboration`;
 * untimed blocks become combinational processes, except a RAM, which
-  reads combinationally and writes at the clock edge.
+  reads combinationally and writes at the clock edge, and a ROM, which
+  reads combinationally and counts its firing at the clock edge.
 
 One :meth:`EventSimulator.step` simulates one clock cycle: drive pins,
 settle the combinational network through delta cycles, then apply the
@@ -34,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..fixpt import FxFormat, Overflow, quantize
 from ..core.elaborate import Elaboration, is_boundary
 from ..core.errors import SimulationError
-from ..core.memory import Ram
+from ..core.memory import Ram, Rom
 from ..core.process import TimedProcess
 from ..core.sfg import SFG, Assignment
 from ..core.signal import Register, Sig
@@ -136,6 +137,10 @@ class EventSimulator:
             if isinstance(process, Ram) \
                     and type(process).behavior is Ram.behavior:
                 self._build_ram(process, ins, outs)
+                continue
+            if isinstance(process, Rom) \
+                    and type(process).behavior is Rom.behavior:
+                self._build_rom(process, ins, outs)
                 continue
 
             def run(process=process, ins=ins, outs=outs):
@@ -298,6 +303,26 @@ class EventSimulator:
         self._add_proc(_Process(f"{ram.name}.read", read,
                                 [addr for addr, _targets in reads]))
         self._seq_actions.append(write)
+
+    def _build_rom(self, rom: Rom, ins: Dict[str, Sig],
+                   outs: Dict[str, List[Sig]]) -> None:
+        """A ROM reads combinationally, as ``Rom.behavior`` does, and
+        counts one firing per cycle, at the clock edge."""
+        words, size = rom.words, len(rom.words)
+        address = ins[rom.address_port]
+        targets = outs.get(rom.data_port, ())
+
+        def read():
+            index = int(address.value)
+            word = words[index] if 0 <= index < size else 0
+            return [(target, word) for target in targets]
+
+        def fire():
+            rom.firings += 1
+            return []
+
+        self._add_proc(_Process(f"{rom.name}.read", read, [address]))
+        self._seq_actions.append(fire)
 
     # -- kernel ----------------------------------------------------------------------
 

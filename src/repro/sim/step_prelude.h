@@ -7,12 +7,13 @@
  * touch Python objects return -1 with an exception set on failure.
  *
  * The step's own variables are named after the model, with the
- * prefixes s_, r_, n_r_, pin_, u_, q<n>_, fsm_, tr_, nfsm_ and res_, so
- * no name declared here starts with one of them: a step variable would
- * shadow it.
+ * prefixes s_, r_, n_r_, pin_, u_, q<n>_, fsm_, tr_, nfsm_, rom_ and
+ * res_, so no name declared here starts with one of them: a step
+ * variable would shadow it.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -54,9 +55,8 @@ static inline i64 pymod64(i64 a, i64 d)
 
 /* -- Python ints --------------------------------------------------------- */
 
-static PyObject *str_get, *str_firings, *str_writes, *str_raw, *str_fmt;
-static PyObject *str_frac_bits;
-static PyObject *py_zero, *py_one, *py_64, *empty_args;
+static PyObject *str_get, *str_frac_bits;
+static PyObject *py_zero, *py_64;
 
 static PyObject *from128(i128 v)
 {
@@ -120,6 +120,50 @@ static int as64(PyObject *o, i64 *out)
     return 0;
 }
 
+/* -- Fx tokens through their slots -------------------------------------- */
+
+/* The Fx type and the offsets of its two slots, _raw and _fmt, taken
+ * from the type's member descriptors by the first new(). */
+static PyTypeObject *fx_type;
+static Py_ssize_t fx_raw_at, fx_fmt_at;
+#define FX_SLOT(o, at) (*(PyObject **)((char *)(o) + (at)))
+
+static int fx_offset(PyObject *type, const char *name, Py_ssize_t *at)
+{
+    PyObject *d = PyObject_GetAttrString(type, name);
+    if (!d)
+        return -1;
+    int ok = Py_IS_TYPE(d, &PyMemberDescr_Type)
+        && ((PyMemberDescrObject *)d)->d_member->type == T_OBJECT_EX;
+    if (ok)
+        *at = ((PyMemberDescrObject *)d)->d_member->offset;
+    Py_DECREF(d);
+    if (!ok)
+        PyErr_Format(PyExc_TypeError, "Fx.%s is not an object slot", name);
+    return ok ? 0 : -1;
+}
+
+static int fx_init(PyObject *type)
+{
+    if (fx_type) {
+        if ((PyObject *)fx_type == type)
+            return 0;
+        PyErr_SetString(PyExc_TypeError, "new() takes the Fx type it took "
+                        "before");
+        return -1;
+    }
+    if (!PyType_Check(type)) {
+        PyErr_SetString(PyExc_TypeError, "new() needs the Fx type first");
+        return -1;
+    }
+    if (fx_offset(type, "_raw", &fx_raw_at)
+            || fx_offset(type, "_fmt", &fx_fmt_at))
+        return -1;
+    Py_INCREF(type);
+    fx_type = (PyTypeObject *)type;
+    return 0;
+}
+
 /* -- quantization of Python values (quantize_raw) ------------------------ */
 
 typedef struct {
@@ -163,9 +207,10 @@ static int qat(i64 n, int at, const QF *f, i128 *out)
 
 /* quantize_raw(o, fmt): floats, ints and Fx values in C where the result
  * is exact, anything else (and every raise) through the library routine
- * `lib`. */
+ * `lib`.  An Fx of format `want` (a RAM's write format, or NULL) is at
+ * binary point `want_at`; another format is asked for its frac_bits. */
 static int qobj(PyObject *o, const QF *f, PyObject *fmt, PyObject *lib,
-                PyObject *fx_type, i128 *out)
+                PyObject *want, int want_at, i128 *out)
 {
     int slow = 1;
     if (PyFloat_Check(o)) {
@@ -186,23 +231,23 @@ static int qobj(PyObject *o, const QF *f, PyObject *fmt, PyObject *lib,
             return -1;
         if (!overflow)
             slow = qat(n, 0, f, out);
-    } else if (Py_TYPE(o) == (PyTypeObject *)fx_type) {
-        PyObject *raw = PyObject_GetAttr(o, str_raw);
-        PyObject *ofmt = raw ? PyObject_GetAttr(o, str_fmt) : NULL;
-        PyObject *frac = ofmt ? PyObject_GetAttr(ofmt, str_frac_bits) : NULL;
-        int overflow = 1;
-        long long n = 0, at = 0;
-        if (frac) {
-            n = PyLong_AsLongLongAndOverflow(raw, &overflow);
-            at = PyLong_AsLong(frac);
+    } else if (Py_TYPE(o) == fx_type) {
+        /* An unset slot is the library's AttributeError. */
+        PyObject *raw = FX_SLOT(o, fx_raw_at), *ofmt = FX_SLOT(o, fx_fmt_at);
+        if (raw && ofmt && PyLong_CheckExact(raw)) {
+            int overflow;
+            long at = want_at;
+            long long n = PyLong_AsLongLongAndOverflow(raw, &overflow);
+            if (!overflow && ofmt != want) {
+                PyObject *frac = PyObject_GetAttr(ofmt, str_frac_bits);
+                at = frac ? PyLong_AsLong(frac) : -1;
+                Py_XDECREF(frac);
+            }
+            if (PyErr_Occurred())
+                return -1;
+            if (!overflow)
+                slow = qat(n, (int)at, f, out);
         }
-        Py_XDECREF(raw);
-        Py_XDECREF(ofmt);
-        Py_XDECREF(frac);
-        if (PyErr_Occurred())
-            return -1;
-        if (!overflow)
-            slow = qat(n, (int)at, f, out);
     }
     if (!slow)
         return 0;
@@ -242,21 +287,22 @@ static i128 chk(i128 v, i128 lo, i128 hi, int *err, PyObject *check)
 
 /* -- tokens, pins and untimed processes ---------------------------------- */
 
-/* An Fx of a raw value inside its format, built without a range check
- * (object.__new__ and the two slots, as the library's _fx does). */
-static PyObject *mkfx(i128 raw, PyObject *fmt, PyObject *fx_type)
+/* An Fx of a raw value inside its format, built without a range check:
+ * allocated as object.__new__ allocates it and its two slots written,
+ * as the library's _fx does. */
+static PyObject *mkfx(i128 raw, PyObject *fmt)
 {
     PyObject *r = from128(raw);
     if (!r)
         return NULL;
-    PyObject *value = PyBaseObject_Type.tp_new((PyTypeObject *)fx_type,
-                                               empty_args, NULL);
-    if (!value || PyObject_SetAttr(value, str_raw, r)
-            || PyObject_SetAttr(value, str_fmt, fmt)) {
-        Py_XDECREF(value);
-        value = NULL;
+    PyObject *value = fx_type->tp_alloc(fx_type, 0);
+    if (!value) {
+        Py_DECREF(r);
+        return NULL;
     }
-    Py_DECREF(r);
+    FX_SLOT(value, fx_raw_at) = r;
+    Py_INCREF(fmt);
+    FX_SLOT(value, fx_fmt_at) = fmt;
     return value;
 }
 
@@ -301,6 +347,22 @@ static int obj_mod(PyObject *o, i64 depth, i64 *out)
     int rc = as64(r, out);
     Py_DECREF(r);
     return rc;
+}
+
+/* int(o) as a ROM address: -1, outside every table, when it does not
+ * fit 64 bits */
+static int obj_address(PyObject *o, i64 *out)
+{
+    PyObject *l = PyNumber_Long(o);
+    if (!l)
+        return -1;
+    int overflow;
+    long long n = PyLong_AsLongLongAndOverflow(l, &overflow);
+    Py_DECREF(l);
+    if (n == -1 && PyErr_Occurred())
+        return -1;
+    *out = overflow ? -1 : n;
+    return 0;
 }
 
 /* int(o) != 0 */
@@ -351,19 +413,27 @@ static int mem_set(PyObject *mem, i64 index, PyObject *v)
     return 0;
 }
 
-/* obj.<name> += 1 */
-static int bump(PyObject *obj, PyObject *name)
+/* A ROM's word at address a: from its table of raw values in one
+ * consumer format (the bytes of an array of them), or its token from
+ * its words; 0 outside the table. */
+#define ROM_TABLE(N, T)                                                      \
+static inline T table##N(PyObject *t, i64 a)                                 \
+{                                                                            \
+    T v = 0;                                                                 \
+    if ((u64)a < (u64)PyBytes_GET_SIZE(t) / sizeof v)                        \
+        memcpy(&v, PyBytes_AS_STRING(t) + a * (i64)sizeof v, sizeof v);     \
+    return v;                                                                \
+}
+
+ROM_TABLE(64, i64)
+ROM_TABLE(128, i128)
+
+static PyObject *table_token(PyObject *words, i64 a)
 {
-    PyObject *v = PyObject_GetAttr(obj, name);
-    if (!v)
-        return -1;
-    PyObject *w = PyNumber_InPlaceAdd(v, py_one);
-    Py_DECREF(v);
-    if (!w)
-        return -1;
-    int rc = PyObject_SetAttr(obj, name, w);
-    Py_DECREF(w);
-    return rc;
+    PyObject *v = (u64)a < (u64)PyTuple_GET_SIZE(words)
+        ? PyTuple_GET_ITEM(words, a) : py_zero;
+    Py_INCREF(v);
+    return v;
 }
 
 /* A behaviour's result lacks a token: the cycle scheduler's typed error
@@ -398,15 +468,8 @@ static void no_token(PyObject *fn, PyObject *proc, PyObject *result)
 static int prelude_init(void)
 {
     str_get = PyUnicode_InternFromString("get");
-    str_firings = PyUnicode_InternFromString("firings");
-    str_writes = PyUnicode_InternFromString("writes");
-    str_raw = PyUnicode_InternFromString("_raw");
-    str_fmt = PyUnicode_InternFromString("_fmt");
     str_frac_bits = PyUnicode_InternFromString("frac_bits");
     py_zero = PyLong_FromLong(0);
-    py_one = PyLong_FromLong(1);
     py_64 = PyLong_FromLong(64);
-    empty_args = PyTuple_New(0);
-    return str_get && str_firings && str_writes && str_raw && str_fmt
-        && str_frac_bits && py_zero && py_one && py_64 && empty_args ? 0 : -1;
+    return str_get && str_frac_bits && py_zero && py_64 ? 0 : -1;
 }
