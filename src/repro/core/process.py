@@ -103,8 +103,9 @@ class UntimedProcess(Process):
 
     def __init__(self, name: str):
         super().__init__(name)
-        #: The process's counts, ``firings`` then a RAM's ``writes``: a
-        #: native compiled step increments these words in place.
+        #: The process's counts, ``firings`` then a RAM's ``writes``:
+        #: every engine, the native compiled step included, increments
+        #: these words in place.
         self._counts = array("q", (0, 0))
 
     @property

@@ -276,7 +276,7 @@ class CycleScheduler:
                 )
             if chan is not None:
                 chan.put(results[name])
-        process.firings += 1
+        process._counts[0] += 1  # firings, counted in place
 
     def _blocked_map(self, pending) -> Dict[str, List[str]]:
         """Per-process names of the ports each blocked process waits on.

@@ -143,10 +143,11 @@ class EventSimulator:
                 self._build_rom(process, ins, outs)
                 continue
 
-            def run(process=process, ins=ins, outs=outs):
+            def run(process=process, ins=ins, outs=outs,
+                    counts=process._counts):
                 results = process.behavior(
                     **{name: net.value for name, net in ins.items()}) or {}
-                process.firings += 1
+                counts[0] += 1  # firings, counted in place
                 return [(target, results[name])
                         for name, targets in outs.items()
                         for target in targets]
@@ -293,11 +294,13 @@ class EventSimulator:
             return [(target, data[int(addr.value) % depth])
                     for addr, targets in reads for target in targets]
 
+        counts = ram._counts  # firings and writes, counted in place
+
         def write():
             if all(int(net.value) for net in enables):
                 data[int(waddr.value) % depth] = wdata.value
-                ram.writes += 1
-            ram.firings += 1
+                counts[1] += 1
+            counts[0] += 1
             return read()
 
         self._add_proc(_Process(f"{ram.name}.read", read,
@@ -317,8 +320,10 @@ class EventSimulator:
             word = words[index] if 0 <= index < size else 0
             return [(target, word) for target in targets]
 
+        counts = rom._counts
+
         def fire():
-            rom.firings += 1
+            counts[0] += 1  # firings, counted in place
             return []
 
         self._add_proc(_Process(f"{rom.name}.read", read, [address]))

@@ -26,12 +26,23 @@ Each rewrite sees its inputs in their final form, so the pass reaches
 the fixpoint in one sweep.  Only a register that the local rule turns
 into a constant asks for another pass, because its readers were
 rewritten before the rule ran (DESIGN.md §16).
+
+:func:`optimize_netlist` runs these passes in C (``netopt.c``, DESIGN.md
+§25), which builds a netlist that pickles to the same bytes as the one
+this module builds.  This module's optimizer is the reference, and it
+runs where the C one cannot: without a compiler, and on a netlist with a
+combinational cycle, where it raises.
 """
 
 from __future__ import annotations
 
+import ctypes
+from array import array
+from contextlib import contextmanager
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Set, Tuple, Union
 
+from . import native
 from .gates import KINDS, GateKind
 from .netlist import Net, Netlist
 
@@ -261,6 +272,26 @@ def sequential_constants(netlist: Netlist) -> Dict[Net, str]:
     return consts
 
 
+#: False inside :func:`_python_optimizer`.
+_NATIVE = True
+
+
+@contextmanager
+def _python_optimizer():
+    """Netlists optimized inside this block run the Python optimizer.
+
+    A private seam, as :func:`repro.synth.gatesim._python_kernel` is for
+    the gate kernels: the tests hold the two optimizers to the same
+    bytes, and patch this module's passes.
+    """
+    global _NATIVE
+    saved, _NATIVE = _NATIVE, False
+    try:
+        yield
+    finally:
+        _NATIVE = saved
+
+
 def optimize_netlist(netlist: Netlist, max_passes: int = 8,
                      validate: str = "off", seed: int = 0) -> Netlist:
     """Return an optimized copy of *netlist* (same PI/PO interface).
@@ -273,15 +304,23 @@ def optimize_netlist(netlist: Netlist, max_passes: int = 8,
     rewrite raises :class:`~repro.synth.equiv.NetlistEquivalenceError`
     carrying the divergent stimulus.
     """
-    current = netlist
-    for _pass in range(max_passes):
-        # The ternary fixpoint seeds only the first pass: its constants
-        # become CONST cells there, so later passes rediscover nothing.
-        # It and the pass share the input's memoized levelization.
-        seq_consts = sequential_constants(current) if _pass == 0 else None
-        current, again = _one_pass(current, seq_consts)
-        if not again:
-            break
+    current = None
+    if _NATIVE and max_passes > 0:
+        lib = native.optimizer()
+        if lib is not None:
+            current = _native_optimize(lib, netlist, max_passes)
+    if current is None:
+        current = netlist
+        for _pass in range(max_passes):
+            # The ternary fixpoint seeds only the first pass: its
+            # constants become CONST cells there, so later passes
+            # rediscover nothing.  It and the pass share the input's
+            # memoized levelization.
+            seq_consts = sequential_constants(current) if _pass == 0 \
+                else None
+            current, again = _one_pass(current, seq_consts)
+            if not again:
+                break
     if validate != "off" and current is not netlist:
         from .equiv import NetlistEquivalenceError, check_netlists
 
@@ -422,3 +461,73 @@ def _one_pass(old: Netlist,
     for name, bus in old.outputs.items():
         new.set_output(name, [map_net(n) for n in bus])
     return new, again
+
+
+def _native_optimize(lib: ctypes.CDLL, netlist: Netlist,
+                     max_passes: int) -> Optional[Netlist]:
+    """:func:`optimize_netlist`'s passes in C, or None where the Python
+    optimizer must run: a combinational cycle, or columns the C function
+    cannot read (of unequal lengths, or past ``int32``)."""
+    inputs, outputs, inits, pins = (array("i") for _ in range(4))
+    try:
+        inputs.fromlist(list(chain.from_iterable(netlist.gate_inputs)))
+        outputs.fromlist(netlist.gate_outputs)
+        inits.fromlist(netlist.gate_inits)
+        pins.fromlist([net for bus in (*netlist.inputs.values(),
+                                       *netlist.outputs.values())
+                       for net in bus])
+    except (TypeError, OverflowError):
+        return None
+    gates, nets = len(outputs), netlist._net_count
+    if not len(netlist.gate_kinds) == len(netlist.gate_inputs) \
+            == len(inits) == gates:
+        return None
+    in_pins = sum(map(len, netlist.inputs.values()))
+    new_kinds = array("B", bytes(gates + 2))
+    new_inputs = array("i", bytes(4 * len(inputs)))
+    new_outputs = array("i", bytes(4 * (gates + 2)))
+    new_inits = array("i", bytes(4 * (gates + 2)))
+    new_pins = array("i", bytes(4 * len(pins)))
+    new_of = array("i", bytes(4 * nets))
+    kinds = array("B", netlist.gate_kinds)
+    job = native.Job(
+        gates, nets, len(inputs), in_pins, len(pins) - in_pins, max_passes,
+        *(buffer.buffer_info()[0] for buffer in (
+            kinds, inputs, outputs, inits, pins, new_kinds, new_inputs,
+            new_outputs, new_inits, new_pins, new_of)))
+    if lib.no_optimize(ctypes.byref(job)):
+        return None
+
+    new = Netlist(netlist.name)
+    count = job.new_gates
+    new._net_count = job.new_nets
+    new.gate_kinds = bytearray(new_kinds[:count])
+    # Each gate's input tuple, drawn in gate order from its arity's group.
+    ones, twos = job.ones, job.twos
+    single = zip(new_inputs[:ones])
+    pair = iter(new_inputs[ones:ones + 2 * twos])
+    pair = zip(pair, pair)
+    triple = iter(new_inputs[ones + 2 * twos:])
+    triple = zip(triple, triple, triple)
+    none = repeat(())
+    by_kind = (none, none, single, single, pair, pair, pair, pair, pair,
+               pair, triple, single)
+    new.gate_inputs = list(map(next, map(by_kind.__getitem__,
+                                         new.gate_kinds)))
+    new.gate_outputs = new_outputs[:count].tolist()
+    new.gate_inits = new_inits[:count].tolist()
+    # Each name stays with its net; a netlist's names go in net order.
+    new.net_names = dict(sorted(
+        (new_of[net], name) for net, name in netlist.net_names.items()
+        if name and new_of[net] >= 0))
+    pin_list = new_pins.tolist()
+    at = 0
+    for ports, old_ports in ((new.inputs, netlist.inputs),
+                             (new.outputs, netlist.outputs)):
+        for name, bus in old_ports.items():
+            ports[name] = pin_list[at:at + len(bus)]
+            at += len(bus)
+    new._const0 = job.const0 if job.const0 >= 0 else None
+    new._const1 = job.const1 if job.const1 >= 0 else None
+    new._driver = dict(zip(new.gate_outputs, range(count)))
+    return new

@@ -9,7 +9,10 @@ a coverage report in the style of :mod:`repro.synth.report`.
 The campaign reuses one :class:`~repro.synth.gatesim.GateSimulator`
 through the checkpoint/restore guard rail instead of re-levelizing the
 netlist per fault, and accepts a :class:`~repro.verify.guard.Watchdog`
-so long campaigns return partial coverage instead of wedging.
+so long campaigns return partial coverage instead of wedging.  The
+golden run, its pin program and the fault simulators are built on the
+first run and kept, so a shard worker's later spans
+(:meth:`FaultCampaign.run_shard`) replay only their faults.
 
 Lane-mapped campaigns
 ---------------------
@@ -241,6 +244,13 @@ class FaultCampaign:
         #: Length of the full work list before any shard slicing — the
         #: ``collapsed_faults`` a merged report must carry.
         self.work_size = len(self._work)
+        #: What depends only on the netlist and the stimulus, built on
+        #: the first run and kept for the next (a shard worker runs many
+        #: spans): the golden simulator, the packed pin program, the
+        #: golden replay and its gate evaluations; and per lane count a
+        #: fault simulator, its fresh state and its evaluations then.
+        self._golden: Optional[tuple] = None
+        self._fault_sims: Dict[int, tuple] = {}
         self.shard = shard
         if shard is not None:
             start, stop = shard
@@ -256,6 +266,27 @@ class FaultCampaign:
     def _golden_run(self, sim: GateSimulator, program: PinProgram):
         """Lane 0's output words on every cycle of *program*."""
         return sim.replay(program, 0, len(program))
+
+    def _golden_replay(self) -> tuple:
+        """``(simulator, program, golden words, gate evaluations)`` of
+        the golden run, replayed on the first call only."""
+        if self._golden is None:
+            sim = GateSimulator(self.netlist)
+            program = PinProgram(self.netlist, self.stimuli)
+            golden = self._golden_run(sim, program)
+            self._golden = (sim, program, golden, sim.gate_evals)
+        return self._golden
+
+    def _fault_sim(self, lanes: int) -> tuple:
+        """``(simulator, fresh state, gate evaluations then)`` of the
+        *lanes*-lane fault simulator, built on the first call only.  Its
+        fresh state is the state the golden run started from."""
+        kept = self._fault_sims.get(lanes)
+        if kept is None:
+            sim = GateSimulator(self.netlist, lanes=lanes)
+            kept = self._fault_sims[lanes] = (sim, sim.save_state(),
+                                              sim.gate_evals)
+        return kept
 
     def _simulate_fault(self, sim: GateSimulator, fault: Fault,
                         golden: List[Dict[str, int]], initial) -> FaultResult:
@@ -359,10 +390,12 @@ class FaultCampaign:
             self._work = saved
 
     def run(self) -> CampaignReport:
-        """Execute the campaign; always returns a report (never wedges)."""
-        golden_sim = GateSimulator(self.netlist)
-        program = PinProgram(self.netlist, self.stimuli)
-        golden = self._golden_run(golden_sim, program)
+        """Execute the campaign; always returns a report (never wedges).
+
+        :attr:`gate_evals` counts the golden replay and a fresh fault
+        simulator on every run, as if each run built its own.
+        """
+        golden_sim, program, golden, golden_evals = self._golden_replay()
 
         report = CampaignReport(
             netlist_name=self.netlist.name,
@@ -377,11 +410,11 @@ class FaultCampaign:
                         cycles=len(self.stimuli), faults=self.total_faults,
                         representatives=len(self._work))
         if self.lanes > 1:
-            fault_sim = self._run_batched(report, program, golden, events)
+            fault_evals = self._run_batched(report, program, golden, events)
         else:
             outputs = golden_sim.recorded_outputs(golden, len(program))
-            fault_sim = self._run_scalar(report, outputs, events)
-        self.gate_evals = golden_sim.gate_evals + fault_sim.gate_evals
+            fault_evals = self._run_scalar(report, outputs, events)
+        self.gate_evals = golden_evals + fault_evals
         if events is not None:
             events.emit("campaign_end", netlist=self.netlist.name,
                         coverage=report.coverage(), complete=report.complete,
@@ -390,11 +423,12 @@ class FaultCampaign:
         return report
 
     def _run_scalar(self, report: CampaignReport,
-                    golden: List[Dict[str, int]], events) -> GateSimulator:
-        # One simulator for every fault: restore beats re-levelizing.  Its
-        # fresh state is the state the golden run started from.
-        fault_sim = GateSimulator(self.netlist)
-        initial = fault_sim.save_state()
+                    golden: List[Dict[str, int]], events) -> int:
+        """Simulate the work list one fault at a time; returns the gate
+        evaluations a fresh simulator would have spent."""
+        # One simulator for every fault: restore beats re-levelizing.
+        fault_sim, initial, built = self._fault_sim(1)
+        start = fault_sim.gate_evals
         watchdog = self.watchdog
         if watchdog is not None:
             watchdog.start()
@@ -413,17 +447,19 @@ class FaultCampaign:
                 watchdog.tick()
             if self.progress is not None:
                 self.progress(index + 1, len(self._work))
-        return fault_sim
+        return built + fault_sim.gate_evals - start
 
     def _run_batched(self, report: CampaignReport, program: PinProgram,
-                     golden, events) -> GateSimulator:
+                     golden, events) -> int:
+        """Simulate the work list a chunk of lanes at a time; returns the
+        gate evaluations a fresh simulator would have spent."""
         # One lane-wide simulator for the whole campaign; its fresh
         # post-levelize state doubles as the per-chunk restore point
         # (every lane starts from the same DFF init the golden run did),
         # and lane 0's golden output words are the reference bit
         # patterns every lane's packed words are diffed against.
-        fault_sim = GateSimulator(self.netlist, lanes=self.lanes)
-        initial = fault_sim.save_state()
+        fault_sim, initial, built = self._fault_sim(self.lanes)
+        start = fault_sim.gate_evals
         watchdog = self.watchdog
         if watchdog is not None:
             watchdog.start()
@@ -447,7 +483,7 @@ class FaultCampaign:
             index += len(chunk)
             if self.progress is not None:
                 self.progress(index, len(work))
-        return fault_sim
+        return built + fault_sim.gate_evals - start
 
 
 def _emit_fault(events, result: FaultResult) -> None:

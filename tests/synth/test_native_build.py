@@ -1,15 +1,19 @@
-"""Building, caching and falling back from the native gate kernel.
+"""Building, caching and falling back from the native gate kernel and
+netlist optimizer.
 
-The kernel builds through :mod:`repro.sim.cbuild`, the build path it
-shares with the compiled simulator's native step.
+Both build through :mod:`repro.sim.cbuild`, the build path they share
+with the compiled simulator's native step.
 
 Each test builds into a cache directory of its own.  A build that cannot
 finish — no compiler, a compile error, a compiler that outlives the
 timeout — falls back to the Python kernel once, with one warning that
 names the reason, leaves no file behind, and simulates the same values.
+The optimizer falls back alone, to the Python optimizer and the same
+netlists, and a kernel that fails leaves the optimizer native.
 """
 
 import os
+import pickle
 import shutil
 import sys
 import time
@@ -18,10 +22,11 @@ import warnings
 import pytest
 
 from repro.sim import cbuild
-from repro.synth import GateSimulator, native
+from repro.synth import GateSimulator, native, optimize, optimize_netlist
 from repro.synth.gatesim import _NativeGateSimulator
 
 from .test_gate_kernel import random_netlist
+from .test_netlist_digest import DECT_DIGESTS, HCOR_DIGESTS, _digests
 
 needs_compiler = pytest.mark.skipif(
     shutil.which(cbuild._COMPILER) is None, reason="no C compiler")
@@ -140,3 +145,57 @@ def test_compile_timeout_bounds_the_build(cache, monkeypatch, tmp_path):
     # The compiler was killed, not left running.
     with pytest.raises(ProcessLookupError):
         os.kill(int(pid_file.read_text()), 0)
+
+
+@pytest.fixture
+def broken(tmp_path):
+    path = tmp_path / "broken.c"
+    path.write_text("this is not C;\n")
+    return path
+
+
+@needs_compiler
+def test_broken_optimizer_falls_back_alone(cache, monkeypatch, broken):
+    from repro.designs.dect import build_transceiver
+    from repro.designs.hcor import build_hcor
+    from repro.synth import synthesize_system
+
+    monkeypatch.setattr(native, "_optimizer", None)
+    monkeypatch.setattr(native, "optimizer_failure", None)
+    monkeypatch.setattr(native, "OPTIMIZER_SOURCE", broken)
+    with pytest.warns(RuntimeWarning) as record:
+        hcor = synthesize_system(build_hcor().system)
+    assert [str(w.message) for w in record] == [
+        f"native netlist optimizer unavailable, netlists are optimized in "
+        f"Python: {native.optimizer_failure}"]
+    assert "exited with status" in native.optimizer_failure
+    # Once per process: the next 20 optimizations warn no more.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dect = synthesize_system(build_transceiver().system)
+        assert _digests(hcor) == HCOR_DIGESTS
+        assert list(_digests(dect).items()) == list(DECT_DIGESTS.items())
+        # The gate kernel still runs native.
+        assert type(GateSimulator(hcor.components[0].netlist)) \
+            is _NativeGateSimulator
+    assert native.failure is None
+
+
+@needs_compiler
+def test_broken_kernel_leaves_the_optimizer_native(cache, monkeypatch,
+                                                   broken):
+    netlist = random_netlist(7)
+    with optimize._python_optimizer():
+        reference = optimize_netlist(netlist)
+    monkeypatch.setattr(native, "_library", None)
+    monkeypatch.setattr(native, "SOURCE", broken)
+    monkeypatch.setattr(native, "_optimizer", None)
+    monkeypatch.setattr(native, "optimizer_failure", None)
+    with pytest.warns(RuntimeWarning, match="exited with status"):
+        assert type(GateSimulator(netlist)) is GateSimulator
+    monkeypatch.setattr(optimize, "_one_pass", None)  # calling it fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimized = optimize_netlist(netlist)
+    assert native.optimizer_failure is None
+    assert pickle.dumps(optimized) == pickle.dumps(reference)

@@ -98,9 +98,22 @@ class TestOptimizeValidate:
             return _adder(old.name + "_broken", twist=True), True
 
         monkeypatch.setattr(optmod, "_one_pass", broken_one_pass)
-        with pytest.raises(NetlistEquivalenceError) as info:
+        with optmod._python_optimizer(), \
+                pytest.raises(NetlistEquivalenceError) as info:
             optmod.optimize_netlist(_adder("victim"), max_passes=1,
                                     validate="sampled")
+        assert info.value.counterexample is not None
+
+    def test_broken_native_result_raises(self, monkeypatch):
+        import repro.synth.optimize as optmod
+
+        def broken_native(lib, netlist, max_passes):
+            return _adder(netlist.name + "_broken", twist=True)
+
+        monkeypatch.setattr(optmod, "_native_optimize", broken_native)
+        monkeypatch.setattr(optmod.native, "optimizer", lambda: object())
+        with pytest.raises(NetlistEquivalenceError) as info:
+            optmod.optimize_netlist(_adder("victim"), validate="sampled")
         assert info.value.counterexample is not None
 
     def test_synthesize_process_validate_sequential(self):

@@ -7,6 +7,9 @@
   pass asks for no further one and rebuilds the same bytes.
 * Every rewrite that produces an inverter collapses with an inverter
   beside it in one pass; only the local DFF rule asks for another pass.
+* The native optimizer builds the reference's bytes: on every HCOR and
+  DECT component, on random sequential netlists and on each small case
+  below.
 """
 
 import pickle
@@ -15,10 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.synth import GateKind, Netlist, optimize_netlist
+from repro.core.errors import SynthesisError
+from repro.synth import GateKind, Netlist, native, optimize_netlist
 from repro.synth.equiv import check_netlists
 from repro.synth.gates import ARITY, KINDS
-from repro.synth.optimize import _one_pass, sequential_constants
+from repro.synth.optimize import (
+    _one_pass,
+    _python_optimizer,
+    sequential_constants,
+)
 
 # -- the oracle: one full ternary sweep per demotion round ---------------------
 
@@ -106,6 +114,22 @@ def assert_fixpoint(optimized):
         optimized.name
 
 
+def assert_reference_bytes(netlist, optimized):
+    """*optimized* pickles to the bytes the Python optimizer builds from
+    *netlist*."""
+    with _python_optimizer():
+        reference = optimize_netlist(netlist)
+    assert pickle.dumps(optimized) == pickle.dumps(reference), netlist.name
+
+
+@pytest.fixture
+def native_optimizer():
+    """The native optimizer; the test is skipped where it cannot be
+    built."""
+    if native.optimizer() is None:
+        pytest.skip(f"no native optimizer: {native.optimizer_failure}")
+
+
 # -- HCOR and DECT -----------------------------------------------------------------
 
 
@@ -149,11 +173,25 @@ def test_designs_optimize_to_a_fixpoint_in_one_pass(raw_components,
         return _one_pass(old, seq_consts)
 
     monkeypatch.setattr(optimize, "_one_pass", counted)
-    optimized = [optimize_netlist(raw) for raw in raw_components]
+    with optimize._python_optimizer():
+        optimized = [optimize_netlist(raw) for raw in raw_components]
     assert calls == [raw.name for raw in raw_components]
     assert optimized[0].gate_count() == 1657  # HCOR
     for netlist in optimized:
         assert_fixpoint(netlist)
+
+
+def test_native_builds_the_reference_bytes_on_designs(raw_components,
+                                                       native_optimizer):
+    # hcor and pcctrl are not in topological gate order, so they take
+    # the depth-first levelization.
+    unordered = [raw.name for raw in raw_components
+                 if raw.levelize_indices() != [
+                     index for index, code in enumerate(raw.gate_kinds)
+                     if code != GateKind.DFF.code]]
+    assert unordered == ["hcor", "pcctrl"]
+    for raw in raw_components:
+        assert_reference_bytes(raw, optimize_netlist(raw))
 
 
 # -- random sequential netlists ---------------------------------------------------
@@ -201,6 +239,7 @@ def test_random_netlists_optimize_to_an_equivalent_fixpoint(netlist):
     optimized = optimize_netlist(netlist)
     assert_fixpoint(optimized)
     assert check_netlists(netlist, optimized, mode="exhaustive").equivalent
+    assert_reference_bytes(netlist, optimized)
 
 
 # -- one pass collapses every inverter pair ----------------------------------------
@@ -236,6 +275,48 @@ def test_inverter_pair_collapses_in_one_pass(inner, outer):
     assert optimized.outputs["y"] == optimized.inputs["a"]
 
 
+def test_native_collapses_inverter_pairs_as_the_reference(native_optimizer):
+    rewrites = _inverter_rewrites()
+    for inner in rewrites:
+        for outer in rewrites:
+            nl = Netlist(f"{outer}({inner})")
+            a, b = nl.add_input("a", 2)
+            pair = rewrites[outer](nl, rewrites[inner](nl, a))
+            # A gate reading the pair keeps a constant cell in use.
+            nl.set_output("y", [pair, nl.add(GateKind.MUX2,
+                                             [b, pair, nl.const(0)])])
+            assert_reference_bytes(nl, optimize_netlist(nl))
+
+
+def test_native_raises_on_a_combinational_cycle(native_optimizer):
+    nl = Netlist("loop")
+    a = nl.add_input("a", 1)[0]
+    n1, n2 = nl.new_net(), nl.new_net()
+    nl.add(GateKind.AND2, [a, n1], output=n2)
+    nl.add(GateKind.INV, [n2], output=n1)
+    nl.set_output("y", [n2])
+    with pytest.raises(SynthesisError, match="combinational cycle"):
+        optimize_netlist(nl)
+
+
+def test_columns_of_unequal_lengths_run_the_python_optimizer(monkeypatch):
+    import repro.synth.optimize as optimize
+
+    nl = Netlist("ragged")
+    a, b = nl.add_input("a", 2)
+    nl.set_output("y", [nl.add(GateKind.AND2, [a, b])])
+    nl.gate_inits.pop()  # the C function would read past this column
+    calls = []
+
+    def counted(old, seq_consts=None):
+        calls.append(old.name)
+        return _one_pass(old, seq_consts)
+
+    monkeypatch.setattr(optimize, "_one_pass", counted)
+    assert optimize_netlist(nl).gate_count() == 1
+    assert calls == ["ragged"]
+
+
 def test_collapse_feeds_structural_hashing():
     """A reader of a collapsed pair merges with a reader of its source."""
     nl = Netlist("merge")
@@ -264,6 +345,17 @@ def _local_only_constant():
     return nl, r
 
 
+def test_native_local_dff_rule_as_the_reference(native_optimizer):
+    nl, _r = _local_only_constant()
+    assert_reference_bytes(nl, optimize_netlist(nl))
+    # One pass leaves the OR that read the register: it takes two.
+    with _python_optimizer():
+        first = optimize_netlist(nl, max_passes=1)
+    assert first.gate_count() == 1
+    assert pickle.dumps(optimize_netlist(nl, max_passes=1)) == \
+        pickle.dumps(first)
+
+
 def test_local_dff_rule_asks_for_another_pass():
     nl, r = _local_only_constant()
     assert r not in sequential_constants(nl)
@@ -284,7 +376,8 @@ def test_local_dff_constant_fully_reduced(monkeypatch):
 
     monkeypatch.setattr(optimize, "_one_pass", counted)
     nl, _r = _local_only_constant()
-    optimized = optimize_netlist(nl, validate="exhaustive")
+    with optimize._python_optimizer():
+        optimized = optimize_netlist(nl, validate="exhaustive")
     assert len(calls) == 2 and calls[1] is None
     assert optimized.gate_count() == 0
     assert optimized.outputs["y"] == [optimized.inputs["a"][1]]

@@ -71,3 +71,46 @@ class TestHcorCampaign:
         # The acceptance bar: one golden replay per 64 faults must cut
         # word-level gate evaluations by at least 10x.
         assert scalar_campaign.gate_evals >= 10 * batched_campaign.gate_evals
+
+
+class TestShardSpans:
+    """A shard worker runs many spans on one campaign object."""
+
+    @pytest.mark.parametrize("lanes", [1, 64])
+    def test_spans_share_one_golden_run(self, hcor_synthesis, monkeypatch,
+                                        lanes):
+        import repro.verify.campaign as campaign_module
+
+        nl = hcor_synthesis.netlist
+        stimuli = random_stimulus(nl, 12, seed=7)
+        whole = FaultCampaign(nl, stimuli, lanes=lanes)
+        report = whole.run()
+        split = 100 if lanes > 1 else 9
+        fresh = FaultCampaign(nl, stimuli, lanes=lanes, shard=(split, 150))
+        fresh_report = fresh.run()
+
+        built = []
+        simulator, program = (campaign_module.GateSimulator,
+                              campaign_module.PinProgram)
+
+        def counted_simulator(netlist, lanes=1):
+            built.append(("simulator", lanes))
+            return simulator(netlist, lanes=lanes)
+
+        def counted_program(netlist, stimuli):
+            built.append(("program", len(stimuli)))
+            return program(netlist, stimuli)
+
+        monkeypatch.setattr(campaign_module, "GateSimulator",
+                            counted_simulator)
+        monkeypatch.setattr(campaign_module, "PinProgram", counted_program)
+        campaign = FaultCampaign(nl, stimuli, lanes=lanes)
+        first = campaign.run_shard(0, split)
+        second = campaign.run_shard(split, campaign.work_size)
+        # One golden simulator, one pin program, one fault simulator.
+        assert sorted(built) == sorted([("simulator", 1), ("program", 12),
+                                        ("simulator", lanes)])
+        assert first.results + second.results == report.results
+        # Every span counts the golden replay, as a fresh campaign does.
+        assert campaign.run_shard(split, 150) == fresh_report
+        assert campaign.gate_evals == fresh.gate_evals
